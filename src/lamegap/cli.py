@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import checks as checks_mod
 from .config import ConfigError, load_config
@@ -113,12 +112,8 @@ def _cmd_fem_solve(args) -> int:
             fh.write("x,y,u1,u2,g11,g12,g21,g22\n")
             for k, p in enumerate(pts):
                 idx = k * args.stride
-                u1, u2 = fld.u[2 * idx], fld.u[2 * idx + 1]
-                g = grads[k]
-                fh.write(
-                    f"{p[0]!r},{p[1]!r},{u1!r},{u2!r},"
-                    f"{g[0, 0]!r},{g[0, 1]!r},{g[1, 0]!r},{g[1, 1]!r}\n"
-                )
+                row = (p[0], p[1], fld.u[2 * idx], fld.u[2 * idx + 1], *grads[k].ravel())
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
         print(f"wrote {args.out}")
     g0 = sample(fld, [(0.0, 0.0)], "gradient")[0]
     print(f"gap-center gradient: {g0.tolist()}")
@@ -128,8 +123,6 @@ def _cmd_fem_solve(args) -> int:
 
 def _cmd_study(args) -> int:
     cfg = load_config(args.config) if args.config else SweepConfig()
-    if args.deterministic:
-        cfg = replace(cfg, deterministic=True, workers=1)
     report = RUNNERS[args.kind](cfg)
     print(f"study {args.kind} ({report.study_id}):")
     for name in sorted(report.checks):
@@ -244,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--config", help="flat key=value config file")
     st.add_argument("--out", help="CSV output path")
     st.add_argument("--json", help="JSON report path")
-    st.add_argument("--deterministic", action="store_true")
     st.set_defaults(func=_cmd_study)
 
     r = sub.add_parser("report", help="merge study JSON reports")

@@ -216,16 +216,6 @@ class ParamPoly:
                     rem.pop(k, None)
         return ParamPoly(out)
 
-    def derivative(self, var: int) -> "ParamPoly":
-        """d/d(lam) for var=0, d/d(mu) for var=1 (used in tests only)."""
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self._terms.items():
-            e = (i, j)[var]
-            if e:
-                k = (i - 1, j) if var == 0 else (i, j - 1)
-                out[k] = out.get(k, 0) + c * e
-        return ParamPoly(out)
-
     # -- rendering -----------------------------------------------------
 
     def render(self) -> str:

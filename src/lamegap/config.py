@@ -2,7 +2,7 @@
 
 Grammar: one `key = value` pair per line; `#` starts a comment; blank lines
 ignored.  Unknown keys are hard errors so tolerance-name typos cannot pass
-silently.  `sweep.eps` is a comma-separated list; booleans are true/false.
+silently.  `sweep.eps` is a comma-separated list.
 """
 
 from __future__ import annotations
@@ -31,19 +31,11 @@ _SCALAR_KEYS: dict[str, tuple[str, type]] = {
     "mesh.collar_width": ("collar_width", float),
     "mesh.ct_eps_power": ("ct_eps_power", float),
     "compare.depth": ("compare_depth", int),
-    "seed": ("seed", int),
-    "deterministic": ("deterministic", bool),
     "workers": ("workers", int),
 }
 
 
 def _coerce(raw: str, typ: type):
-    if typ is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected boolean, got {raw!r}")
     try:
         return typ(raw)
     except ValueError as exc:

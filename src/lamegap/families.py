@@ -620,26 +620,3 @@ def build_family(
         fam = fam._with_level(v)
     return fam
 
-
-def extend_recursion_2d(fam: AuxFamily, profile: FactorProfile | None = None) -> AuxFamily:
-    """Append one recursion-route level (rebuilds tables; 2D alpha in {1,2})."""
-    if fam.dim.d != 2:
-        raise FamilyError("extend_recursion_2d requires d=2")
-    if fam.alpha == 3:
-        raise FamilyError("no 2D recursion for the rotation; use the integral route")
-    rebuilt = build_family(fam.dim, fam.alpha, fam.depth + 1, route="recursion")
-    return rebuilt
-
-
-def extend_recursion_3d(fam: AuxFamily) -> AuxFamily:
-    """Append one recursion-route level (3D alpha in {1,2,3})."""
-    if fam.dim.d != 3:
-        raise FamilyError("extend_recursion_3d requires d=3")
-    if fam.alpha in (4, 5, 6):
-        raise FamilyError("no 3D recursion for rotations; use the integral route")
-    return build_family(fam.dim, fam.alpha, fam.depth + 1, route="recursion")
-
-
-def residual(fam: AuxFamily, l: int) -> NeckField:
-    """Partial residual f^l (cached within the family)."""
-    return fam.f(l)

@@ -13,7 +13,7 @@ identical matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,6 +100,8 @@ class ElasticitySystem:
     lam: float
     mu: float
     materials: dict[str, tuple[float, float]]
+    # reduced system of the latest constraint pattern, kept by fem.solve
+    _reduced: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_dofs(self) -> int:

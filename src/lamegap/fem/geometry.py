@@ -42,10 +42,6 @@ class Geometry:
     def center2(self) -> tuple[float, float]:
         return (0.0, -(self.rho2 + self.eps / 2))
 
-    @property
-    def symmetric(self) -> bool:
-        return self.rho1 == self.rho2
-
     def gamma1(self, x: float) -> float:
         """Lower boundary of the top inclusion over |x| < rho1."""
         return self.center1[1] - math.sqrt(self.rho1**2 - x * x)

@@ -4,9 +4,11 @@ Boundary handling is by DOF condensation: the full displacement vector is
 u = T y + g, with g carrying prescribed Dirichlet values and T mapping the
 reduced unknowns (free nodal DOFs plus, for hard inclusions, three rigid
 parameters per inclusion) into nodal DOFs.  The reduced system T'KT is
-symmetric positive definite; it is solved by a sparse factorization below
-500k unknowns and by preconditioned CG above (both paths must agree, see
-the cross-check test).  Every solve verifies the relative residual.
+symmetric positive definite and is solved by a sparse LU factorization.  A
+constraint pattern (fixed DOF mask plus rigid node groups) is factorized
+once per system: later solves with the same pattern and new boundary values
+reuse the factor, and only the latest pattern is kept.  Every solve verifies
+the relative backward error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .assembly import ElasticitySystem, assemble, shape_functions, shape_gradien
 from .geometry import Geometry
 from .mesh import Mesh, MeshParams, add_inclusion_interiors, generate_mesh
 
-DIRECT_DOF_LIMIT = 500_000
 RESIDUAL_TOL = 1e-10
 
 PSI = (
@@ -79,86 +80,100 @@ class DisplacementField:
 # ---------------------------------------------------------------------------
 
 
-def _solve_reduced(A: sp.csr_matrix, b: np.ndarray, method: str) -> np.ndarray:
-    if method == "direct":
-        try:
-            lu = spla.splu(A.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"sparse factorization failed: {exc}") from exc
-        y = lu.solve(b)
-        # two steps of iterative refinement; high-contrast materials push the
-        # raw factorization residual above the acceptance threshold
-        for _ in range(2):
-            y = y + lu.solve(b - A @ y)
-        return y
-    if method == "cg":
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=20)
-        M = spla.LinearOperator(A.shape, ilu.solve)
-        y, info = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=20_000, M=M)
-        if info != 0:
-            raise SolverError(f"CG did not converge (info={info})")
-        return y
-    raise SolverError(f"unknown solver method {method!r}")
+@dataclass
+class _ReducedSystem:
+    """T, A = T'KT, its LU factor and ||A||_inf for one constraint pattern."""
+
+    key: tuple
+    T: sp.csr_matrix
+    A: sp.csr_matrix
+    lu: spla.SuperLU
+    norm_a: float
+
+
+def _reduced_system(
+    system: ElasticitySystem, fixed: np.ndarray, rigid_groups: Sequence[np.ndarray]
+) -> _ReducedSystem:
+    """The reduced system of `system` for the pattern (fixed DOF mask, rigid
+    node groups).  Only the latest pattern is kept on the system."""
+    groups = [np.asarray(nodes, dtype=np.int64) for nodes in rigid_groups]
+    key = (fixed.tobytes(), tuple(nodes.tobytes() for nodes in groups))
+    if system._reduced is not None and system._reduced.key == key:
+        return system._reduced
+    system._reduced = None  # release the old factor before building the new one
+
+    n = system.n_dofs
+    tied = np.zeros(n, dtype=bool)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    n_rigid = 3 * len(groups)
+    for gi, nodes in enumerate(groups):
+        clash = nodes[fixed[2 * nodes]]
+        if len(clash):
+            raise SolverError(f"node {clash[0]} both prescribed and rigid-tied")
+        x, y = system.mesh.nodes[nodes].T
+        base = np.full(len(nodes), 3 * gi)
+        ones = np.ones(len(nodes))
+        tied[2 * nodes] = tied[2 * nodes + 1] = True
+        # u_x = c0 + c2 y,  u_y = c1 - c2 x
+        rows += [2 * nodes, 2 * nodes + 1, 2 * nodes, 2 * nodes + 1]
+        cols += [base, base + 1, base + 2, base + 2]
+        vals += [ones, ones, y, -x]
+    free_idx = np.nonzero(~(fixed | tied))[0]
+    n_red = n_rigid + len(free_idx)
+    rows.append(free_idx)
+    cols.append(np.arange(n_rigid, n_red))
+    vals.append(np.ones(len(free_idx)))
+    T = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n_red)
+    ).tocsr()
+
+    A = (T.T @ system.K @ T).tocsr()
+    try:
+        lu = spla.splu(A.tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    norm_a = float(np.abs(A).sum(axis=1).max())
+    system._reduced = _ReducedSystem(key, T, A, lu, norm_a)
+    return system._reduced
 
 
 def _condensed_solve(
     system: ElasticitySystem,
     prescribed: dict[int, tuple[float, float]],
     rigid_groups: Sequence[np.ndarray] = (),
-    method: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve K u = 0 with prescribed nodal values and rigid-tied node groups.
 
     Returns (u, c) where c stacks 3 rigid parameters per group.
     """
-    mesh = system.mesh
     n = system.n_dofs
+    nodes = np.fromiter(prescribed, dtype=np.int64, count=len(prescribed))
+    values = np.array(list(prescribed.values()), dtype=float).reshape(-1, 2)
     g = np.zeros(n)
+    g[2 * nodes], g[2 * nodes + 1] = values[:, 0], values[:, 1]
     fixed = np.zeros(n, dtype=bool)
-    for node, (ux, uy) in prescribed.items():
-        g[2 * node], g[2 * node + 1] = ux, uy
-        fixed[2 * node] = fixed[2 * node + 1] = True
+    fixed[2 * nodes] = fixed[2 * nodes + 1] = True
+    red = _reduced_system(system, fixed, rigid_groups)
 
-    tied = np.zeros(n, dtype=bool)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    n_rigid = 3 * len(rigid_groups)
-    for gi, nodes in enumerate(rigid_groups):
-        for node in nodes:
-            if fixed[2 * node]:
-                raise SolverError(f"node {node} both prescribed and rigid-tied")
-            x, y = mesh.nodes[node]
-            base = 3 * gi
-            tied[2 * node] = tied[2 * node + 1] = True
-            rows += [2 * node, 2 * node + 1, 2 * node, 2 * node + 1]
-            cols += [base, base + 1, base + 2, base + 2]
-            vals += [1.0, 1.0, y, -x]
-
-    free = ~(fixed | tied)
-    free_idx = np.nonzero(free)[0]
-    n_red = len(free_idx) + n_rigid
-    for j, dof in enumerate(free_idx):
-        rows.append(dof)
-        cols.append(n_rigid + j)
-        vals.append(1.0)
-    T = sp.coo_matrix((vals, (rows, cols)), shape=(n, n_red)).tocsr()
-
-    A = (T.T @ system.K @ T).tocsr()
-    b = -(T.T @ (system.K @ g))
-    if method is None:
-        method = "direct" if n_red < DIRECT_DOF_LIMIT else "cg"
-    y = _solve_reduced(A, b, method)
+    A, lu = red.A, red.lu
+    b = -(red.T.T @ (system.K @ g))
+    y = lu.solve(b)
+    # two steps of iterative refinement; high-contrast materials push the
+    # raw factorization residual above the acceptance threshold
+    for _ in range(2):
+        y = y + lu.solve(b - A @ y)
     res = np.linalg.norm(A @ y - b)
     # backward-error normalization; plain ||b|| would be unattainable for
     # the high-contrast cross-check systems
-    norm_a = float(np.abs(A).sum(axis=1).max())
-    scale = max(norm_a * np.linalg.norm(y) + np.linalg.norm(b), 1e-300)
+    scale = max(red.norm_a * np.linalg.norm(y) + np.linalg.norm(b), 1e-300)
     if res / scale > RESIDUAL_TOL:
         raise SolverError(
             f"linear solve residual {res / scale:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
-    u = T @ y + g
+    u = red.T @ y + g
+    n_rigid = 3 * len(rigid_groups)
     c = y[:n_rigid].reshape(-1, 3) if n_rigid else np.zeros((0, 3))
     return u, c
 
@@ -190,7 +205,6 @@ def solve_component(
     params: MeshParams | None = None,
     mesh: Mesh | None = None,
     system: ElasticitySystem | None = None,
-    method: str | None = None,
 ) -> DisplacementField:
     """u = psi_alpha on inclusion i, u = 0 on the other inclusion and outer."""
     if i not in (1, 2):
@@ -204,7 +218,7 @@ def solve_component(
     _prescribe(mesh_, "outer", zero, prescribed)
     _prescribe(mesh_, "incl1" if i == 2 else "incl2", zero, prescribed)
     _prescribe(mesh_, f"incl{i}", PSI[alpha - 1], prescribed)
-    u, _ = _condensed_solve(system, prescribed, method=method)
+    u, _ = _condensed_solve(system, prescribed)
     return DisplacementField(system, u)
 
 
@@ -216,7 +230,6 @@ def solve_hard_inclusion(
     params: MeshParams | None = None,
     mesh: Mesh | None = None,
     system: ElasticitySystem | None = None,
-    method: str | None = None,
 ) -> tuple[DisplacementField, np.ndarray]:
     """Energy minimum over fields rigid on each inclusion; returns C (2x3)."""
     system = system or _system(geom, lam, mu, params, mesh)
@@ -224,7 +237,7 @@ def solve_hard_inclusion(
     prescribed: dict[int, tuple[float, float]] = {}
     _prescribe(mesh_, "outer", phi, prescribed)
     groups = [mesh_.boundary_nodes("incl1"), mesh_.boundary_nodes("incl2")]
-    u, c = _condensed_solve(system, prescribed, rigid_groups=groups, method=method)
+    u, c = _condensed_solve(system, prescribed, rigid_groups=groups)
     return DisplacementField(system, u, rigid=c), c
 
 
@@ -236,13 +249,12 @@ def solve_holes(
     params: MeshParams | None = None,
     mesh: Mesh | None = None,
     system: ElasticitySystem | None = None,
-    method: str | None = None,
 ) -> DisplacementField:
     """Traction-free inclusion boundaries, Dirichlet phi on the outer circle."""
     system = system or _system(geom, lam, mu, params, mesh)
     prescribed: dict[int, tuple[float, float]] = {}
     _prescribe(system.mesh, "outer", phi, prescribed)
-    u, _ = _condensed_solve(system, prescribed, method=method)
+    u, _ = _condensed_solve(system, prescribed)
     return DisplacementField(system, u)
 
 
@@ -254,7 +266,6 @@ def solve_large_contrast(
     lam1: float = 1e6,
     mu1: float = 1e6,
     params: MeshParams | None = None,
-    method: str | None = None,
 ) -> DisplacementField:
     """Finite-contrast cross-check: stiff elastic inclusions, no constraints."""
     base = generate_mesh(geom, params)
@@ -262,7 +273,7 @@ def solve_large_contrast(
     system = assemble(mesh, lam, mu, materials={"incl1": (lam1, mu1), "incl2": (lam1, mu1)})
     prescribed: dict[int, tuple[float, float]] = {}
     _prescribe(mesh, "outer", phi, prescribed)
-    u, _ = _condensed_solve(system, prescribed, method=method)
+    u, _ = _condensed_solve(system, prescribed)
     return DisplacementField(system, u)
 
 

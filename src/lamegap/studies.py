@@ -106,8 +106,6 @@ class SweepConfig:
     ct_eps_power: float = 0.0
     compare_depth: int = 2
     study_id: str = "study"
-    seed: int = 0
-    deterministic: bool = True
     workers: int = 1
     tolerances: tuple[tuple[str, float], ...] = tuple(sorted(DEFAULT_TOLERANCES.items()))
 
@@ -424,7 +422,7 @@ def _pool_runner(args: tuple[str, dict, float]) -> dict:
 
 
 def _run_cases(cfg: SweepConfig, kind: str) -> list[dict]:
-    if cfg.workers > 1 and not cfg.deterministic:
+    if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             args = [(kind, cfg.to_json_obj(), eps) for eps in cfg.eps_grid]
             recs = list(pool.map(_pool_runner, args))

@@ -107,6 +107,14 @@ def test_fd_oracle_profile():
         assert rep.passed, rep.witness
 
 
+def test_fd_oracle_small_derivative_point(families_depth3):
+    # central differences alone miss tol by h^2 truncation at this draw
+    # (min rel err 1.0e-5); their Richardson combination does not
+    comp = families_depth3[(3, 1)].v(3).components[0]
+    rep = fd_oracle(comp, "z", samples=4, eps=0.05, seed=710162)
+    assert rep.passed, rep.witness
+
+
 def test_fd_oracle_depth3_component(families_depth3):
     comp = families_depth3[(2, 1)].v(3)[1]
     rep = fd_oracle(comp, "x1", samples=10, eps=0.05, seed=5)

@@ -66,6 +66,23 @@ def test_fem_solve_cli(tmp_path, capsys):
     assert mesh_out.read_text().startswith("lamegap-mesh 1 ")
 
 
+def test_fem_solve_hard_csv_cells_parse(tmp_path, capsys):
+    field_out = tmp_path / "field.csv"
+    code = main(
+        ["fem", "solve", "--eps", "0.05", "--problem", "hard",
+         "--stride", "50", "--out", str(field_out)]
+    )
+    assert code == 0
+    header, *rows = field_out.read_text().splitlines()
+    assert header == "x,y,u1,u2,g11,g12,g21,g22"
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == 8
+        for cell in cells:
+            float(cell)  # raises on reprs such as "np.float64(...)"
+
+
 def test_study_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mesh.bogus = 3\n")
@@ -83,7 +100,7 @@ def test_study_and_report_roundtrip(tmp_path, capsys):
     code = main(
         [
             "study", "constants", "--config", str(cfg),
-            "--json", str(out_json), "--out", str(out_csv), "--deterministic",
+            "--json", str(out_json), "--out", str(out_csv),
         ]
     )
     assert code == 0
@@ -106,8 +123,7 @@ def test_study_idempotent_outputs(tmp_path):
     for k in (1, 2):
         path = tmp_path / f"r{k}.json"
         assert main(
-            ["study", "constants", "--config", str(cfg), "--json", str(path),
-             "--deterministic"]
+            ["study", "constants", "--config", str(cfg), "--json", str(path)]
         ) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]

@@ -14,8 +14,6 @@ from lamegap.families import (
     _Tables,
     build_family,
     extend_integral,
-    extend_recursion_2d,
-    extend_recursion_3d,
     lame_apply,
     rigid_basis,
     seed_level1,
@@ -148,14 +146,8 @@ def test_out_of_range_table_index_is_zero():
 
 
 def test_recursion_rejects_rotations():
-    fam2 = build_family(DIM2, 3, 1)
-    with pytest.raises(FamilyError):
-        extend_recursion_2d(fam2)
     with pytest.raises(FamilyError):
         build_family(DIM2, 3, 2, route="recursion")
-    fam5 = build_family(DIM3, 5, 1)
-    with pytest.raises(FamilyError):
-        extend_recursion_3d(fam5)
     for alpha in (4, 5, 6):
         with pytest.raises(FamilyError):
             build_family(DIM3, alpha, 2, route="recursion")

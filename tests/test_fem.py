@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import lamegap.fem.solve as solve_mod
 from lamegap.fem.assembly import AssemblyError, QP, QW, assemble, shape_functions, shape_gradients
 from lamegap.fem.geometry import Geometry
 from lamegap.fem.mesh import MeshParams, generate_mesh
@@ -206,13 +207,46 @@ def test_energy_balance(setup05):
     assert 2 * fld.energy() == pytest.approx(fld.boundary_work(), rel=1e-8)
 
 
-def test_direct_vs_cg_agree(setup05):
-    geom, _, system = setup05
-    fd = solve_component(geom, LAM, MU, 1, 1, system=system, method="direct")
-    fc = solve_component(geom, LAM, MU, 1, 1, system=system, method="cg")
-    gd = sample(fd, [(0.0, 0.0)], "gradient")[0]
-    gc = sample(fc, [(0.0, 0.0)], "gradient")[0]
-    assert np.abs(gd - gc).max() / np.abs(gd).max() < 1e-6
+def test_one_factorization_per_constraint_pattern(setup05, monkeypatch):
+    geom, mesh, _ = setup05
+    calls = []
+    raw_splu = solve_mod.spla.splu
+
+    def counting_splu(a, *args, **kwargs):
+        calls.append(a.shape)
+        return raw_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(solve_mod.spla, "splu", counting_splu)
+    system = assemble(mesh, LAM, MU)
+    shared = {
+        (i, alpha): solve_component(geom, LAM, MU, i, alpha, system=system)
+        for i in (1, 2)
+        for alpha in (1, 2, 3)
+    }
+    assert len(calls) == 1
+    phi = lambda x, y: (y, x + y)
+    hard, c = solve_hard_inclusion(geom, LAM, MU, phi, system=system)
+    assert len(calls) == 2
+    # only the latest pattern is kept
+    solve_component(geom, LAM, MU, 1, 1, system=system)
+    assert len(calls) == 3
+
+    for (i, alpha), fld in shared.items():
+        fresh = solve_component(geom, LAM, MU, i, alpha, system=assemble(mesh, LAM, MU))
+        assert np.array_equal(fld.u, fresh.u)
+    fresh_hard, fresh_c = solve_hard_inclusion(geom, LAM, MU, phi, system=assemble(mesh, LAM, MU))
+    assert np.array_equal(hard.u, fresh_hard.u)
+    assert np.array_equal(c, fresh_c)
+
+
+def test_prescribed_and_rigid_tied_node_rejected(setup05):
+    _, mesh, system = setup05
+    prescribed = {}
+    _prescribe(mesh, "outer", lambda x, y: (0.0, 0.0), prescribed)
+    _prescribe(mesh, "incl1", lambda x, y: (1.0, 0.0), prescribed)
+    groups = [mesh.boundary_nodes("incl1"), mesh.boundary_nodes("incl2")]
+    with pytest.raises(SolverError, match="both prescribed and rigid-tied"):
+        _condensed_solve(system, prescribed, rigid_groups=groups)
 
 
 def test_large_contrast_cross_check():

@@ -121,7 +121,7 @@ def _synthetic_report() -> StudyReport:
             "hi": -0.9,
         }
     }
-    cfg = SweepConfig(study_id="golden-tiny", seed=7)
+    cfg = SweepConfig(study_id="golden-tiny")
     return StudyReport("rates", "golden-tiny", cfg.to_json_obj(), records, fits, checks)
 
 
@@ -195,5 +195,5 @@ def test_workers_pool_path_matches_sequential():
 
     cfg = SweepConfig(study_id="pool")
     seq = run_constant_study(cfg)
-    par = run_constant_study(replace(cfg, workers=2, deterministic=False))
+    par = run_constant_study(replace(cfg, workers=2))
     assert seq.records == par.records

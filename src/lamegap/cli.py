@@ -84,6 +84,8 @@ def _cmd_aux_verify(args) -> int:
 
 
 def _cmd_fem_solve(args) -> int:
+    if args.stride < 1:
+        raise ValueError(f"--stride must be a positive integer, got {args.stride}")
     geom = Geometry(eps=args.eps, R0=args.R0, rho1=args.rho1, rho2=args.rho2)
     params = MeshParams(nz=args.nz, ct=args.grading)
     mesh = generate_mesh(geom, params)

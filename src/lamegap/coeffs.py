@@ -196,6 +196,8 @@ class ParamPoly:
             raise CoeffDivisionError("division by zero polynomial")
         if self.is_zero():
             return ParamPoly()
+        if _is_one(d):
+            return self
         rem = dict(self._terms)
         out: dict[tuple[int, int], int] = {}
         (dk, dc) = d.leading()
@@ -240,217 +242,76 @@ class ParamPoly:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial gcd over Z[lam, mu] via primitive PRS, recursing on variables.
-# Polynomials are small (degrees rarely exceed ~10), so the primitive PRS is
-# entirely adequate; no factorization is attempted.
+# Polynomial gcd over Z[lam, mu] by one primitive PRS that recurses on the
+# variables.  `_gcd(a, b, v)` views a and b as univariate in variable v
+# (0 = lam, 1 = mu) with coefficients free of v: the contents come from
+# recursing at v + 1, and pseudo-division uses ParamPoly's own arithmetic.
+# A single-term argument (every integer is one) ends the recursion.
+# Polynomials are small (degrees rarely exceed ~10), so no factorization
+# is attempted.
 # ---------------------------------------------------------------------------
-
-
-def _uni_from(p: ParamPoly, main: int) -> dict[int, dict[int, int]]:
-    """View p as univariate in variable `main` with Z[other] coefficients."""
-    out: dict[int, dict[int, int]] = {}
-    for (i, j), c in p.terms.items():
-        e = (i, j)[main]
-        o = (i, j)[1 - main]
-        out.setdefault(e, {})[o] = c
-    return out
-
-
-def _uni_to(coeffs: dict[int, dict[int, int]], main: int) -> ParamPoly:
-    terms: dict[tuple[int, int], int] = {}
-    for e, inner in coeffs.items():
-        for o, c in inner.items():
-            key = (e, o) if main == 0 else (o, e)
-            terms[key] = c
-    return ParamPoly(terms)
-
-
-def _z_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """gcd in Z[x] of dense-dict univariate integer polynomials."""
-
-    def content(p: dict[int, int]) -> int:
-        g = 0
-        for c in p.values():
-            g = math.gcd(g, abs(c))
-        return g
-
-    def primitive(p: dict[int, int]) -> dict[int, int]:
-        g = content(p)
-        return {e: c // g for e, c in p.items()} if g else {}
-
-    def degree(p: dict[int, int]) -> int:
-        return max(p) if p else -1
-
-    def pseudo_rem(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
-        dg = degree(g)
-        lg = g[dg]
-        r = dict(f)
-        while r and degree(r) >= dg:
-            dr = degree(r)
-            lr = r[dr]
-            # r <- lg*r - lr * x^(dr-dg) * g
-            new: dict[int, int] = {e: lg * c for e, c in r.items()}
-            for e, c in g.items():
-                k = e + dr - dg
-                s = new.get(k, 0) - lr * c
-                if s:
-                    new[k] = s
-                else:
-                    new.pop(k, None)
-            r = new
-        return r
-
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    ca, cb = content(a), content(b)
-    f, g = primitive(a), primitive(b)
-    if degree(f) < degree(g):
-        f, g = g, f
-    while g:
-        r = primitive(pseudo_rem(f, g))
-        f, g = g, r
-    out = {e: c * math.gcd(ca, cb) for e, c in f.items()}
-    if out[degree(out)] < 0:
-        out = {e: -c for e, c in out.items()}
-    return out
 
 
 def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """gcd over Z[lam, mu], positive leading coefficient under grlex."""
-    if a.is_zero():
-        g = b
-    elif b.is_zero():
-        g = a
-    else:
-        ua, ub = _uni_from(a, 0), _uni_from(b, 0)
-
-        def content_poly(u: dict[int, dict[int, int]]) -> dict[int, int]:
-            g: dict[int, int] = {}
-            for inner in u.values():
-                g = _z_poly_gcd(g, inner)
-            return g
-
-        def mul_uni(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-            out: dict[int, int] = {}
-            for e1, c1 in p.items():
-                for e2, c2 in q.items():
-                    k = e1 + e2
-                    s = out.get(k, 0) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return out
-
-        ca, cb = content_poly(ua), content_poly(ub)
-        cont = _z_poly_gcd(ca, cb)
-        pa = _mu_primitive(ua, ca)
-        pb = _mu_primitive(ub, cb)
-        prim = _lam_prs(pa, pb)
-        g = _uni_to({e: inner for e, inner in prim.items()}, 0) * _uni_to({0: cont}, 0)
+    g = _gcd(a, b, 0)
     if g.is_zero():
         return g
     _, lead = g.leading()
     return g.scale(-1) if lead < 0 else g
 
 
-def _mu_primitive(
-    u: dict[int, dict[int, int]], cont: dict[int, int]
-) -> dict[int, dict[int, int]]:
-    if not cont:
-        return {}
-    out: dict[int, dict[int, int]] = {}
-    for e, inner in u.items():
-        out[e] = _exact_uni_div(inner, cont)
-    return out
-
-
-def _exact_uni_div(f: dict[int, int], d: dict[int, int]) -> dict[int, int]:
-    dd = max(d)
-    ld = d[dd]
-    r = dict(f)
-    out: dict[int, int] = {}
-    while r:
-        dr = max(r)
-        lr = r[dr]
-        if dr < dd or lr % ld:
-            raise CoeffError("exact univariate division failed")
-        q = lr // ld
-        out[dr - dd] = q
-        for e, c in d.items():
-            k = e + dr - dd
-            s = r.get(k, 0) - q * c
-            if s:
-                r[k] = s
-            else:
-                r.pop(k, None)
-    return out
-
-
-def _lam_prs(
-    f: dict[int, dict[int, int]], g: dict[int, dict[int, int]]
-) -> dict[int, dict[int, int]]:
-    """Primitive PRS in lam over Z[mu]; both inputs mu-primitive."""
-
-    def degree(p: dict[int, dict[int, int]]) -> int:
-        return max(p) if p else -1
-
-    def mul_c(p: dict[int, dict[int, int]], c: dict[int, int]):
-        out: dict[int, dict[int, int]] = {}
-        for e, inner in p.items():
-            acc: dict[int, int] = {}
-            for e1, c1 in inner.items():
-                for e2, c2 in c.items():
-                    k = e1 + e2
-                    s = acc.get(k, 0) + c1 * c2
-                    if s:
-                        acc[k] = s
-                    else:
-                        acc.pop(k, None)
-            if acc:
-                out[e] = acc
-        return out
-
-    def sub(p, q):
-        out = {e: dict(inner) for e, inner in p.items()}
-        for e, inner in q.items():
-            acc = out.setdefault(e, {})
-            for k, c in inner.items():
-                s = acc.get(k, 0) - c
-                if s:
-                    acc[k] = s
-                else:
-                    acc.pop(k, None)
-            if not acc:
-                out.pop(e)
-        return out
-
-    def shift(p, k):
-        return {e + k: inner for e, inner in p.items()}
-
-    def primitive(p):
-        cont: dict[int, int] = {}
-        for inner in p.values():
-            cont = _z_poly_gcd(cont, inner)
-        if not cont:
-            return {}
-        return _mu_primitive(p, cont)
-
-    if degree(f) < degree(g):
+def _gcd(a: ParamPoly, b: ParamPoly, v: int) -> ParamPoly:
+    """gcd up to sign of a and b, neither of which contains a variable < v."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        # the divisors of a monomial are monomials; at v == 2 both are integers
+        expos = (*a.terms, *b.terms)
+        lowest = (min(i for i, _ in expos), min(j for _, j in expos))
+        return ParamPoly({lowest: math.gcd(*a.terms.values(), *b.terms.values())})
+    ca, cb = _content(a, v), _content(b, v)
+    f, g = a.exact_div(ca), b.exact_div(cb)
+    if _degree(f, v) < _degree(g, v):
         f, g = g, f
-    while g:
-        # pseudo-division of f by g in lam
-        dg = degree(g)
-        lg = g[dg]
-        r = f
-        while r and degree(r) >= dg:
-            dr = degree(r)
-            lr = r[dr]
-            r = sub(mul_c(r, lg), shift(mul_c(g, lr), dr - dg))
-        f, g = g, primitive(r)
-    return primitive(f)
+    while not g.is_zero():
+        f, g = g, _primitive(_pseudo_rem(f, g, v), v)
+    return f * _gcd(ca, cb, v + 1)
+
+
+def _degree(p: ParamPoly, v: int) -> int:
+    return max(k[v] for k in p.terms)
+
+
+def _coeff(p: ParamPoly, v: int, e: int, s: int = 0) -> ParamPoly:
+    """Coefficient of variable v to the power e in p, times variable v to the s."""
+    return ParamPoly(
+        {((s, k[1]) if v == 0 else (k[0], s)): c for k, c in p.terms.items() if k[v] == e}
+    )
+
+
+def _content(p: ParamPoly, v: int) -> ParamPoly:
+    """gcd of the coefficients of p viewed as univariate in variable v."""
+    g = ParamPoly()
+    for e in {k[v] for k in p.terms}:
+        g = _gcd(g, _coeff(p, v, e), v + 1)
+    return g
+
+
+def _primitive(p: ParamPoly, v: int) -> ParamPoly:
+    return p.exact_div(_content(p, v)) if not p.is_zero() else p
+
+
+def _pseudo_rem(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
+    """Pseudo-remainder of f by g in variable v."""
+    dg = _degree(g, v)
+    lg = _coeff(g, v, dg)
+    r = f
+    while not r.is_zero() and (dr := _degree(r, v)) >= dg:
+        r = r * lg - g * _coeff(r, v, dr, dr - dg)
+    return r
 
 
 class RationalCoeff:
@@ -529,14 +390,15 @@ class RationalCoeff:
     def __mul__(self, other: "RationalCoeff") -> "RationalCoeff":
         if self.is_zero() or other.is_zero():
             return ZERO
-        # cross-reduce to keep intermediate sizes down
+        # Cross-reduce: n1/d1 and n2/d2 stay reduced, n1/d2 and n2/d1 become
+        # coprime, so the product is reduced.  Dividing by a positive-leading
+        # gcd keeps each denominator positive-leading, and grlex leading
+        # coefficients multiply, so the product is already canonical.
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
-        n1 = self.num.exact_div(g1) if not _is_one(g1) else self.num
-        d2 = other.den.exact_div(g1) if not _is_one(g1) else other.den
-        n2 = other.num.exact_div(g2) if not _is_one(g2) else other.num
-        d1 = self.den.exact_div(g2) if not _is_one(g2) else self.den
-        return RationalCoeff(n1 * n2, d1 * d2)
+        n1, d2 = self.num.exact_div(g1), other.den.exact_div(g1)
+        n2, d1 = other.num.exact_div(g2), self.den.exact_div(g2)
+        return RationalCoeff(n1 * n2, d1 * d2, _reduced=True)
 
     def __truediv__(self, other: "RationalCoeff") -> "RationalCoeff":
         if other.is_zero():
@@ -565,7 +427,7 @@ class RationalCoeff:
         if self.den == ParamPoly.const(1):
             return num
         c = abs(self.den.content())
-        prim = self.den.exact_div(ParamPoly.const(c)) if c != 1 else self.den
+        prim = self.den.exact_div(ParamPoly.const(c))
         if c != 1 and not _is_one(prim):
             den = f"{c}*({prim.render()})"
         elif c != 1:
@@ -583,9 +445,7 @@ def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     if num.is_zero():
         return ParamPoly(), ParamPoly.const(1)
     g = poly_gcd(num, den)
-    if not _is_one(g):
-        num = num.exact_div(g)
-        den = den.exact_div(g)
+    num, den = num.exact_div(g), den.exact_div(g)
     _, lead = den.leading()
     if lead < 0:
         num, den = -num, -den
@@ -627,7 +487,7 @@ def _from_ast(node: ast.AST) -> RationalCoeff:
         if isinstance(node.op, ast.Pow):
             if not (
                 isinstance(node.right, ast.Constant)
-                and isinstance(node.right.value, int)
+                and _is_int_literal(node.right.value)
                 and node.right.value >= 0
             ):
                 raise CoeffError("only nonnegative integer powers are allowed")
@@ -644,7 +504,7 @@ def _from_ast(node: ast.AST) -> RationalCoeff:
             return _from_ast(node.operand)
         raise CoeffError("unsupported unary operator")
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
+        if _is_int_literal(node.value):
             return RationalCoeff.from_int(node.value)
         raise CoeffError("only integer literals are allowed")
     if isinstance(node, ast.Name):
@@ -654,3 +514,8 @@ def _from_ast(node: ast.AST) -> RationalCoeff:
             return MU
         raise CoeffError(f"unknown symbol {node.id!r} (expected l or m)")
     raise CoeffError(f"unsupported syntax node {type(node).__name__}")
+
+
+def _is_int_literal(value: object) -> bool:
+    # bool is a subclass of int, but True and False are not integer literals
+    return isinstance(value, int) and not isinstance(value, bool)

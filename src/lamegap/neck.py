@@ -202,10 +202,10 @@ class NeckScalar:
         """Multiply by delta^k (k may be negative, meaning division)."""
         if k == 0:
             return self
-        out = NeckScalar(self.dim)
+        out: dict[Key, RationalCoeff] = {}
         for key, c in self._terms.items():
-            out = out + _term_times_delta(self.dim, key, c, k)
-        return out
+            _term_times_delta(out, self.dim, key, c, k)
+        return NeckScalar(self.dim, out)
 
     def mul_z(self, k: int = 1) -> "NeckScalar":
         return NeckScalar(
@@ -244,13 +244,11 @@ class NeckScalar:
         if side not in ("+", "-"):
             raise NeckError("side must be '+' or '-'")
         sign = 1 if side == "+" else -1
-        out = NeckScalar(self.dim)
+        out: dict[Key, RationalCoeff] = {}
         for (p, q, s, r), c in self._terms.items():
             factor = Fraction(sign**q, 2**q)
-            out = out + _term_times_delta(
-                self.dim, (p, 0, s, r), c.scale(factor), q
-            )
-        return out
+            _term_times_delta(out, self.dim, (p, 0, s, r), c.scale(factor), q)
+        return NeckScalar(self.dim, out)
 
     # -- structure -----------------------------------------------------------
 
@@ -390,20 +388,16 @@ def _accumulate(out: dict[Key, RationalCoeff], key: Key, c: RationalCoeff) -> No
 
 
 def _term_times_delta(
-    dim: DimConfig, key: Key, c: RationalCoeff, k: int
-) -> NeckScalar:
-    """One term times delta^k, expanding when the power leaves the denominator."""
+    out: dict[Key, RationalCoeff], dim: DimConfig, key: Key, c: RationalCoeff, k: int
+) -> None:
+    """Add one term times delta^k to out, expanding when the power leaves the denominator."""
     p, q, s, r = key
-    if k <= 0:
-        return NeckScalar(dim, {(p, q, s, r - k): c})
     if k <= r:
-        return NeckScalar(dim, {(p, q, s, r - k): c})
-    spill = k - r
-    out: dict[Key, RationalCoeff] = {}
-    for (dp, ds), mult in _delta_power_monomials(dim.n_tangential, spill):
+        _accumulate(out, (p, q, s, r - k), c)
+        return
+    for (dp, ds), mult in _delta_power_monomials(dim.n_tangential, k - r):
         kk = (tuple(a + b for a, b in zip(p, dp)), q, s + ds, 0)
         _accumulate(out, kk, c.scale(mult))
-    return NeckScalar(dim, out)
 
 
 _DELTA_CACHE: dict[tuple[int, int], tuple[tuple[tuple[tuple[int, ...], int], int], ...]] = {}

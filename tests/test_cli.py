@@ -139,3 +139,18 @@ def test_study_tolerance_failure_exits_1(tmp_path, capsys):
     )
     assert main(["study", "constants", "--config", str(cfg)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_fem_solve_rejects_nonpositive_stride(tmp_path, monkeypatch, capsys, stride):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed before the stride was checked")
+
+    monkeypatch.setattr("lamegap.cli.generate_mesh", no_mesh)
+    field_out = tmp_path / "field.csv"
+    code = main(
+        ["fem", "solve", "--eps", "0.05", "--stride", stride, "--out", str(field_out)]
+    )
+    assert code == 2
+    assert "--stride" in capsys.readouterr().err
+    assert not field_out.exists()

@@ -12,6 +12,7 @@ from lamegap.coeffs import (
     ONE,
     ZERO,
     CoeffDivisionError,
+    CoeffError,
     CoeffPoleError,
     ParamPoly,
     RationalCoeff,
@@ -99,6 +100,12 @@ def test_render_matches_reference_style():
     assert v.render() == "((2*l + 3*m)) / (3*(l + 2*m))"
 
 
+@pytest.mark.parametrize("text", ["True", "False", "l**True", "m**False", "2*l + True"])
+def test_parse_rejects_booleans(text):
+    with pytest.raises(CoeffError):
+        parse(text)
+
+
 # -- gcd --------------------------------------------------------------------
 
 
@@ -115,6 +122,28 @@ def test_poly_gcd_content():
     a = ParamPoly({(1, 0): 6, (0, 1): 6})
     b = ParamPoly({(1, 0): 4, (0, 1): 4})
     assert poly_gcd(a, b) == ParamPoly({(1, 0): 2, (0, 1): 2})
+
+
+def P(text: str) -> ParamPoly:
+    return parse(text).num
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        # one-term argument
+        ("6*l**2*m", "4*l*m**3 + 2*l**3", "2*l"),
+        # integers only
+        ("-4", "6", "2"),
+        # mu content on both sides plus a common lam-primitive factor
+        ("m*(l + 2*m)**2", "3*m**2*(l + 2*m)", "l*m + 2*m**2"),
+        # negative leading coefficient, integer contents 2 and 3
+        ("-2*l - 4*m", "3*l**2 + 6*l*m", "l + 2*m"),
+    ],
+)
+def test_poly_gcd_fixed_cases(a, b, expected):
+    assert poly_gcd(P(a), P(b)).render() == expected
+    assert poly_gcd(P(b), P(a)).render() == expected
 
 
 # -- property tests ---------------------------------------------------------
@@ -171,3 +200,19 @@ def test_gcd_divides(a, b, g):
     assert poly_gcd(d, g) == poly_gcd(g, d)
     ag.exact_div(d)
     bg.exact_div(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys, small_polys, nonzero_polys)
+def test_gcd_is_maximal(a, b, g):
+    # every common factor g of the two products divides their gcd
+    d = poly_gcd(a * g, b * g)
+    d.exact_div(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals(), rationals())
+def test_product_is_canonical(a, b):
+    x = a * b
+    y = RationalCoeff(x.num, x.den)
+    assert y.num == x.num and y.den == x.den

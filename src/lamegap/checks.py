@@ -213,13 +213,9 @@ def residual_order_targets(dim: DimConfig, alpha: int, l: int) -> list[Fraction]
 
 
 def check_residual_order(fam: AuxFamily, m: int | None = None) -> CheckReport:
-    """neck_order(f^l) >= l-2 componentwise for every built level.
-
-    The refined per-component targets are evaluated and reported in the
-    metadata; the pass/fail status is decided by the base l-2 bound.
-    """
+    """neck_order(f^l) >= the refined per-component target for every built
+    level; every target is at least the base bound l-2."""
     m = fam.depth if m is None else m
-    refined_ok = True
     orders: dict[str, list[str]] = {}
     for l in range(1, m + 1):
         fl = fam.f(l)
@@ -231,7 +227,7 @@ def check_residual_order(fam: AuxFamily, m: int | None = None) -> CheckReport:
                 continue
             got = comp.neck_order()
             row.append(str(got))
-            if got < l - 2:
+            if got < targets[i]:
                 worst = min(
                     comp.terms,
                     key=lambda k: Fraction(sum(k[0]), 2) + k[1] + k[2] - k[3],
@@ -240,18 +236,17 @@ def check_residual_order(fam: AuxFamily, m: int | None = None) -> CheckReport:
                     "residual_order",
                     "fail",
                     witness=(
-                        f"level {l} comp {i + 1}: order {got} < {l - 2};"
+                        f"level {l} comp {i + 1}: order {got} < {targets[i]};"
                         f" term {worst}"
                     ),
                     metadata=_meta(fam, level=l, orders=orders),
                 )
-            if got < targets[i]:
-                refined_ok = False
         orders[str(l)] = row
+    # refined_ok stays in the metadata so that reports keep their shape
     return CheckReport(
         "residual_order",
         "pass",
-        metadata=_meta(fam, orders=orders, refined_ok=refined_ok),
+        metadata=_meta(fam, orders=orders, refined_ok=True),
     )
 
 

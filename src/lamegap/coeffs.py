@@ -179,11 +179,6 @@ class ParamPoly:
         _, lead = self.leading()
         return g if lead > 0 else -g
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(i + j for i, j in self._terms)
-
     def evaluate(self, lam: Fraction, mu: Fraction) -> Fraction:
         acc = Fraction(0)
         for (i, j), c in self._terms.items():

@@ -578,23 +578,17 @@ MAX_DEPTH = 6
 
 
 def build_family(
-    dim: DimConfig, alpha: int, depth: int, route: str = "integral",
-    allow_deep: bool = False,
+    dim: DimConfig, alpha: int, depth: int, route: str = "integral"
 ) -> AuxFamily:
     """Build the auxiliary family to the requested depth.
 
     route='integral' works for every alpha; route='recursion' implements the
     closed forms and exists for 2D alpha in {1,2} and 3D alpha in {1,2,3}.
-    Output size grows combinatorially with depth; levels beyond MAX_DEPTH
-    need allow_deep=True (coefficient_stats reports the growth).
+    Output size grows combinatorially with depth, so depth is capped at
+    MAX_DEPTH (coefficient_stats reports the growth).
     """
-    if depth < 1:
-        raise FamilyError("depth must be >= 1")
-    if depth > MAX_DEPTH and not allow_deep:
-        raise FamilyError(
-            f"depth {depth} exceeds the default cap {MAX_DEPTH}; "
-            "pass allow_deep=True if the coefficient growth is acceptable"
-        )
+    if not 1 <= depth <= MAX_DEPTH:
+        raise FamilyError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
     if alpha not in alpha_range(dim):
         raise FamilyError(f"alpha={alpha} invalid for d={dim.d}")
     if route == "integral":

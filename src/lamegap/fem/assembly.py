@@ -54,9 +54,10 @@ QW = np.array(
 ) * 0.5  # reference triangle area factor
 
 
-def shape_functions(xi: float, eta: float) -> np.ndarray:
+def shape_functions(xi: float | np.ndarray, eta: float | np.ndarray) -> np.ndarray:
+    """N_a at (xi, eta); shape (..., 6) for array arguments."""
     l0 = 1 - xi - eta
-    return np.array(
+    return np.stack(
         [
             l0 * (2 * l0 - 1),
             xi * (2 * xi - 1),
@@ -64,23 +65,19 @@ def shape_functions(xi: float, eta: float) -> np.ndarray:
             4 * l0 * xi,
             4 * xi * eta,
             4 * eta * l0,
-        ]
+        ],
+        axis=-1,
     )
 
 
-def shape_gradients(xi: float, eta: float) -> np.ndarray:
-    """d N_a / d(xi, eta), shape (6, 2)."""
+def shape_gradients(xi: float | np.ndarray, eta: float | np.ndarray) -> np.ndarray:
+    """d N_a / d(xi, eta), shape (..., 6, 2)."""
     l0 = 1 - xi - eta
-    return np.array(
-        [
-            [1 - 4 * l0, 1 - 4 * l0],
-            [4 * xi - 1, 0.0],
-            [0.0, 4 * eta - 1],
-            [4 * (l0 - xi), -4 * xi],
-            [4 * eta, 4 * xi],
-            [-4 * eta, 4 * (l0 - eta)],
-        ]
-    )
+    zero = np.zeros(np.shape(l0))
+    corner = 1 - 4 * l0
+    d_xi = [corner, 4 * xi - 1, zero, 4 * (l0 - xi), 4 * eta, -4 * eta]
+    d_eta = [corner, zero, 4 * eta - 1, -4 * xi, 4 * xi, 4 * (l0 - eta)]
+    return np.stack([np.stack(d_xi, axis=-1), np.stack(d_eta, axis=-1)], axis=-1)
 
 
 def check_ellipticity(lam: float, mu: float) -> None:

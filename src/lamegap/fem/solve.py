@@ -283,62 +283,71 @@ def solve_large_contrast(
 
 
 class _Locator:
-    """Element lookup: centroid KD-tree plus reference-coordinate inversion."""
+    """Batched element lookup: centroid KD-tree plus reference-coordinate
+    inversion (affine solve, then Newton steps on curved elements)."""
 
     def __init__(self, mesh: Mesh):
         from scipy.spatial import cKDTree
 
-        self.mesh = mesh
         corners = mesh.nodes[mesh.tris[:, :3]]
-        self.centroids = corners.mean(axis=1)
-        self.tree = cKDTree(self.centroids)
-        mids = mesh.nodes[mesh.tris[:, 3:]]
+        self.tree = cKDTree(corners.mean(axis=1))
+        self.nodes = mesh.nodes[mesh.tris]  # (nE, 6, 2)
         expect = 0.5 * (corners + np.roll(corners, -1, axis=1))
-        self.curved = np.abs(mids - expect).max(axis=(1, 2)) > 1e-12
+        self.curved = np.abs(self.nodes[:, 3:] - expect).max(axis=(1, 2)) > 1e-12
+        a = corners[:, 0]
+        self.affine = np.stack([corners[:, 1] - a, corners[:, 2] - a], axis=-1)  # (nE, 2, 2)
 
-    def invert(self, elem: int, p: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
-        tri = self.mesh.tris[elem]
-        pts = self.mesh.nodes[tri]
-        a, b, c = pts[0], pts[1], pts[2]
-        m = np.array([b - a, c - a]).T
-        try:
-            ref = np.linalg.solve(m, p - a)
-        except np.linalg.LinAlgError:
-            return None
-        if self.curved[elem]:
-            for _ in range(30):
-                dn = shape_gradients(*ref)
-                jac = pts.T @ dn
-                x = shape_functions(*ref) @ pts
-                try:
-                    step = np.linalg.solve(jac, p - x)
-                except np.linalg.LinAlgError:
-                    return None
-                ref = ref + step
-                if np.abs(step).max() < 1e-14:
-                    break
-        xi, eta = ref
-        if xi >= -tol and eta >= -tol and xi + eta <= 1 + tol:
-            return ref
-        return None
+    def invert(
+        self, cands: np.ndarray, points: np.ndarray, tol: float = 1e-9
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Reference coordinates of points[i] in element cands[i, j] and a
+        mask of those inside the reference triangle (to within tol)."""
+        pts = self.nodes[cands]  # (n, k, 6, 2)
+        rhs = points[:, None] - pts[:, :, 0]
+        ref = np.linalg.solve(self.affine[cands], rhs[..., None])[..., 0]
+        curved = np.nonzero(self.curved[cands])
+        r, cp, target = ref[curved], pts[curved], points[curved[0]]
+        cp_t = np.ascontiguousarray(cp.transpose(0, 2, 1))
+        active = np.arange(len(r))
+        for _ in range(30):
+            if not len(active):
+                break
+            xi, eta = r[active, 0], r[active, 1]
+            jac = cp_t[active] @ shape_gradients(xi, eta)
+            x = (shape_functions(xi, eta)[:, None] @ cp[active])[:, 0]
+            # a singular Jacobian rejects the candidate (NaN fails every bound)
+            singular = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0] == 0
+            r[active[singular]] = np.nan
+            active, jac, x = active[~singular], jac[~singular], x[~singular]
+            step = np.linalg.solve(jac, (target[active] - x)[..., None])[..., 0]
+            r[active] = r[active] + step
+            active = active[~(np.abs(step).max(axis=1) < 1e-14)]
+        ref[curved] = r
+        xi, eta = ref[..., 0], ref[..., 1]
+        return ref, (xi >= -tol) & (eta >= -tol) & (xi + eta <= 1 + tol)
 
-    def find(self, p: np.ndarray) -> tuple[int, np.ndarray]:
-        _, cands = self.tree.query(p, k=min(16, len(self.centroids)))
-        hits = []
-        for e in np.atleast_1d(cands):
-            ref = self.invert(int(e), p)
-            if ref is not None:
-                hits.append((int(e), ref))
-        if not hits:
-            # fall back to a wider scan before declaring the point outside
-            for e in np.argsort(np.linalg.norm(self.centroids - p, axis=1))[:256]:
-                ref = self.invert(int(e), p)
-                if ref is not None:
-                    hits.append((int(e), ref))
-        if not hits:
-            raise SolverError(f"point {tuple(p)} is outside the mesh")
-        elem, ref = min(hits, key=lambda h: h[0])  # owner rule: lowest index
-        return elem, ref
+    def find(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Owning element and reference coordinates for each row of an (n, 2)
+        array.  The owner is the lowest-index element containing the point."""
+        n_el = len(self.curved)
+        elems = np.empty(len(points), dtype=np.int64)
+        refs = np.empty((len(points), 2))
+        todo = np.arange(len(points))
+        # nearest 16 centroids first, then a wider scan for the points missed
+        for k in (min(16, n_el), min(256, n_el)):
+            if not len(todo):
+                break
+            _, cands = self.tree.query(points[todo], k=k)
+            cands = cands.reshape(len(todo), k)
+            ref, hit = self.invert(cands, points[todo])
+            owner = np.where(hit, cands, n_el).argmin(axis=1)
+            rows = np.nonzero(hit.any(axis=1))[0]
+            elems[todo[rows]] = cands[rows, owner[rows]]
+            refs[todo[rows]] = ref[rows, owner[rows]]
+            todo = np.delete(todo, rows)
+        if len(todo):
+            raise SolverError(f"point {tuple(points[todo[0]].tolist())} is outside the mesh")
+        return elems, refs
 
 
 def sample(
@@ -348,25 +357,20 @@ def sample(
 ) -> np.ndarray:
     """Evaluate the field ('value' -> (n,2)) or its gradient ('gradient' ->
     (n,2,2), rows du_i/dx_j) at interior points."""
+    if order not in ("value", "gradient"):
+        raise ValueError("order must be 'value' or 'gradient'")
     if fld._locator is None:
         fld._locator = _Locator(fld.mesh)
-    loc = fld._locator
-    out = []
-    for p in np.asarray(points, dtype=float):
-        elem, ref = loc.find(p)
-        tri = fld.mesh.tris[elem]
-        ue = fld.u[np.stack([2 * tri, 2 * tri + 1], axis=1)]  # (6, 2)
-        if order == "value":
-            out.append(shape_functions(*ref) @ ue)
-        elif order == "gradient":
-            dn = shape_gradients(*ref)
-            pts = fld.mesh.nodes[tri]
-            jac = pts.T @ dn
-            g = dn @ np.linalg.inv(jac)  # (6, 2): dN_a/dx_j
-            out.append(ue.T @ g)  # (2, 2): du_i/dx_j
-        else:
-            raise ValueError("order must be 'value' or 'gradient'")
-    return np.array(out)
+    elems, ref = fld._locator.find(np.asarray(points, dtype=float).reshape(-1, 2))
+    tris = fld.mesh.tris[elems]
+    ue = fld.u[np.stack([2 * tris, 2 * tris + 1], axis=2)]  # (n, 6, 2)
+    xi, eta = ref[:, 0], ref[:, 1]
+    if order == "value":
+        return (shape_functions(xi, eta)[:, None] @ ue)[:, 0]
+    dn = shape_gradients(xi, eta)
+    jac = np.ascontiguousarray(fld._locator.nodes[elems].transpose(0, 2, 1)) @ dn
+    g = dn @ np.linalg.inv(jac)  # (n, 6, 2): dN_a/dx_j
+    return np.ascontiguousarray(ue.transpose(0, 2, 1)) @ g  # (n, 2, 2): du_i/dx_j
 
 
 def gap_centerline_points(geom: Geometry, half_extent: float = 0.3, n: int = 41) -> np.ndarray:

@@ -19,6 +19,8 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -317,34 +319,33 @@ def _case_compare(cfg: SweepConfig, eps: float) -> dict:
 
     fam = build_family(DIM2, 1, cfg.compare_depth)
     vsum = fam.partial_sum()
-    xs = np.linspace(-0.2, 0.2, 17)
     fractions = (-0.8, -0.4, 0.0, 0.4, 0.8)
+    grid = []  # (x, z, gap, quadratic-model gap)
+    for x in np.linspace(-0.2, 0.2, 17):
+        dc = geom.gap(float(x))
+        grid += [(float(x), tz * dc / 2, dc, eps + float(x) ** 2) for tz in fractions]
+    ufs = sample(fld, [(x, z) for x, z, _, _ in grid], "value")
     err_max = 0.0
     err_norm_max = 0.0
     u_max = 0.0
-    for x in xs:
-        dc = geom.gap(float(x))
-        dq = eps + float(x) ** 2
-        for tz in fractions:
-            z = tz * dc / 2
-            uf = sample(fld, [(float(x), z)], "value")[0]
-            # map onto the quadratic-model gap so boundary traces agree
-            zt = z * dq / dc
-            vv = np.array(
-                [
-                    comp.evaluate([float(x)], zt, eps, cfg.lam, cfg.mu, mode="float")
-                    for comp in vsum.components
-                ]
-            )
-            e = float(np.abs(uf - vv).max())
-            err_max = max(err_max, e)
-            err_norm_max = max(err_norm_max, e / dc)
-            u_max = max(u_max, float(np.abs(uf).max()))
+    for (x, z, dc, dq), uf in zip(grid, ufs):
+        # map onto the quadratic-model gap so boundary traces agree
+        zt = z * dq / dc
+        vv = np.array(
+            [
+                comp.evaluate([x], zt, eps, cfg.lam, cfg.mu, mode="float")
+                for comp in vsum.components
+            ]
+        )
+        e = float(np.abs(uf - vv).max())
+        err_max = max(err_max, e)
+        err_norm_max = max(err_norm_max, e / dc)
+        u_max = max(u_max, float(np.abs(uf).max()))
     # boundary traces on the top arc
+    arc = (-0.15, -0.05, 0.05, 0.15)
+    ufs = sample(fld, [(x, geom.gamma1(x) - 1e-12) for x in arc], "value")
     trace_err = 0.0
-    for x in (-0.15, -0.05, 0.05, 0.15):
-        top = geom.gamma1(x)
-        uf = sample(fld, [(x, top - 1e-12)], "value")[0]
+    for x, uf in zip(arc, ufs):
         vv = np.array(
             [
                 comp.evaluate([x], (eps + x * x) / 2, eps, cfg.lam, cfg.mu, mode="float")
@@ -403,31 +404,13 @@ def _case_holes(cfg: SweepConfig, eps: float) -> dict:
     return rec
 
 
-_CASES = {
-    "rates": _case_blowup,
-    "constants": _case_constants,
-    "compare": _case_compare,
-    "cancel": _case_cancel,
-    "holes": _case_holes,
-}
-
-
-def _pool_runner(args: tuple[str, dict, float]) -> dict:
-    kind, cfg_obj, eps = args
-    cfg_obj = dict(cfg_obj)
-    cfg_obj["eps_grid"] = tuple(cfg_obj["eps_grid"])
-    cfg_obj["tolerances"] = tuple(sorted(cfg_obj["tolerances"].items()))
-    cfg = SweepConfig(**cfg_obj)
-    return _CASES[kind](cfg, eps)
-
-
-def _run_cases(cfg: SweepConfig, kind: str) -> list[dict]:
+def _run_cases(cfg: SweepConfig, case: Callable[[SweepConfig, float], dict]) -> list[dict]:
+    run = partial(case, cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            args = [(kind, cfg.to_json_obj(), eps) for eps in cfg.eps_grid]
-            recs = list(pool.map(_pool_runner, args))
+            recs = list(pool.map(run, cfg.eps_grid))
     else:
-        recs = [_CASES[kind](cfg, eps) for eps in cfg.eps_grid]
+        recs = [run(eps) for eps in cfg.eps_grid]
     # merge deterministically in sweep order
     recs.sort(key=lambda r: -r["eps"])
     return recs
@@ -449,7 +432,7 @@ def _slope_check(tol: dict, fits: dict, checks: dict, key: str, lo: str, hi: str
 
 
 def run_blowup_study(cfg: SweepConfig) -> StudyReport:
-    records = _run_cases(cfg, "rates")
+    records = _run_cases(cfg, _case_blowup)
     tol = cfg.tol
     fits = {}
     for key in ("u11_gap_max", "u12_gap_max", "u13_gap_max", "full_gap_max"):
@@ -463,7 +446,7 @@ def run_blowup_study(cfg: SweepConfig) -> StudyReport:
 
 
 def run_constant_study(cfg: SweepConfig) -> StudyReport:
-    records = _run_cases(cfg, "constants")
+    records = _run_cases(cfg, _case_constants)
     tol = cfg.tol
     fits = {}
     usable = [(r["eps"], r["dc1"]) for r in records if r["dc1"] > 1e-10]
@@ -496,7 +479,7 @@ def run_constant_study(cfg: SweepConfig) -> StudyReport:
 def run_neck_comparison(cfg: SweepConfig, depth: int | None = None) -> StudyReport:
     if depth is not None:
         cfg = replace(cfg, compare_depth=depth)
-    records = _run_cases(cfg, "compare")
+    records = _run_cases(cfg, _case_compare)
     tol = cfg.tol
     fits = {
         "control_grad_max": asdict(
@@ -530,7 +513,7 @@ def run_neck_comparison(cfg: SweepConfig, depth: int | None = None) -> StudyRepo
 
 
 def run_symmetric_cancellation(cfg: SweepConfig) -> StudyReport:
-    records = _run_cases(cfg, "cancel")
+    records = _run_cases(cfg, _case_cancel)
     tol = cfg.tol
     fits = {
         "control_u11": asdict(rate_fit([(r["eps"], r["control_u11"]) for r in records]))
@@ -566,7 +549,7 @@ def run_symmetric_cancellation(cfg: SweepConfig) -> StudyReport:
 
 
 def run_holes_study(cfg: SweepConfig) -> StudyReport:
-    records = _run_cases(cfg, "holes")
+    records = _run_cases(cfg, _case_holes)
     tol = cfg.tol
     fits = {
         "holes_gap_max": asdict(rate_fit([(r["eps"], r["holes_gap_max"]) for r in records])),

@@ -77,6 +77,18 @@ def test_residual_order_negative_control(families_depth3):
     assert "term" in (rep.witness or "")
 
 
+def test_residual_order_refined_negative_control(families_depth3):
+    fam = families_depth3[(2, 1)]
+    # an x^3 z term in level 3 leaves f^3 comp 2 at order 1: it meets the
+    # base bound l-2 = 1 but not the refined target 3/2
+    bad = _mutate_level(fam, 3, 0, NeckScalar.term(DIM2, ONE, p=(3,), q=1))
+    assert bad.f(3)[1].neck_order() == 1
+    assert residual_order_targets(DIM2, 1, 3)[1] == Fraction(3, 2)
+    rep = check_residual_order(bad)
+    assert not rep.passed
+    assert "level 3 comp 2: order 1 < 3/2" in (rep.witness or "")
+
+
 def test_z_degree_negative_control(families_depth3):
     fam = families_depth3[(2, 1)]
     bad = _mutate_level(fam, 1, 0, NeckScalar.term(DIM2, ONE, q=7, r=7))

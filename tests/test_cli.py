@@ -34,6 +34,11 @@ def test_aux_build_invalid_alpha(capsys):
     assert main(["aux", "build", "--dim", "2", "--alpha", "9", "--depth", "1"]) == 2
 
 
+def test_aux_build_depth_over_cap_exits_2(capsys):
+    assert main(["aux", "build", "--dim", "2", "--alpha", "1", "--depth", "7"]) == 2
+    assert "depth" in capsys.readouterr().err
+
+
 def test_aux_verify_small(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = main(

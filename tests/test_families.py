@@ -11,6 +11,7 @@ from lamegap.families import (
     AuxFamily,
     FactorProfile,
     FamilyError,
+    MAX_DEPTH,
     _Tables,
     build_family,
     extend_integral,
@@ -204,6 +205,13 @@ def test_golden_levels_1_2(d, alpha):
     path = GOLDEN / f"family_d{d}_a{alpha}_levels12.json"
     expected = json.loads(path.read_text())
     assert got == expected
+
+
+def test_depth_outside_cap_rejected():
+    with pytest.raises(FamilyError):
+        build_family(DIM2, 1, MAX_DEPTH + 1)
+    with pytest.raises(FamilyError):
+        build_family(DIM3, 1, 0)
 
 
 def test_depth_cap_and_telemetry():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,16 @@ def test_shape_functions_partition_of_unity():
     for xi, eta in QP:
         assert shape_functions(xi, eta).sum() == pytest.approx(1.0)
         assert shape_gradients(xi, eta).sum(axis=0) == pytest.approx([0.0, 0.0])
+
+
+def test_shape_functions_accept_arrays():
+    xi, eta = QP[:, 0], QP[:, 1]
+    n, dn = shape_functions(xi, eta), shape_gradients(xi, eta)
+    assert n.shape == (7, 6) and n.flags.c_contiguous
+    assert dn.shape == (7, 6, 2) and dn.flags.c_contiguous
+    for q, (a, b) in enumerate(QP):
+        assert np.array_equal(n[q], shape_functions(a, b))
+        assert np.array_equal(dn[q], shape_gradients(a, b))
 
 
 def test_quadrature_exactness_degree2():
@@ -269,6 +281,70 @@ def test_sample_outside_errors(setup05):
         sample(fld, [(0.0, 1.0)], "value")  # inside inclusion 1
     with pytest.raises(SolverError):
         sample(fld, [(5.0, 0.0)], "value")  # outside the outer disk
+
+
+def test_sample_batch_matches_single_points(setup05):
+    geom, mesh, system = setup05
+    fld = solve_component(geom, LAM, MU, 1, 1, system=system)
+    xs = np.linspace(-0.3, 0.3, 7)
+    pts = [(0.0, 0.0)]  # a vertex shared by several elements
+    pts += [(x, geom.gamma1(x) - 1e-12) for x in xs]  # curved elements
+    pts += [(x, 0.0) for x in xs]  # gap centerline
+    pts += [(0.3, 2.5), (2.0, 0.5), (0.0, -2.3), (-1.7, -1.1)]  # bulk
+    for order in ("value", "gradient"):
+        batch = sample(fld, pts, order)
+        single = np.array([sample(fld, [p], order)[0] for p in pts])
+        assert np.array_equal(batch, single)
+    origin = np.nonzero((mesh.nodes == 0.0).all(axis=1))[0]
+    assert len(origin) == 1
+    owners = np.nonzero((mesh.tris == origin[0]).any(axis=1))[0]
+    assert len(owners) > 1
+    elems, _ = fld._locator.find(np.array([(0.0, 0.0)]))
+    assert elems[0] == owners.min()
+
+
+def test_locator_inverts_the_element_map(setup05):
+    # points mapped from random reference coordinates of random elements,
+    # including curved ones and points the 16 nearest centroids miss
+    _, mesh, _ = setup05
+    loc = solve_mod._Locator(mesh)
+    rng = np.random.default_rng(11)
+    el = rng.integers(0, mesh.n_elements, 2000)
+    ref = rng.random((2000, 2))
+    flip = ref.sum(axis=1) > 1
+    ref[flip] = 1 - ref[flip]
+    nodes = mesh.nodes[mesh.tris[el]]
+    pts = (shape_functions(ref[:, 0], ref[:, 1])[:, None] @ nodes)[:, 0]
+    elems, got = loc.find(pts)
+    assert np.all(elems <= el)  # the owner is the lowest containing index
+    back = (shape_functions(got[:, 0], got[:, 1])[:, None] @ mesh.nodes[mesh.tris[elems]])[:, 0]
+    assert np.abs(back - pts).max() < 1e-12
+    same = elems == el
+    assert np.abs(got[same] - ref[same]).max() < 1e-9
+
+
+def test_locator_rejects_singular_newton_jacobian():
+    # element 0 is curved with its first edge midpoint pulled to b/4, which
+    # makes its Jacobian singular at vertex a; element 1 is straight
+    nodes = np.array(
+        [(0, 0), (1, 0), (0, 1), (0.25, 0), (0.5, 0.5), (0, 0.5),
+         (0, -1), (1, -1), (0, -0.5), (0.5, -1), (0.5, -0.5)],
+        dtype=float,
+    )
+    tris = np.array([[0, 1, 2, 3, 4, 5], [0, 6, 7, 8, 9, 10]])
+    loc = solve_mod._Locator(SimpleNamespace(nodes=nodes, tris=tris))
+    _, inside = loc.invert(np.array([[0, 1]]), np.zeros((1, 2)))
+    assert inside.tolist() == [[False, True]]
+    elems, ref = loc.find(np.array([(0.0, 0.0), (0.2, 0.1)]))
+    assert elems.tolist() == [1, 0]
+    assert np.array_equal(ref[0], [0.0, 0.0])
+
+
+def test_sample_batch_with_outside_point_errors(setup05):
+    geom, _, system = setup05
+    fld = solve_component(geom, LAM, MU, 1, 1, system=system)
+    with pytest.raises(SolverError, match="outside the mesh"):
+        sample(fld, [(0.0, 0.0), (0.1, 0.0), (5.0, 0.0), (0.2, 0.0)], "gradient")
 
 
 def test_mesh_independence():

@@ -133,6 +133,13 @@ def _cmd_study(args) -> int:
         val = c.get("value")
         shown = f"{val:.6g}" if isinstance(val, float) else str(val)
         print(f"  {name:<28} {status}  value={shown}")
+        if c.get("near_zero_excluded"):
+            print("    near-zero values excluded from the fit")
+        if "note" in c:
+            print(f"    note: {c['note']} (floor={c['floor']:.6g})")
+    for key in sorted(report.fits):
+        if report.fits[key]["sign_change"]:
+            print(f"  fit {key}: sign change across the sweep (|value| fitted)")
     if args.out:
         emit_report(report, "csv", args.out)
         print(f"wrote {args.out}")

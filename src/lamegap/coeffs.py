@@ -12,6 +12,26 @@ Canonical form of a ratio num/den:
 * den has a positive leading coefficient under graded lexicographic order
   with lam > mu.
 
+Because the form is unique, each operation computes only the gcds whose
+answer is not already known from its reduced operands:
+
+* ``scale`` by an integer or a Fraction a/b changes only the integer
+  content: it cancels gcd(a, content(den)) and gcd(b, content(num)), with no
+  polynomial gcd.
+* ``+`` is Henrici's sum: with g = gcd(d1, d2), t = n1 (d2/g) + n2 (d1/g) is
+  coprime to (d1/g)(d2/g), so only h = gcd(t, g) is left to cancel.
+* ``*`` cross-reduces, gcd(n1, d2) and gcd(n2, d1); the product of the
+  cross-reduced parts is already reduced.
+* ``poly_gcd`` is memoized: the families repeat the same few thousand
+  (a, b) pairs tens of thousands of times.  The memo keeps the
+  ``GCD_CACHE_SIZE`` most recently used pairs: enough for those repeats,
+  while the memory it holds stays bounded in a long run (an unbounded memo
+  roughly doubles the resident size of the depth-5 builds for a small
+  further gain).
+
+Results of ParamPoly arithmetic are built by a trusted internal constructor
+that skips the per-term checks the public constructor applies to its input.
+
 Text rendering uses ``l`` for lam and ``m`` for mu, e.g.
 ``((2*l + 3*m)) / (3*(l + 2*m))``; :func:`parse` accepts the same grammar.
 """
@@ -19,6 +39,7 @@ Text rendering uses ``l`` for lam and ``m`` for mu, e.g.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -74,6 +95,15 @@ class ParamPoly:
         self._terms = clean
         self._hash: int | None = None
 
+    @classmethod
+    def _clean(cls, terms: dict[tuple[int, int], int]) -> "ParamPoly":
+        """Wrap a dict already in normal form (int exponents >= 0, nonzero
+        int coefficients) without re-checking it; internal results only."""
+        p = object.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        return p
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -123,10 +153,10 @@ class ParamPoly:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return ParamPoly(out)
+        return ParamPoly._clean(out)
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly({k: -c for k, c in self._terms.items()})
+        return ParamPoly._clean({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
         return self + (-other)
@@ -141,7 +171,7 @@ class ParamPoly:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return ParamPoly(out)
+        return ParamPoly._clean(out)
 
     def __pow__(self, n: int) -> "ParamPoly":
         if n < 0:
@@ -158,7 +188,11 @@ class ParamPoly:
     def scale(self, c: int) -> "ParamPoly":
         if c == 0:
             return ParamPoly()
-        return ParamPoly({k: c * v for k, v in self._terms.items()})
+        return ParamPoly._clean({k: c * v for k, v in self._terms.items()})
+
+    def _ratio(self, a: int, b: int) -> "ParamPoly":
+        """self * a / b for a nonzero a and a b that divides every coefficient."""
+        return ParamPoly._clean({k: v // b * a for k, v in self._terms.items()})
 
     # -- structure -----------------------------------------------------
 
@@ -211,7 +245,7 @@ class ParamPoly:
                     rem[k] = s
                 else:
                     rem.pop(k, None)
-        return ParamPoly(out)
+        return ParamPoly._clean(out)
 
     # -- rendering -----------------------------------------------------
 
@@ -246,7 +280,11 @@ class ParamPoly:
 # is attempted.
 # ---------------------------------------------------------------------------
 
+# Entries kept by the poly_gcd memo (see the module docstring).
+GCD_CACHE_SIZE = 4096
 
+
+@functools.lru_cache(maxsize=GCD_CACHE_SIZE)
 def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """gcd over Z[lam, mu], positive leading coefficient under grlex."""
     g = _gcd(a, b, 0)
@@ -266,7 +304,7 @@ def _gcd(a: ParamPoly, b: ParamPoly, v: int) -> ParamPoly:
         # the divisors of a monomial are monomials; at v == 2 both are integers
         expos = (*a.terms, *b.terms)
         lowest = (min(i for i, _ in expos), min(j for _, j in expos))
-        return ParamPoly({lowest: math.gcd(*a.terms.values(), *b.terms.values())})
+        return ParamPoly._clean({lowest: math.gcd(*a.terms.values(), *b.terms.values())})
     ca, cb = _content(a, v), _content(b, v)
     f, g = a.exact_div(ca), b.exact_div(cb)
     if _degree(f, v) < _degree(g, v):
@@ -282,7 +320,7 @@ def _degree(p: ParamPoly, v: int) -> int:
 
 def _coeff(p: ParamPoly, v: int, e: int, s: int = 0) -> ParamPoly:
     """Coefficient of variable v to the power e in p, times variable v to the s."""
-    return ParamPoly(
+    return ParamPoly._clean(
         {((s, k[1]) if v == 0 else (k[0], s)): c for k, c in p.terms.items() if k[v] == e}
     )
 
@@ -338,7 +376,7 @@ class RationalCoeff:
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> "RationalCoeff":
         q = Fraction(q)
-        return cls(ParamPoly.const(q.numerator), ParamPoly.const(q.denominator))
+        return cls(ParamPoly.const(q.numerator), ParamPoly.const(q.denominator), _reduced=True)
 
     # -- protocol -------------------------------------------------------
 
@@ -370,11 +408,22 @@ class RationalCoeff:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return RationalCoeff(self.num + other.num, self.den)
-        return RationalCoeff(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # Henrici: with g = gcd(d1, d2), t = n1 (d2/g) + n2 (d1/g) is coprime
+        # to (d1/g)(d2/g), so t/h over (d1/g)(d2/h) with h = gcd(t, g) is
+        # reduced.  Quotients of positive-leading polynomials stay
+        # positive-leading, so it is canonical.
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            g, d1g, t = d1, None, self.num + other.num
+        else:
+            g = poly_gcd(d1, d2)
+            d1g = d1.exact_div(g)
+            t = self.num * d2.exact_div(g) + other.num * d1g
+        if t.is_zero():
+            return ZERO
+        h = poly_gcd(t, g)
+        den = d2.exact_div(h)
+        return RationalCoeff(t.exact_div(h), den if d1g is None else d1g * den, _reduced=True)
 
     def __neg__(self) -> "RationalCoeff":
         return RationalCoeff(-self.num, self.den, _reduced=True)
@@ -398,15 +447,32 @@ class RationalCoeff:
     def __truediv__(self, other: "RationalCoeff") -> "RationalCoeff":
         if other.is_zero():
             raise CoeffDivisionError("division by zero coefficient")
-        return self * RationalCoeff(other.den, other.num)
+        return self * other.inv()
 
     def inv(self) -> "RationalCoeff":
         if self.is_zero():
             raise CoeffDivisionError("inverse of zero coefficient")
-        return RationalCoeff(self.den, self.num)
+        # den/num is already reduced; only the sign may need moving
+        if self.num.leading()[1] < 0:
+            return RationalCoeff(-self.den, -self.num, _reduced=True)
+        return RationalCoeff(self.den, self.num, _reduced=True)
 
     def scale(self, q: Fraction | int) -> "RationalCoeff":
-        return self * RationalCoeff.from_fraction(Fraction(q))
+        q = Fraction(q)
+        return self._scaled(q.numerator, q.denominator)
+
+    def _scaled(self, a: int, b: int) -> "RationalCoeff":
+        """self * a/b for coprime integers a and b > 0.  Only the integer
+        content changes: with g1 = gcd(a, content(den)) and
+        g2 = gcd(b, content(num)), num (a/g1) / g2 over den (b/g2) / g1 is
+        canonical."""
+        if not a:
+            return ZERO
+        g1 = math.gcd(a, *self.den.terms.values())
+        g2 = math.gcd(b, *self.num.terms.values())
+        return RationalCoeff(
+            self.num._ratio(a // g1, g2), self.den._ratio(b // g2, g1), _reduced=True
+        )
 
     # -- evaluation / rendering ------------------------------------------
 

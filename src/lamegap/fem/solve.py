@@ -13,7 +13,7 @@ the relative backward error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,11 +44,17 @@ class DisplacementField:
     system: ElasticitySystem
     u: np.ndarray  # (2N,)
     rigid: np.ndarray | None = None  # (2, 3) hard-inclusion parameters
-    _locator: "_Locator | None" = field(default=None, repr=False)
 
     @property
     def mesh(self) -> Mesh:
         return self.system.mesh
+
+    @property
+    def _locator(self) -> "_Locator":
+        """The point locator of the mesh, shared by every field on it."""
+        if self.mesh._locator is None:
+            self.mesh._locator = _Locator(self.mesh)
+        return self.mesh._locator
 
     def energy(self) -> float:
         return self.system.energy(self.u)
@@ -359,16 +365,15 @@ def sample(
     (n,2,2), rows du_i/dx_j) at interior points."""
     if order not in ("value", "gradient"):
         raise ValueError("order must be 'value' or 'gradient'")
-    if fld._locator is None:
-        fld._locator = _Locator(fld.mesh)
-    elems, ref = fld._locator.find(np.asarray(points, dtype=float).reshape(-1, 2))
+    locator = fld._locator
+    elems, ref = locator.find(np.asarray(points, dtype=float).reshape(-1, 2))
     tris = fld.mesh.tris[elems]
     ue = fld.u[np.stack([2 * tris, 2 * tris + 1], axis=2)]  # (n, 6, 2)
     xi, eta = ref[:, 0], ref[:, 1]
     if order == "value":
         return (shape_functions(xi, eta)[:, None] @ ue)[:, 0]
     dn = shape_gradients(xi, eta)
-    jac = np.ascontiguousarray(fld._locator.nodes[elems].transpose(0, 2, 1)) @ dn
+    jac = np.ascontiguousarray(locator.nodes[elems].transpose(0, 2, 1)) @ dn
     g = dn @ np.linalg.inv(jac)  # (n, 6, 2): dN_a/dx_j
     return np.ascontiguousarray(ue.transpose(0, 2, 1)) @ g  # (n, 2, 2): du_i/dx_j
 

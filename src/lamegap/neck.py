@@ -73,7 +73,7 @@ def _check_same_dim(a: "NeckScalar", b: "NeckScalar") -> None:
 class NeckScalar:
     """Canonicalized term map for one scalar neck function."""
 
-    __slots__ = ("dim", "_terms", "_hash")
+    __slots__ = ("dim", "_terms", "_hash", "_floats")
 
     def __init__(self, dim: DimConfig, terms: Mapping[Key, RationalCoeff] | None = None):
         self.dim = dim
@@ -89,6 +89,8 @@ class NeckScalar:
                 clean[(p, int(q), int(s), int(r))] = c
         self._terms = clean
         self._hash: int | None = None
+        # ((lam, mu), float coefficients) of the latest float-mode evaluation
+        self._floats: tuple[tuple, list[float]] | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -192,11 +194,11 @@ class NeckScalar:
         return NeckScalar(self.dim, out)
 
     def scale(self, c: RationalCoeff | Fraction | int) -> "NeckScalar":
-        if not isinstance(c, RationalCoeff):
-            c = RationalCoeff.from_fraction(Fraction(c))
-        if c.is_zero():
-            return NeckScalar(self.dim)
-        return NeckScalar(self.dim, {k: c * v for k, v in self._terms.items()})
+        if isinstance(c, RationalCoeff):
+            return NeckScalar(self.dim, {k: c * v for k, v in self._terms.items()})
+        q = Fraction(c)
+        a, b = q.numerator, q.denominator
+        return NeckScalar(self.dim, {k: v._scaled(a, b) for k, v in self._terms.items()})
 
     def mul_delta(self, k: int) -> "NeckScalar":
         """Multiply by delta^k (k may be negative, meaning division)."""
@@ -314,7 +316,8 @@ class NeckScalar:
         """Value of the represented function at a point.
 
         mode='exact' takes Fractions and returns a Fraction; mode='float'
-        computes in floating point.
+        computes in floating point, with the coefficients evaluated exactly
+        and rounded once per (lam, mu) (the latest pair is kept).
         """
         if len(xp) != self.dim.n_tangential:
             raise NeckError("wrong number of tangential coordinates")
@@ -333,16 +336,19 @@ class NeckScalar:
                 acc += c.evaluate(lam_f, mu_f) * mono * z**q * eps**s / delta**r
             return acc
         if mode == "float":
+            if self._floats is None or self._floats[0] != (lam, mu):
+                lam_q, mu_q = Fraction(lam), Fraction(mu)
+                coeffs = [float(c.evaluate(lam_q, mu_q)) for c in self._terms.values()]
+                self._floats = ((lam, mu), coeffs)
             xpf = [float(v) for v in xp]
             zf, ef = float(z), float(eps)
-            lam_q, mu_q = Fraction(lam), Fraction(mu)
             delta = ef + sum(v * v for v in xpf)
             acc = 0.0
-            for (p, q, s, r), c in self._terms.items():
+            for (p, q, s, r), cf in zip(self._terms, self._floats[1]):
                 mono = 1.0
                 for v, e in zip(xpf, p):
                     mono *= v**e
-                acc += float(c.evaluate(lam_q, mu_q)) * mono * zf**q * ef**s / delta**r
+                acc += cf * mono * zf**q * ef**s / delta**r
             return acc
         raise NeckError(f"unknown evaluation mode {mode!r}")
 

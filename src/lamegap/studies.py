@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import build_family
+from .families import MAX_DEPTH, build_family
 from .fem.assembly import assemble
 from .fem.geometry import Geometry
 from .fem.mesh import MeshParams, generate_mesh
@@ -112,12 +112,16 @@ class SweepConfig:
     tolerances: tuple[tuple[str, float], ...] = tuple(sorted(DEFAULT_TOLERANCES.items()))
 
     def __post_init__(self):
-        if len(self.eps_grid) < 4:
-            raise StudyError("need at least 4 grid points for an exponent fit")
-        if any(e <= 0 for e in self.eps_grid):
-            raise StudyError("eps grid must be positive")
+        if len(set(self.eps_grid)) < 4:
+            raise StudyError("need at least 4 distinct grid points for an exponent fit")
+        if not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
+            raise StudyError("eps grid must be finite and positive")
         if self.phi not in BOUNDARY_DATA:
             raise StudyError(f"unknown boundary datum {self.phi!r}")
+        if not 1 <= self.compare_depth <= MAX_DEPTH:
+            raise StudyError(f"compare depth must be in 1..{MAX_DEPTH}, got {self.compare_depth}")
+        if self.workers < 1:
+            raise StudyError(f"workers must be at least 1, got {self.workers}")
 
     @property
     def tol(self) -> dict[str, float]:

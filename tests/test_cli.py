@@ -159,3 +159,48 @@ def test_fem_solve_rejects_nonpositive_stride(tmp_path, monkeypatch, capsys, str
     assert code == 2
     assert "--stride" in capsys.readouterr().err
     assert not field_out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sweep.eps = 0.1, 0.1, 0.1, 0.1",  # rate_fit would divide by zero
+        "sweep.eps = 0.1, nan, 0.025, 0.0125",
+        "sweep.eps = 0.1, 0.05, inf, 0.0125",
+        "compare.depth = 0",
+        "compare.depth = 7",
+        "workers = 0",
+    ],
+)
+def test_study_rejects_unrunnable_config_before_meshing(tmp_path, monkeypatch, capsys, line):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed before the config was checked")
+
+    monkeypatch.setattr("lamegap.studies.generate_mesh", no_mesh)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["study", "compare", "--config", str(cfg)]) == 3
+    assert "runtime error" in capsys.readouterr().err
+
+
+def test_study_summary_shows_silent_state(monkeypatch, capsys):
+    from lamegap.studies import RUNNERS, StudyReport
+
+    def fake_runner(cfg):
+        fit = {"slope": 0.5, "intercept": 0.0, "r2": 1.0, "residuals": [], "sign_change": True}
+        checks = {
+            "dc1_slope": {"passed": True, "value": 0.5, "near_zero_excluded": True},
+            "cancel_bounded": {
+                "passed": True, "value": None,
+                "note": "cancellation sums below noise floor", "floor": 2.5e-7,
+            },
+        }
+        return StudyReport("constants", "fake", {}, [], {"dc1": fit, "flat": {**fit, "sign_change": False}}, checks)
+
+    monkeypatch.setitem(RUNNERS, "constants", fake_runner)
+    assert main(["study", "constants"]) == 0
+    out = capsys.readouterr().out
+    assert "near-zero values excluded from the fit" in out
+    assert "note: cancellation sums below noise floor (floor=2.5e-07)" in out
+    assert "fit dc1: sign change across the sweep" in out
+    assert "fit flat" not in out

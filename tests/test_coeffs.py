@@ -216,3 +216,85 @@ def test_product_is_canonical(a, b):
     x = a * b
     y = RationalCoeff(x.num, x.den)
     assert y.num == x.num and y.den == x.den
+
+
+# -- fast paths: content-only scale, Henrici sum, internal results -----------
+
+scalars = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+)
+
+
+@st.composite
+def contented_rationals(draw):
+    # integer contents on both sides, so scaling has content to cancel
+    num = draw(small_polys).scale(draw(st.integers(1, 6)))
+    return RationalCoeff(num, draw(nonzero_polys).scale(draw(st.integers(1, 6))))
+
+
+@pytest.mark.parametrize(
+    "a, q, expected",
+    [
+        ("2*l / (3*m)", Fraction(9, 4), "3*l / (2*m)"),  # both contents cancel
+        ("4*(l + m) / (9*m)", Fraction(-3, 2), "-2*(l + m) / (3*m)"),
+        ("(l + m) / (6*(l + 2*m))", 4, "2*(l + m) / (3*(l + 2*m))"),
+        ("l / m", 0, "0"),
+    ],
+)
+def test_scale_fixed_cases(a, q, expected):
+    got = C(a).scale(q)
+    assert got.num == C(expected).num and got.den == C(expected).den
+
+
+def _assert_clean(p: ParamPoly) -> None:
+    for (i, j), c in p.terms.items():
+        assert type(i) is int and type(j) is int and i >= 0 and j >= 0
+        assert type(c) is int and c != 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rationals(), contented_rationals()), scalars)
+def test_scale_matches_product(a, q):
+    x = a.scale(q)
+    assert x == a * RationalCoeff.from_fraction(q)
+    y = RationalCoeff(x.num, x.den)
+    assert y.num == x.num and y.den == x.den
+
+
+@settings(max_examples=80, deadline=None)
+@given(contented_rationals(), contented_rationals())
+def test_sum_is_canonical(a, b):
+    for x in (a + b, a - b):
+        y = RationalCoeff(x.num, x.den)
+        assert y.num == x.num and y.den == x.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals(), rationals(), scalars)
+def test_internal_results_are_clean(a, b, q):
+    for x in (a + b, a - b, a * b, a.scale(q)):
+        _assert_clean(x.num)
+        _assert_clean(x.den)
+    n, d = a.num * b.den, b.den
+    for p in (n + d, n - d, n * d, -n, n.scale(-3), n.exact_div(d), poly_gcd(n, d)):
+        _assert_clean(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rationals(), rationals(), scalars)
+def test_field_operations_match_sympy(a, b, q):
+    sympy = pytest.importorskip("sympy")
+    names = {"l": sympy.Symbol("l"), "m": sympy.Symbol("m")}
+
+    def S(x):
+        return sympy.sympify(x.render() if isinstance(x, (RationalCoeff, ParamPoly)) else x, locals=names)
+
+    for got, expected in (
+        (a + b, S(a) + S(b)),
+        (a * b, S(a) * S(b)),
+        (a.scale(q), S(a) * sympy.Rational(q.numerator, q.denominator)),
+    ):
+        assert sympy.cancel(S(got) - expected) == 0
+        # the result is in lowest terms over Z[l, m]
+        assert sympy.gcd(S(got.num), S(got.den)) == 1

@@ -197,3 +197,14 @@ def test_workers_pool_path_matches_sequential():
     seq = run_constant_study(cfg)
     par = run_constant_study(replace(cfg, workers=2))
     assert seq.records == par.records
+
+
+def test_neck_comparison_depth_checked_before_meshing(monkeypatch):
+    from lamegap.studies import run_neck_comparison
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed before the depth was checked")
+
+    monkeypatch.setattr("lamegap.studies.generate_mesh", no_mesh)
+    with pytest.raises(StudyError):
+        run_neck_comparison(SweepConfig(), depth=0)

@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Subcommands: `aux build`, `aux verify`, `fem solve`, `study <kind>`,
-`report`.  Exit codes: 0 all checks passed, 1 a check or tolerance failed,
-2 usage/config error, 3 runtime (solver/IO) error.
+Subcommands: `aux build`, `aux verify`, `fem solve`, `study <kind>` (or
+`study all`: every study from one pass), `report`.  Exit codes: 0 all checks
+passed, 1 a check or tolerance failed, 2 usage/config error, 3 runtime
+(solver/IO) error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks as checks_mod
@@ -16,7 +18,7 @@ from .config import ConfigError, load_config
 from .families import FamilyError, build_family
 from .fem.assembly import assemble
 from .fem.geometry import Geometry
-from .fem.mesh import MeshError, MeshParams, generate_mesh, write_mesh
+from .fem.mesh import MeshParams, generate_mesh, write_mesh
 from .fem.solve import (
     SolverError,
     sample,
@@ -25,7 +27,9 @@ from .fem.solve import (
     solve_holes,
 )
 from .neck import DIM2, DIM3, NeckError
-from .studies import BOUNDARY_DATA, RUNNERS, StudyError, StudyReport, SweepConfig, emit_report
+from .studies import (
+    BOUNDARY_DATA, RUNNERS, StudyError, StudyReport, SweepConfig, emit_report, run_studies,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -123,10 +127,8 @@ def _cmd_fem_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_study(args) -> int:
-    cfg = load_config(args.config) if args.config else SweepConfig()
-    report = RUNNERS[args.kind](cfg)
-    print(f"study {args.kind} ({report.study_id}):")
+def _print_study(kind: str, report: StudyReport) -> None:
+    print(f"study {kind} ({report.study_id}):")
     for name in sorted(report.checks):
         c = report.checks[name]
         status = "pass" if c["passed"] else "FAIL"
@@ -140,13 +142,24 @@ def _cmd_study(args) -> int:
     for key in sorted(report.fits):
         if report.fits[key]["sign_change"]:
             print(f"  fit {key}: sign change across the sweep (|value| fitted)")
-    if args.out:
-        emit_report(report, "csv", args.out)
-        print(f"wrote {args.out}")
-    if args.json:
-        emit_report(report, "json", args.json)
-        print(f"wrote {args.json}")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
+def _cmd_study(args) -> int:
+    cfg = load_config(args.config) if args.config else SweepConfig()
+    if args.kind == "all":
+        for folder in {args.out, args.json} - {None}:
+            os.makedirs(folder, exist_ok=True)
+        reports = run_studies(cfg)
+    else:
+        reports = {args.kind: RUNNERS[args.kind](cfg)}
+    for kind, report in reports.items():
+        _print_study(kind, report)
+        for fmt, dest in (("csv", args.out), ("json", args.json)):
+            if dest:
+                path = os.path.join(dest, f"{kind}.{fmt}") if args.kind == "all" else dest
+                emit_report(report, fmt, path)
+                print(f"wrote {path}")
+    return EXIT_OK if all(r.passed for r in reports.values()) else EXIT_CHECK_FAILED
 
 
 def _cmd_report(args) -> int:
@@ -242,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         "study", help="epsilon-sweep studies",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    st.add_argument("kind", choices=sorted(RUNNERS))
+    st.add_argument("kind", choices=[*sorted(RUNNERS), "all"], help="a study, or all from one pass")
     st.add_argument("--config", help="flat key=value config file")
-    st.add_argument("--out", help="CSV output path")
-    st.add_argument("--json", help="JSON report path")
+    st.add_argument("--out", help="CSV output path (a directory for all: <kind>.csv)")
+    st.add_argument("--json", help="JSON report path (a directory for all: <kind>.json)")
     st.set_defaults(func=_cmd_study)
 
     r = sub.add_parser("report", help="merge study JSON reports")
@@ -266,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FamilyError, NeckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverError, MeshError, StudyError, OSError) as exc:
+    except (SolverError, StudyError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -195,13 +195,6 @@ def _prescribe(mesh: Mesh, tag: str, fn: Callable[[float, float], tuple[float, f
 # ---------------------------------------------------------------------------
 
 
-def _system(geom: Geometry, lam: float, mu: float, params: MeshParams | None,
-            mesh: Mesh | None) -> ElasticitySystem:
-    if mesh is None:
-        mesh = generate_mesh(geom, params)
-    return assemble(mesh, lam, mu)
-
-
 def solve_component(
     geom: Geometry,
     lam: float,
@@ -209,7 +202,6 @@ def solve_component(
     i: int,
     alpha: int,
     params: MeshParams | None = None,
-    mesh: Mesh | None = None,
     system: ElasticitySystem | None = None,
 ) -> DisplacementField:
     """u = psi_alpha on inclusion i, u = 0 on the other inclusion and outer."""
@@ -217,7 +209,7 @@ def solve_component(
         raise ValueError("inclusion index must be 1 or 2")
     if alpha not in (1, 2, 3):
         raise ValueError("alpha must be 1, 2 or 3")
-    system = system or _system(geom, lam, mu, params, mesh)
+    system = system or assemble(generate_mesh(geom, params), lam, mu)
     mesh_ = system.mesh
     zero = lambda x, y: (0.0, 0.0)
     prescribed: dict[int, tuple[float, float]] = {}
@@ -234,11 +226,10 @@ def solve_hard_inclusion(
     mu: float,
     phi: Callable[[float, float], tuple[float, float]],
     params: MeshParams | None = None,
-    mesh: Mesh | None = None,
     system: ElasticitySystem | None = None,
 ) -> tuple[DisplacementField, np.ndarray]:
     """Energy minimum over fields rigid on each inclusion; returns C (2x3)."""
-    system = system or _system(geom, lam, mu, params, mesh)
+    system = system or assemble(generate_mesh(geom, params), lam, mu)
     mesh_ = system.mesh
     prescribed: dict[int, tuple[float, float]] = {}
     _prescribe(mesh_, "outer", phi, prescribed)
@@ -253,11 +244,10 @@ def solve_holes(
     mu: float,
     phi: Callable[[float, float], tuple[float, float]],
     params: MeshParams | None = None,
-    mesh: Mesh | None = None,
     system: ElasticitySystem | None = None,
 ) -> DisplacementField:
     """Traction-free inclusion boundaries, Dirichlet phi on the outer circle."""
-    system = system or _system(geom, lam, mu, params, mesh)
+    system = system or assemble(generate_mesh(geom, params), lam, mu)
     prescribed: dict[int, tuple[float, float]] = {}
     _prescribe(system.mesh, "outer", phi, prescribed)
     u, _ = _condensed_solve(system, prescribed)

@@ -1,9 +1,11 @@
 """Epsilon-sweep studies tying the FEM solutions to the asymptotic claims.
 
-Each study solves the relevant boundary-value problems on a sweep of gap
-widths, records the probed quantities, fits log-log rates, and evaluates
-its pass/fail criteria against tolerances carried in the configuration
-(every threshold is echoed into the report; there are no hidden numbers).
+One pass over the gap widths serves every study: at each eps a single case
+meshes and assembles the shared system once, solves each boundary-value
+problem at most once, and hands the fields to each study's record function.
+Each study then fits log-log rates to its records and evaluates its
+pass/fail criteria against tolerances carried in the configuration (every
+threshold is echoed into the report; there are no hidden numbers).
 
 Gradient magnitudes are measured as the maximum absolute matrix entry and
 "gap" quantities are maximized over a sampled centerline z = 0 (for the
@@ -20,12 +22,12 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .families import MAX_DEPTH, build_family
-from .fem.assembly import assemble
+from .fem.assembly import ElasticitySystem, assemble
 from .fem.geometry import Geometry
 from .fem.mesh import MeshParams, generate_mesh
 from .fem.solve import (
@@ -43,6 +45,10 @@ SCHEMA = "lamegap-study/1"
 
 class StudyError(RuntimeError):
     pass
+
+
+class SweepConfigError(StudyError, ValueError):
+    """A sweep configuration the studies cannot run."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +119,17 @@ class SweepConfig:
 
     def __post_init__(self):
         if len(set(self.eps_grid)) < 4:
-            raise StudyError("need at least 4 distinct grid points for an exponent fit")
+            raise SweepConfigError("need at least 4 distinct grid points for an exponent fit")
         if not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
-            raise StudyError("eps grid must be finite and positive")
+            raise SweepConfigError("eps grid must be finite and positive")
         if self.phi not in BOUNDARY_DATA:
-            raise StudyError(f"unknown boundary datum {self.phi!r}")
+            raise SweepConfigError(f"unknown boundary datum {self.phi!r}")
         if not 1 <= self.compare_depth <= MAX_DEPTH:
-            raise StudyError(f"compare depth must be in 1..{MAX_DEPTH}, got {self.compare_depth}")
+            raise SweepConfigError(
+                f"compare depth must be in 1..{MAX_DEPTH}, got {self.compare_depth}"
+            )
         if self.workers < 1:
-            raise StudyError(f"workers must be at least 1, got {self.workers}")
+            raise SweepConfigError(f"workers must be at least 1, got {self.workers}")
 
     @property
     def tol(self) -> dict[str, float]:
@@ -259,89 +267,94 @@ def emit_report(report: StudyReport, fmt: str, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-eps case solvers (module-level so they can cross process boundaries)
+# One case per eps, shared by every study
 # ---------------------------------------------------------------------------
 
 
-def _grad_max_entry(g: np.ndarray) -> float:
-    return float(np.abs(g).max())
+class _EpsCase:
+    """The geometry, the centerline and the solved fields at one eps.
+
+    One assembled system is kept per `MeshParams`, and each field is solved
+    at most once, keyed by (solver, arguments, mesh params).  The compare
+    mesh has grading factor 1 at eps_max, so there it is the shared mesh.
+    """
+
+    def __init__(self, cfg: SweepConfig, eps: float):
+        self.cfg, self.eps = cfg, eps
+        self.geom = cfg.geometry(eps)
+        self.centerline = gap_centerline_points(self.geom, half_extent=cfg.neck_halfwidth * 0.65)
+        self._systems: dict[MeshParams, ElasticitySystem] = {}
+        self._fields: dict[tuple, object] = {}
+
+    def field(self, solver: Callable, *args, params: MeshParams | None = None):
+        cfg, params = self.cfg, params or self.cfg.mesh_params(self.eps)
+        key = (solver, args, params)
+        if key not in self._fields:
+            if params not in self._systems:
+                self._systems[params] = assemble(generate_mesh(self.geom, params), cfg.lam, cfg.mu)
+            system = self._systems[params]
+            self._fields[key] = solver(self.geom, cfg.lam, cfg.mu, *args, system=system)
+        return self._fields[key]
 
 
-def _centerline(cfg: SweepConfig, geom: Geometry) -> np.ndarray:
-    return gap_centerline_points(geom, half_extent=cfg.neck_halfwidth * 0.65)
+def _gap_max(case: _EpsCase, fld: DisplacementField) -> float:
+    """Largest gradient entry over the sampled centerline."""
+    return float(np.abs(sample(fld, case.centerline, "gradient")).max())
 
 
-def _case_blowup(cfg: SweepConfig, eps: float) -> dict:
-    geom = cfg.geometry(eps)
-    mesh = generate_mesh(geom, cfg.mesh_params(eps))
-    system = assemble(mesh, cfg.lam, cfg.mu)
-    pts = _centerline(cfg, geom)
-    origin = [(0.0, 0.0)]
-    rec: dict[str, float] = {"eps": eps}
+def _origin_grad(fld: DisplacementField) -> float:
+    """Largest gradient entry at the origin."""
+    return float(np.abs(sample(fld, [(0.0, 0.0)], "gradient")[0]).max())
+
+
+def _record_rates(case: _EpsCase) -> dict:
+    rec = {}
     for alpha in (1, 2, 3):
-        fld = solve_component(geom, cfg.lam, cfg.mu, 1, alpha, system=system)
-        grads = sample(fld, pts, "gradient")
-        if alpha in (1, 2):
-            vals = np.abs(grads[:, alpha - 1, 1])
-        else:
-            vals = np.abs(grads).reshape(len(pts), -1).max(axis=1)
-        rec[f"u1{alpha}_gap_max"] = float(vals.max())
-        g0 = sample(fld, origin, "gradient")[0]
-        rec[f"u1{alpha}_origin"] = _grad_max_entry(g0)
-    fld, _ = solve_hard_inclusion(
-        geom, cfg.lam, cfg.mu, BOUNDARY_DATA[cfg.phi], system=system
-    )
-    grads = sample(fld, pts, "gradient")
-    rec["full_gap_max"] = float(np.abs(grads).reshape(len(pts), -1).max())
+        fld = case.field(solve_component, 1, alpha)
+        grads = np.abs(sample(fld, case.centerline, "gradient"))
+        # a translation's shear entry du_alpha/dz; every entry for the rotation
+        rec[f"u1{alpha}_gap_max"] = float((grads[:, alpha - 1, 1] if alpha < 3 else grads).max())
+        rec[f"u1{alpha}_origin"] = _origin_grad(fld)
+    fld, _ = case.field(solve_hard_inclusion, BOUNDARY_DATA[case.cfg.phi])
+    rec["full_gap_max"] = _gap_max(case, fld)
     return rec
 
 
-def _case_constants(cfg: SweepConfig, eps: float) -> dict:
-    geom = cfg.geometry(eps)
-    mesh = generate_mesh(geom, cfg.mesh_params(eps))
-    system = assemble(mesh, cfg.lam, cfg.mu)
-    _, c = solve_hard_inclusion(
-        geom, cfg.lam, cfg.mu, BOUNDARY_DATA[cfg.phi], system=system
-    )
-    rec = {"eps": eps, "c_norm": float(np.abs(c).max())}
+def _record_constants(case: _EpsCase) -> dict:
+    cfg, eps = case.cfg, case.eps
+    _, c = case.field(solve_hard_inclusion, BOUNDARY_DATA[cfg.phi])
+    rec = {"c_norm": float(np.abs(c).max())}
     for alpha in (1, 2, 3):
         rec[f"dc{alpha}"] = float(abs(c[0, alpha - 1] - c[1, alpha - 1]))
-    rec["bstar11"] = math.pi * cfg.mu * rec["dc1"] / math.sqrt(eps)
-    rec["bstar12"] = math.pi * (cfg.lam + 2 * cfg.mu) * rec["dc2"] / math.sqrt(eps)
-    for alpha in range(1, 4):
         rec[f"c1_{alpha}"] = float(c[0, alpha - 1])
         rec[f"c2_{alpha}"] = float(c[1, alpha - 1])
+    rec["bstar11"] = math.pi * cfg.mu * rec["dc1"] / math.sqrt(eps)
+    rec["bstar12"] = math.pi * (cfg.lam + 2 * cfg.mu) * rec["dc2"] / math.sqrt(eps)
     return rec
 
 
-def _case_compare(cfg: SweepConfig, eps: float) -> dict:
-    power = cfg.ct_eps_power if cfg.ct_eps_power else 1.0 / 3.0
-    geom = cfg.geometry(eps)
-    mesh = generate_mesh(geom, cfg.mesh_params(eps, ct_power=power))
-    system = assemble(mesh, cfg.lam, cfg.mu)
-    fld = solve_component(geom, cfg.lam, cfg.mu, 1, 1, system=system)
+def _record_compare(case: _EpsCase) -> dict:
+    cfg, eps, geom = case.cfg, case.eps, case.geom
+    params = cfg.mesh_params(eps, ct_power=cfg.ct_eps_power or 1.0 / 3.0)
+    fld = case.field(solve_component, 1, 1, params=params)
 
-    fam = build_family(DIM2, 1, cfg.compare_depth)
-    vsum = fam.partial_sum()
+    vsum = build_family(DIM2, 1, cfg.compare_depth).partial_sum()
+
+    def neck(x: float, z: float) -> np.ndarray:
+        return np.array(
+            [c.evaluate([x], z, eps, cfg.lam, cfg.mu, mode="float") for c in vsum.components]
+        )
+
     fractions = (-0.8, -0.4, 0.0, 0.4, 0.8)
     grid = []  # (x, z, gap, quadratic-model gap)
     for x in np.linspace(-0.2, 0.2, 17):
         dc = geom.gap(float(x))
         grid += [(float(x), tz * dc / 2, dc, eps + float(x) ** 2) for tz in fractions]
     ufs = sample(fld, [(x, z) for x, z, _, _ in grid], "value")
-    err_max = 0.0
-    err_norm_max = 0.0
-    u_max = 0.0
+    err_max = err_norm_max = u_max = 0.0
     for (x, z, dc, dq), uf in zip(grid, ufs):
         # map onto the quadratic-model gap so boundary traces agree
-        zt = z * dq / dc
-        vv = np.array(
-            [
-                comp.evaluate([x], zt, eps, cfg.lam, cfg.mu, mode="float")
-                for comp in vsum.components
-            ]
-        )
-        e = float(np.abs(uf - vv).max())
+        e = float(np.abs(uf - neck(x, z * dq / dc)).max())
         err_max = max(err_max, e)
         err_norm_max = max(err_norm_max, e / dc)
         u_max = max(u_max, float(np.abs(uf).max()))
@@ -350,57 +363,34 @@ def _case_compare(cfg: SweepConfig, eps: float) -> dict:
     ufs = sample(fld, [(x, geom.gamma1(x) - 1e-12) for x in arc], "value")
     trace_err = 0.0
     for x, uf in zip(arc, ufs):
-        vv = np.array(
-            [
-                comp.evaluate([x], (eps + x * x) / 2, eps, cfg.lam, cfg.mu, mode="float")
-                for comp in vsum.components
-            ]
-        )
-        trace_err = max(trace_err, float(np.abs(uf - vv).max()))
-    pts = _centerline(cfg, geom)
-    grads = sample(fld, pts, "gradient")
+        trace_err = max(trace_err, float(np.abs(uf - neck(x, (eps + x * x) / 2)).max()))
     return {
-        "eps": eps,
         "err_max": err_max,
         "err_norm_max": err_norm_max,
         "u_max": u_max,
         "trace_err": trace_err,
-        "control_grad_max": float(np.abs(grads).reshape(len(pts), -1).max()),
+        "control_grad_max": _gap_max(case, fld),
     }
 
 
-def _case_cancel(cfg: SweepConfig, eps: float) -> dict:
-    geom = cfg.geometry(eps)
-    mesh = generate_mesh(geom, cfg.mesh_params(eps))
-    system = assemble(mesh, cfg.lam, cfg.mu)
-    origin = [(0.0, 0.0)]
-    rec = {"eps": eps}
-    f11 = solve_component(geom, cfg.lam, cfg.mu, 1, 1, system=system)
-    f21 = solve_component(geom, cfg.lam, cfg.mu, 2, 1, system=system)
-    pair = DisplacementField(system, f11.u + f21.u)
-    rec["cancel_sum"] = _grad_max_entry(sample(pair, origin, "gradient")[0])
-    rec["control_u11"] = _grad_max_entry(sample(f11, origin, "gradient")[0])
-    f13 = solve_component(geom, cfg.lam, cfg.mu, 1, 3, system=system)
-    f23 = solve_component(geom, cfg.lam, cfg.mu, 2, 3, system=system)
-    pair3 = DisplacementField(system, f13.u + f23.u)
-    rec["rot_pair"] = _grad_max_entry(sample(pair3, origin, "gradient")[0])
-    return rec
+def _record_cancel(case: _EpsCase) -> dict:
+    f11, f21, f13, f23 = (
+        case.field(solve_component, i, alpha) for alpha in (1, 3) for i in (1, 2)
+    )
+    return {
+        "cancel_sum": _origin_grad(DisplacementField(f11.system, f11.u + f21.u)),
+        "control_u11": _origin_grad(f11),
+        "rot_pair": _origin_grad(DisplacementField(f13.system, f13.u + f23.u)),
+    }
 
 
-def _case_holes(cfg: SweepConfig, eps: float) -> dict:
-    geom = cfg.geometry(eps)
-    mesh = generate_mesh(geom, cfg.mesh_params(eps))
-    system = assemble(mesh, cfg.lam, cfg.mu)
-    pts = _centerline(cfg, geom)
-    rec = {"eps": eps}
-    fld = solve_holes(geom, cfg.lam, cfg.mu, BOUNDARY_DATA[cfg.phi], system=system)
-    grads = sample(fld, pts, "gradient")
-    rec["holes_gap_max"] = float(np.abs(grads).reshape(len(pts), -1).max())
-    vals = sample(fld, pts, "value")
-    rec["u_inf_neck"] = float(np.abs(vals).max())
+def _record_holes(case: _EpsCase) -> dict:
+    fld = case.field(solve_holes, BOUNDARY_DATA[case.cfg.phi])
+    rigid = case.field(solve_holes, BOUNDARY_DATA["rigid_psi3"])
+    rec = {"holes_gap_max": _gap_max(case, fld)}
+    rec["u_inf_neck"] = float(np.abs(sample(fld, case.centerline, "value")).max())
     rec["holes_normalized"] = rec["holes_gap_max"] / rec["u_inf_neck"]
-    rigid = solve_holes(geom, cfg.lam, cfg.mu, BOUNDARY_DATA["rigid_psi3"], system=system)
-    rec["rigid_grad"] = _grad_max_entry(sample(rigid, [(0.0, 0.0)], "gradient")[0])
+    rec["rigid_grad"] = _origin_grad(rigid)
     rec["rigid_energy"] = rigid.energy()
     # variational identity: strain energy equals boundary work
     rec["energy"] = fld.energy()
@@ -408,191 +398,196 @@ def _case_holes(cfg: SweepConfig, eps: float) -> dict:
     return rec
 
 
-def _run_cases(cfg: SweepConfig, case: Callable[[SweepConfig, float], dict]) -> list[dict]:
-    run = partial(case, cfg)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            recs = list(pool.map(run, cfg.eps_grid))
+# ---------------------------------------------------------------------------
+# Fits and checks
+# ---------------------------------------------------------------------------
+
+
+def _fit(records: list[dict], key: str) -> dict:
+    return asdict(rate_fit([(r["eps"], r[key]) for r in records]))
+
+
+def _bound_check(passed: bool, value, bound: float) -> dict:
+    return {"passed": passed, "value": value, "bound": bound}
+
+
+def _slope_check(tol: dict, fits: dict, checks: dict, key: str, window: str) -> None:
+    """Check the fitted slope of `key` against tol[<window>_slope_lo/hi]."""
+    slope, lo, hi = fits[key]["slope"], tol[f"{window}_slope_lo"], tol[f"{window}_slope_hi"]
+    checks[f"{key}_slope"] = {"passed": lo <= slope <= hi, "value": slope, "lo": lo, "hi": hi}
+
+
+def _report_rates(tol: dict, records: list[dict]) -> tuple[dict, dict]:
+    fits, checks = {}, {}
+    for name in ("u11", "u12", "u13", "full"):
+        fits[f"{name}_gap_max"] = _fit(records, f"{name}_gap_max")
+        _slope_check(tol, fits, checks, f"{name}_gap_max", name)
+    return fits, checks
+
+
+def _report_constants(tol: dict, records: list[dict]) -> tuple[dict, dict]:
+    fits, checks = {}, {}
+    usable = [r for r in records if r["dc1"] > 1e-10]
+    if len(usable) >= 4:
+        fits["dc1"] = _fit(usable, "dc1")
+        _slope_check(tol, fits, checks, "dc1", "dc1")
+        checks["dc1_slope"]["near_zero_excluded"] = len(usable) != len(records)
     else:
-        recs = [run(eps) for eps in cfg.eps_grid]
-    # merge deterministically in sweep order
-    recs.sort(key=lambda r: -r["eps"])
-    return recs
+        checks["dc1_slope"] = {"passed": False, "value": None, "reason": "degenerate dc1"}
+    dc3_rel = max(r["dc3"] / max(r["c_norm"], 1e-300) for r in records)
+    checks["dc3_zero"] = _bound_check(dc3_rel < tol["dc3_rel_max"], dc3_rel, tol["dc3_rel_max"])
+    bs = [r["bstar11"] for r in records]
+    spread = (max(bs) - min(bs)) / abs(sum(bs) / len(bs)) if any(bs) else math.inf
+    bound = tol["bstar_rel_spread_max"]
+    checks["bstar11_stable"] = {**_bound_check(spread < bound, spread, bound), "estimates": bs}
+    return fits, checks
 
 
-def _slope_check(tol: dict, fits: dict, checks: dict, key: str, lo: str, hi: str) -> None:
-    slope = fits[key]["slope"]
-    checks[f"{key}_slope"] = {
-        "passed": tol[lo] <= slope <= tol[hi],
-        "value": slope,
-        "lo": tol[lo],
-        "hi": tol[hi],
+def _report_compare(tol: dict, records: list[dict]) -> tuple[dict, dict]:
+    fits = {"control_grad_max": _fit(records, "control_grad_max")}
+    norm_vals = [r["err_norm_max"] for r in records]
+    ratio = max(norm_vals) / min(norm_vals)
+    trace_max = tol["compare_boundary_trace_max"]
+    checks = {
+        "normalized_error_bounded": _bound_check(
+            ratio < tol["compare_ratio_max"], ratio, tol["compare_ratio_max"]
+        ),
+        "unnormalized_small": _bound_check(
+            all(r["err_max"] < 0.1 * r["u_max"] for r in records),
+            max(r["err_max"] / r["u_max"] for r in records),
+            0.1,
+        ),
+        "boundary_trace": _bound_check(
+            all(r["trace_err"] < trace_max for r in records),
+            max(r["trace_err"] for r in records),
+            trace_max,
+        ),
     }
+    _slope_check(tol, fits, checks, "control_grad_max", "compare_control")
+    return fits, checks
+
+
+def _report_cancel(tol: dict, records: list[dict]) -> tuple[dict, dict]:
+    fits = {"control_u11": _fit(records, "control_u11")}
+    checks: dict[str, dict] = {}
+    _slope_check(tol, fits, checks, "control_u11", "cancel_control")
+    floor = tol["cancel_noise_floor"] * max(r["control_u11"] for r in records)
+    above = [r for r in records if r["cancel_sum"] > floor]
+    if len(above) >= 4:
+        fits["cancel_sum"] = _fit(above, "cancel_sum")
+        slope = fits["cancel_sum"]["slope"]
+        checks["cancel_bounded"] = _bound_check(
+            slope >= tol["cancel_slope_min"], slope, tol["cancel_slope_min"]
+        )
+    else:
+        # sums at discretization noise: bounded trivially
+        checks["cancel_bounded"] = {
+            "passed": True,
+            "value": None,
+            "note": "cancellation sums below noise floor",
+            "floor": floor,
+        }
+    rot = max(r["rot_pair"] for r in records)
+    checks["rotation_pair_bound"] = _bound_check(
+        rot <= tol["rot_pair_bound"], rot, tol["rot_pair_bound"]
+    )
+    return fits, checks
+
+
+def _report_holes(tol: dict, records: list[dict]) -> tuple[dict, dict]:
+    fits = {key: _fit(records, key) for key in ("holes_gap_max", "holes_normalized", "rigid_grad")}
+    slope = {key: fit["slope"] for key, fit in fits.items()}
+    lo, rigid_max = tol["holes_slope_min"], tol["holes_rigid_slope_abs_max"]
+    # |2 * energy - boundary work| against the boundary work, per eps
+    balance = [
+        (abs(2 * r["energy"] - r["boundary_work"]), max(abs(r["boundary_work"]), 1e-300))
+        for r in records
+    ]
+    checks = {
+        "holes_slope": _bound_check(slope["holes_gap_max"] >= lo, slope["holes_gap_max"], lo),
+        "holes_normalized_slope": _bound_check(
+            slope["holes_normalized"] >= lo, slope["holes_normalized"], lo
+        ),
+        "rigid_control": _bound_check(
+            abs(slope["rigid_grad"]) <= rigid_max, slope["rigid_grad"], rigid_max
+        ),
+        "energy_balance": _bound_check(
+            all(gap <= 1e-8 * work for gap, work in balance),
+            max(gap / work for gap, work in balance),
+            1e-8,
+        ),
+    }
+    return fits, checks
 
 
 # ---------------------------------------------------------------------------
 # Studies
 # ---------------------------------------------------------------------------
 
+# kind -> (record function, report function), in pass order: the solves run
+# grouped by constraint pattern (components, then hard, then holes), so each
+# system factorizes every pattern once although it keeps only the latest
+_STUDIES = {
+    "cancel": (_record_cancel, _report_cancel),
+    "rates": (_record_rates, _report_rates),
+    "constants": (_record_constants, _report_constants),
+    "holes": (_record_holes, _report_holes),
+    "compare": (_record_compare, _report_compare),
+}
+
+
+def _eps_records(cfg: SweepConfig, kinds: tuple[str, ...], eps: float) -> dict[str, dict]:
+    """The record of every study in `kinds` at one eps, from one case
+    (module-level, so the process pool can map it)."""
+    case = _EpsCase(cfg, eps)
+    return {
+        kind: {"eps": eps, **record(case)}
+        for kind, (record, _) in _STUDIES.items()
+        if kind in kinds
+    }
+
+
+def run_studies(cfg: SweepConfig, kinds: Sequence[str] | None = None) -> dict[str, StudyReport]:
+    """Run the studies in `kinds` (default: all) from one pass over the eps
+    grid and return their reports by kind."""
+    kinds = tuple(RUNNERS if kinds is None else kinds)
+    if not set(kinds) <= set(_STUDIES):
+        raise StudyError(f"unknown study in {kinds}")
+    run = partial(_eps_records, cfg, kinds)
+    grid = sorted(cfg.eps_grid, reverse=True)  # records merge in sweep order
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            per_eps = list(pool.map(run, grid))
+    else:
+        per_eps = [run(eps) for eps in grid]
+    reports = {}
+    for kind in kinds:
+        records = [recs[kind] for recs in per_eps]
+        fits, checks = _STUDIES[kind][1](cfg.tol, records)
+        reports[kind] = StudyReport(kind, cfg.study_id, cfg.to_json_obj(), records, fits, checks)
+    return reports
+
 
 def run_blowup_study(cfg: SweepConfig) -> StudyReport:
-    records = _run_cases(cfg, _case_blowup)
-    tol = cfg.tol
-    fits = {}
-    for key in ("u11_gap_max", "u12_gap_max", "u13_gap_max", "full_gap_max"):
-        fits[key] = asdict(rate_fit([(r["eps"], r[key]) for r in records]))
-    checks: dict[str, dict] = {}
-    _slope_check(tol, fits, checks, "u11_gap_max", "u11_slope_lo", "u11_slope_hi")
-    _slope_check(tol, fits, checks, "u12_gap_max", "u12_slope_lo", "u12_slope_hi")
-    _slope_check(tol, fits, checks, "u13_gap_max", "u13_slope_lo", "u13_slope_hi")
-    _slope_check(tol, fits, checks, "full_gap_max", "full_slope_lo", "full_slope_hi")
-    return StudyReport("rates", cfg.study_id, cfg.to_json_obj(), records, fits, checks)
+    return run_studies(cfg, ["rates"])["rates"]
 
 
 def run_constant_study(cfg: SweepConfig) -> StudyReport:
-    records = _run_cases(cfg, _case_constants)
-    tol = cfg.tol
-    fits = {}
-    usable = [(r["eps"], r["dc1"]) for r in records if r["dc1"] > 1e-10]
-    flagged = len(usable) != len(records)
-    if len(usable) >= 4:
-        fits["dc1"] = asdict(rate_fit(usable))
-    checks: dict[str, dict] = {}
-    if "dc1" in fits:
-        _slope_check(tol, fits, checks, "dc1", "dc1_slope_lo", "dc1_slope_hi")
-        checks["dc1_slope"]["near_zero_excluded"] = flagged
-    else:
-        checks["dc1_slope"] = {"passed": False, "value": None, "reason": "degenerate dc1"}
-    dc3_rel = max(r["dc3"] / max(r["c_norm"], 1e-300) for r in records)
-    checks["dc3_zero"] = {
-        "passed": dc3_rel < tol["dc3_rel_max"],
-        "value": dc3_rel,
-        "bound": tol["dc3_rel_max"],
-    }
-    bs = [r["bstar11"] for r in records]
-    spread = (max(bs) - min(bs)) / abs(sum(bs) / len(bs)) if any(bs) else math.inf
-    checks["bstar11_stable"] = {
-        "passed": spread < tol["bstar_rel_spread_max"],
-        "value": spread,
-        "bound": tol["bstar_rel_spread_max"],
-        "estimates": bs,
-    }
-    return StudyReport("constants", cfg.study_id, cfg.to_json_obj(), records, fits, checks)
+    return run_studies(cfg, ["constants"])["constants"]
 
 
 def run_neck_comparison(cfg: SweepConfig, depth: int | None = None) -> StudyReport:
     if depth is not None:
         cfg = replace(cfg, compare_depth=depth)
-    records = _run_cases(cfg, _case_compare)
-    tol = cfg.tol
-    fits = {
-        "control_grad_max": asdict(
-            rate_fit([(r["eps"], r["control_grad_max"]) for r in records])
-        )
-    }
-    norm_vals = [r["err_norm_max"] for r in records]
-    ratio = max(norm_vals) / min(norm_vals)
-    checks: dict[str, dict] = {
-        "normalized_error_bounded": {
-            "passed": ratio < tol["compare_ratio_max"],
-            "value": ratio,
-            "bound": tol["compare_ratio_max"],
-        },
-        "unnormalized_small": {
-            "passed": all(r["err_max"] < 0.1 * r["u_max"] for r in records),
-            "value": max(r["err_max"] / r["u_max"] for r in records),
-            "bound": 0.1,
-        },
-        "boundary_trace": {
-            "passed": all(r["trace_err"] < tol["compare_boundary_trace_max"] for r in records),
-            "value": max(r["trace_err"] for r in records),
-            "bound": tol["compare_boundary_trace_max"],
-        },
-    }
-    _slope_check(
-        tol, fits, checks, "control_grad_max",
-        "compare_control_slope_lo", "compare_control_slope_hi",
-    )
-    return StudyReport("compare", cfg.study_id, cfg.to_json_obj(), records, fits, checks)
+    return run_studies(cfg, ["compare"])["compare"]
 
 
 def run_symmetric_cancellation(cfg: SweepConfig) -> StudyReport:
-    records = _run_cases(cfg, _case_cancel)
-    tol = cfg.tol
-    fits = {
-        "control_u11": asdict(rate_fit([(r["eps"], r["control_u11"]) for r in records]))
-    }
-    checks: dict[str, dict] = {}
-    _slope_check(
-        tol, fits, checks, "control_u11",
-        "cancel_control_slope_lo", "cancel_control_slope_hi",
-    )
-    floor = tol["cancel_noise_floor"] * max(r["control_u11"] for r in records)
-    vals = [(r["eps"], r["cancel_sum"]) for r in records if r["cancel_sum"] > floor]
-    if len(vals) >= 4:
-        fits["cancel_sum"] = asdict(rate_fit(vals))
-        slope_ok = fits["cancel_sum"]["slope"] >= tol["cancel_slope_min"]
-        detail = {"passed": slope_ok, "value": fits["cancel_sum"]["slope"],
-                  "bound": tol["cancel_slope_min"]}
-    else:
-        # sums at discretization noise: bounded trivially
-        detail = {
-            "passed": True,
-            "value": None,
-            "note": "cancellation sums below noise floor",
-            "floor": floor,
-        }
-    checks["cancel_bounded"] = detail
-    rot = max(r["rot_pair"] for r in records)
-    checks["rotation_pair_bound"] = {
-        "passed": rot <= tol["rot_pair_bound"],
-        "value": rot,
-        "bound": tol["rot_pair_bound"],
-    }
-    return StudyReport("cancel", cfg.study_id, cfg.to_json_obj(), records, fits, checks)
+    return run_studies(cfg, ["cancel"])["cancel"]
 
 
 def run_holes_study(cfg: SweepConfig) -> StudyReport:
-    records = _run_cases(cfg, _case_holes)
-    tol = cfg.tol
-    fits = {
-        "holes_gap_max": asdict(rate_fit([(r["eps"], r["holes_gap_max"]) for r in records])),
-        "holes_normalized": asdict(
-            rate_fit([(r["eps"], r["holes_normalized"]) for r in records])
-        ),
-        "rigid_grad": asdict(rate_fit([(r["eps"], r["rigid_grad"]) for r in records])),
-    }
-    checks: dict[str, dict] = {
-        "holes_slope": {
-            "passed": fits["holes_gap_max"]["slope"] >= tol["holes_slope_min"],
-            "value": fits["holes_gap_max"]["slope"],
-            "bound": tol["holes_slope_min"],
-        },
-        "holes_normalized_slope": {
-            "passed": fits["holes_normalized"]["slope"] >= tol["holes_slope_min"],
-            "value": fits["holes_normalized"]["slope"],
-            "bound": tol["holes_slope_min"],
-        },
-        "rigid_control": {
-            "passed": abs(fits["rigid_grad"]["slope"]) <= tol["holes_rigid_slope_abs_max"],
-            "value": fits["rigid_grad"]["slope"],
-            "bound": tol["holes_rigid_slope_abs_max"],
-        },
-        "energy_balance": {
-            "passed": all(
-                abs(2 * r["energy"] - r["boundary_work"])
-                <= 1e-8 * max(abs(r["boundary_work"]), 1e-300)
-                for r in records
-            ),
-            "value": max(
-                abs(2 * r["energy"] - r["boundary_work"])
-                / max(abs(r["boundary_work"]), 1e-300)
-                for r in records
-            ),
-            "bound": 1e-8,
-        },
-    }
-    return StudyReport("holes", cfg.study_id, cfg.to_json_obj(), records, fits, checks)
+    return run_studies(cfg, ["holes"])["holes"]
 
 
 RUNNERS = {

@@ -26,14 +26,7 @@ from lamegap.checks import (
 from lamegap.coeffs import MU, ONE, parse
 from lamegap.families import build_family
 from lamegap.neck import DIM2, DIM3, NeckScalar
-from lamegap.studies import (
-    SweepConfig,
-    run_blowup_study,
-    run_constant_study,
-    run_holes_study,
-    run_neck_comparison,
-    run_symmetric_cancellation,
-)
+from lamegap.studies import SweepConfig, run_studies
 
 
 def announce(criterion: str, ok: bool, detail: str = "") -> None:
@@ -46,13 +39,7 @@ def announce(criterion: str, ok: bool, detail: str = "") -> None:
 def studies():
     cfg = SweepConfig(study_id="acceptance")
     t0 = time.time()
-    out = {
-        "rates": run_blowup_study(cfg),
-        "constants": run_constant_study(cfg),
-        "compare": run_neck_comparison(cfg),
-        "cancel": run_symmetric_cancellation(cfg),
-        "holes": run_holes_study(cfg),
-    }
+    out = run_studies(cfg)
     print(f"\n[studies ran in {time.time() - t0:.1f}s]")
     return out
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -179,8 +180,8 @@ def test_study_rejects_unrunnable_config_before_meshing(tmp_path, monkeypatch, c
     monkeypatch.setattr("lamegap.studies.generate_mesh", no_mesh)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    assert main(["study", "compare", "--config", str(cfg)]) == 3
-    assert "runtime error" in capsys.readouterr().err
+    assert main(["study", "compare", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_study_summary_shows_silent_state(monkeypatch, capsys):
@@ -204,3 +205,48 @@ def test_study_summary_shows_silent_state(monkeypatch, capsys):
     assert "note: cancellation sums below noise floor (floor=2.5e-07)" in out
     assert "fit dc1: sign change across the sweep" in out
     assert "fit flat" not in out
+
+
+def test_study_all_runs_every_study_from_one_pass(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg as spla
+
+    from lamegap import studies
+    from lamegap.config import load_config
+
+    counts = {"generate_mesh": 0, "splu": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(studies, "generate_mesh", counted("generate_mesh", studies.generate_mesh))
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("study.id = one-pass\nmesh.nr = 8\nmesh.arc_target = 0.24\n")  # default eps grid
+
+    single = tmp_path / "single"
+    single.mkdir()
+    for kind in ("rates", "constants", "compare", "cancel", "holes"):
+        assert main(
+            ["study", kind, "--config", str(cfg),
+             "--json", str(single / f"{kind}.json"), "--out", str(single / f"{kind}.csv")]
+        ) == 0
+    assert counts == {"generate_mesh": 20, "splu": 24}
+
+    counts.update(generate_mesh=0, splu=0)
+    both = tmp_path / "all"
+    assert main(["study", "all", "--config", str(cfg), "--json", str(both), "--out", str(both)]) == 0
+    # 4 shared meshes plus the compare meshes below eps_max; per shared
+    # system one factor each for the components, hard and holes patterns
+    assert counts == {"generate_mesh": 7, "splu": 15}
+    names = sorted(p.name for p in single.iterdir())
+    assert len(names) == 10 and sorted(p.name for p in both.iterdir()) == names
+    for name in names:
+        assert (both / name).read_bytes() == (single / name).read_bytes(), name
+
+    pooled = studies.run_studies(replace(load_config(str(cfg)), workers=2))
+    for kind, report in pooled.items():
+        assert report.records == json.loads((both / f"{kind}.json").read_text())["records"]

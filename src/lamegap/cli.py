@@ -15,7 +15,7 @@ import sys
 
 from . import checks as checks_mod
 from .config import ConfigError, load_config
-from .families import FamilyError, build_family
+from .families import FamilyError, alpha_range, build_family
 from .fem.assembly import assemble
 from .fem.geometry import Geometry
 from .fem.mesh import MeshParams, generate_mesh, write_mesh
@@ -61,11 +61,7 @@ def _cmd_aux_verify(args) -> int:
     fams = []
     dims = [2, 3] if args.dim == 0 else [args.dim]
     for d in dims:
-        alphas = (
-            range(1, d * (d + 1) // 2 + 1)
-            if args.alpha == 0
-            else [args.alpha]
-        )
+        alphas = alpha_range(_dim(d), args.route) if args.alpha == 0 else [args.alpha]
         for alpha in alphas:
             fams.append(build_family(_dim(d), alpha, args.depth, route=args.route))
     reports = checks_mod.run_suite(fams, with_lower_bound=not args.no_lower_bound)
@@ -218,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     v.add_argument("--dim", type=int, choices=(0, 2, 3), default=0, help="0 = both")
-    v.add_argument("--alpha", type=int, default=0, help="0 = all in scope")
+    v.add_argument("--alpha", type=int, default=0, help="0 = all in the route's scope")
     v.add_argument("--depth", type=int, default=4, help="family depth to check")
     v.add_argument("--route", choices=("integral", "recursion"), default="integral", help="construction route")
     v.add_argument("--no-lower-bound", action="store_true", help="skip the exponent probes")

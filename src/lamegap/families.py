@@ -8,9 +8,10 @@ routes are provided:
 
 * the Green-integral route: each level solves the two-point normal ODEs by
   :func:`lamegap.neck.green_solve` against the previous residual;
-* the closed-form recursion route (2D alpha in {1,2}; 3D alpha in {1,2,3}):
-  coefficient tables advanced by the tangential/normal recursions, with the
-  printed seed coefficients.
+* the closed-form recursion route (the translations alpha in 1..d): one
+  table recursion for every case, driven by the split of the Lame operator
+  into the alpha-own (odd) and the other (even) component class, started
+  from the printed seed coefficients.
 
 Component ordering per alpha: translation indices along a tangential axis
 extend tangential components first (the normal component is slaved); normal
@@ -23,16 +24,14 @@ grow the z-degree without bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .coeffs import LAM, MU, ONE, RationalCoeff, parse
 from .neck import DimConfig, NeckField, NeckScalar, green_solve
 
 __all__ = [
     "AuxFamily",
-    "FactorProfile",
     "FamilyError",
     "alpha_range",
     "build_family",
@@ -57,7 +56,10 @@ class FamilyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def alpha_range(dim: DimConfig) -> range:
+def alpha_range(dim: DimConfig, route: str = "integral") -> range:
+    """Rigid-basis indices a route builds: all of them, or the translations."""
+    if route == "recursion":
+        return range(1, dim.d + 1)
     return range(1, dim.d * (dim.d + 1) // 2 + 1)
 
 
@@ -133,32 +135,6 @@ def uses_level2_split(dim: DimConfig, alpha: int) -> bool:
 
 def _is_rotation(dim: DimConfig, alpha: int) -> bool:
     return alpha > dim.d
-
-
-@dataclass(frozen=True)
-class FactorProfile:
-    """Recursion factors for the 2D closed forms.
-
-    (c1, c2) drive the tangential-coefficient recursion, (c3, c4) the
-    normal-coefficient recursion; alpha=2 swaps the two pairs.
-    """
-
-    c1: RationalCoeff
-    c2: RationalCoeff
-    c3: RationalCoeff
-    c4: RationalCoeff
-
-    @classmethod
-    def for_alpha(cls, alpha: int) -> "FactorProfile":
-        lpm_over_mu = LAM_P_MU / MU
-        lp2m_over_mu = LAM_P_2MU / MU
-        lpm_over_lp2m = LAM_P_MU / LAM_P_2MU
-        mu_over_lp2m = MU / LAM_P_2MU
-        if alpha == 1:
-            return cls(lpm_over_mu, lp2m_over_mu, lpm_over_lp2m, mu_over_lp2m)
-        if alpha == 2:
-            return cls(lpm_over_lp2m, mu_over_lp2m, lpm_over_mu, lp2m_over_mu)
-        raise FamilyError("2D recursion factors exist only for alpha in {1, 2}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,47 +309,30 @@ def _x(dim: DimConfig, i: int, e: int = 1) -> NeckScalar:
     return NeckScalar.term(dim, ONE, p=p)
 
 
-def _seed_P12(dim: DimConfig, alpha: int) -> NeckScalar:
-    """Printed level-1 slaved coefficient (lam+mu)/(denominator) x_i/delta^2."""
+def _level2_seeds(dim: DimConfig, alpha: int) -> dict[int, NeckScalar]:
+    """Printed level-2 coefficients P_{2,1} of the odd class, by component."""
+    eps = NeckScalar.term(dim, ONE, s=1)
     if dim.d == 2:
-        factor = {1: LAM_P_MU / LAM_P_2MU, 2: LAM_P_MU / MU}[alpha]
-        return _x(dim, 0).scale(factor).mul_delta(-2)
-    factor = LAM_P_MU / LAM_P_2MU
-    return _x(dim, alpha - 1).scale(factor).mul_delta(-2)
-
-
-def _seed_P21_2d(dim: DimConfig, alpha: int) -> NeckScalar:
-    eps = NeckScalar.term(dim, ONE, s=1)
-    x1sq = _x(dim, 0, 2)
-    if alpha == 1:
-        c = (parse("2*l + 3*m") / parse("3*(l + 2*m)"))
-        return (eps - x1sq.scale(3)).scale(c).mul_delta(-3)
-    c = LAM / (MU.scale(3))
-    return (x1sq.scale(3) - eps).scale(c).mul_delta(-3)
-
-
-def _seed_P21_3d_translation(dim: DimConfig, alpha: int) -> NeckScalar:
-    # (1/(3 delta^3)) [ (2l+3m)/(l+2m) (delta - 4 x_a^2) + (delta - 4 x_b^2) ]
-    beta = 2 if alpha == 1 else 1
-    delta_num = NeckScalar.one(dim).mul_delta(1)
-    ca = parse("(2*l + 3*m) / (l + 2*m)")
-    part_a = (delta_num - _x(dim, alpha - 1, 2).scale(4)).scale(ca)
-    part_b = delta_num - _x(dim, beta - 1, 2).scale(4)
-    return (part_a + part_b).scale(Fraction(1, 3)).mul_delta(-3)
-
-
-def _seed_Q21_3d_translation(dim: DimConfig) -> NeckScalar:
-    c = parse("-4*(l + m) / (3*(l + 2*m))")
-    return (_x(dim, 0) * _x(dim, 1)).scale(c).mul_delta(-3)
-
-
-def _seed_P21_3d_normal(dim: DimConfig) -> NeckScalar:
-    # ODE-forced value -(2 lam/(3 mu)) (eps - |x'|^2)/delta^3; see the
-    # level-2 normal equation (lam+2mu) w_zz = -f^{1,(3)}.
-    eps = NeckScalar.term(dim, ONE, s=1)
-    xsq = _x(dim, 0, 2) + _x(dim, 1, 2)
-    c = (LAM.scale(-2)) / (MU.scale(3))
-    return (eps - xsq).scale(c).mul_delta(-3)
+        x1sq = _x(dim, 0, 2)
+        if alpha == 1:
+            c = parse("2*l + 3*m") / parse("3*(l + 2*m)")
+            return {0: (eps - x1sq.scale(3)).scale(c).mul_delta(-3)}
+        return {1: (x1sq.scale(3) - eps).scale(LAM / MU.scale(3)).mul_delta(-3)}
+    if alpha == 3:
+        # ODE-forced value -(2 lam/(3 mu)) (eps - |x'|^2)/delta^3; see the
+        # level-2 normal equation (lam+2mu) w_zz = -f^{1,(3)}.
+        xsq = _x(dim, 0, 2) + _x(dim, 1, 2)
+        return {2: (eps - xsq).scale(LAM.scale(-2) / MU.scale(3)).mul_delta(-3)}
+    # own axis a: (1/(3 delta^3)) [(2l+3m)/(l+2m) (delta - 4 x_a^2) + (delta - 4 x_b^2)];
+    # other axis b: -4(l+m)/(3(l+2m)) x1 x2/delta^3
+    a, b = alpha - 1, 2 - alpha
+    delta = NeckScalar.one(dim).mul_delta(1)
+    part_a = (delta - _x(dim, a, 2).scale(4)).scale(parse("(2*l + 3*m) / (l + 2*m)"))
+    part_b = delta - _x(dim, b, 2).scale(4)
+    return {
+        a: (part_a + part_b).scale(Fraction(1, 3)).mul_delta(-3),
+        b: (_x(dim, 0) * _x(dim, 1)).scale(parse("-4*(l + m) / (3*(l + 2*m))")).mul_delta(-3),
+    }
 
 
 class _Tables:
@@ -394,178 +353,93 @@ class _Tables:
         return self.get(l, i) - self.get(l, i - 1).mul_delta(2).scale(Fraction(1, 4))
 
 
-def _a(l: int, i: int) -> int:
-    return 2 * (l - i) - 1
-
-
-def _ansatz_sum(table: _Tables, l: int, powers: Callable[[int], int], imax: int) -> NeckScalar:
-    """sum_i P_{l,i} z^{powers(i)} (z^2 - delta^2/4)."""
-    dim = table.dim
-    acc = NeckScalar.zero(dim)
-    for i in range(1, imax + 1):
+def _ansatz_sum(table: _Tables, l: int, odd: int) -> NeckScalar:
+    """sum_{i <= l-odd} P_{l,i} z^n (z^2 - delta^2/4) with n = 2l - 2i - odd."""
+    acc = NeckScalar.zero(table.dim)
+    for i in range(1, l - odd + 1):
         coeff = table.get(l, i)
         if coeff.is_zero():
             continue
-        zp = powers(i)
-        acc = acc + coeff.mul_z(zp + 2) - coeff.mul_delta(2).scale(Fraction(1, 4)).mul_z(zp)
+        n = 2 * l - 2 * i - odd
+        acc = acc + coeff.mul_z(n + 2) - coeff.mul_delta(2).scale(Fraction(1, 4)).mul_z(n)
     return acc
 
 
-def _recursion_2d(dim: DimConfig, alpha: int, depth: int) -> list[NeckField]:
-    prof = FactorProfile.for_alpha(alpha)
-    p1, p2 = _Tables(dim), _Tables(dim)
-    p2.set(1, 1, _seed_P12(dim, alpha))
-    d1 = dim.axes[0]
+def _own_symbol(nt: int, k: int, j: int) -> dict[tuple[int, int], RationalCoeff]:
+    """mu Lap' delta_kj + (lam+mu) d_k d_j [k, j tangential] as {(a, b): coeff of d_a d_b}."""
+    sym = {(a, a): MU for a in range(nt)} if j == k else {}
+    if k < nt and j < nt:
+        sym[(k, j)] = LAM_P_2MU if j == k else LAM_P_MU
+    return sym
 
-    def dx(s: NeckScalar) -> NeckScalar:
-        return s.diff(d1)
+
+def _bracket(
+    dim: DimConfig, k: int, own: dict[int, NeckScalar], other: dict[int, NeckScalar], n: int
+) -> NeckScalar:
+    """Lame forcing on the z^n coefficient of component k; own/other map j -> P~^j."""
+    axes = dim.axes
+    cross = NeckScalar.zero(dim)
+    for j, pt in other.items():
+        cross = cross + pt.diff(axes[min(j, k)])
+    out = cross.scale(LAM_P_MU).scale(n + 1)
+    for j, pt in own.items():
+        for (a, b), coeff in _own_symbol(dim.n_tangential, k, j).items():
+            out = out + pt.diff(axes[a]).diff(axes[b]).scale(coeff)
+    return out
+
+
+def _recursion(dim: DimConfig, alpha: int, depth: int) -> list[NeckField]:
+    """Closed-form levels of the translation family psi_alpha = e_alpha.
+
+    Component k of level l is sum_i P^k_{l,i} z^n (z^2 - delta^2/4) with
+    n = 2l - 2i - odd_k.  The odd class (odd_k = 1, z-degree 2l-1) is
+    alpha's own kind of component: the tangential ones for a tangential
+    translation, the normal one for the normal translation.  The even class
+    (z-degree 2l) is the rest.  P~_{l,i} = P_{l,i} - (delta^2/4) P_{l,i-1}
+    is the z^{n+2} coefficient of the level, so cancelling the z^n
+    coefficient of component k of the Lame operator, which carries c_k d_zz
+    (c_k = mu tangential, lam+2mu normal), gives
+
+        c_k (n+1)(n+2) P~^k_{l,i} = -[ (lam+mu)(n+1) sum_{j other} d_t P~^j_{l',i}
+            + sum_{j own} (mu Lap' delta_kj + (lam+mu) d_k d_j) P~^j_{l-1,i} ],
+
+    where t is the tangential axis of the pair (k, j), d_k d_j only acts for
+    tangential k and j, and the other class is read at l' = l-1 by the odd
+    class and at l' = l by the even class, which is built second.  Level 1
+    is the cut-off profile on component alpha plus the even seed
+    P^k_{1,1} = (lam+mu)/c_k x_t/delta^2 (t the tangential axis of
+    (k, alpha)); the printed level-2 seeds start the odd class.
+    """
+    d, nt = dim.d, dim.n_tangential
+    odd = [k for k in range(d) if (k < nt) == (alpha <= nt)]
+    even = [k for k in range(d) if k not in odd]
+    c = [MU] * nt + [LAM_P_2MU]
+    tables = [_Tables(dim) for _ in range(d)]
+    for k in even:
+        tables[k].set(1, 1, _x(dim, min(k, alpha - 1)).scale(LAM_P_MU / c[k]).mul_delta(-2))
+    for k, seed in _level2_seeds(dim, alpha).items():
+        tables[k].set(2, 1, seed)
 
     for l in range(2, depth + 1):
-        # tangential table P1: seed at l=2, recursion above
-        if l == 2:
-            p1.set(2, 1, _seed_P21_2d(dim, alpha))
-        else:
-            for i in range(0, l - 1):
-                a = _a(l, i)
-                lead = p1.get(l, i).mul_delta(2).scale(Fraction(1, 4))
-                bracket = dx(p2.tilde(l - 1, i + 1)).scale(prof.c1).scale(a - 1) + dx(
-                    dx(p1.tilde(l - 1, i + 1))
-                ).scale(prof.c2)
-                p1.set(l, i + 1, lead - bracket.scale(Fraction(1, (a - 1) * a)))
-        # normal table P2
-        for i in range(0, l):
-            a = _a(l, i)
-            lead = p2.get(l, i).mul_delta(2).scale(Fraction(1, 4))
-            bracket = dx(p1.tilde(l, i + 1)).scale(prof.c3).scale(a) + dx(
-                dx(p2.tilde(l - 1, i + 1))
-            ).scale(prof.c4)
-            p2.set(l, i + 1, lead - bracket.scale(Fraction(1, a * (a + 1))))
+        for parity, cls, other, l_other in ((1, odd, even, l - 1), (0, even, odd, l)):
+            if parity and l == 2:
+                continue  # the printed seed
+            for i in range(1, l - parity + 1):
+                n = 2 * l - 2 * i - parity
+                own_t = {j: tables[j].tilde(l - 1, i) for j in cls}
+                other_t = {j: tables[j].tilde(l_other, i) for j in other}
+                for k in cls:
+                    inv = ONE / c[k].scale((n + 1) * (n + 2))
+                    step = _bracket(dim, k, own_t, other_t, n).scale(inv)
+                    lead = tables[k].get(l, i - 1).mul_delta(2).scale(Fraction(1, 4))
+                    tables[k].set(l, i, lead - step)
 
     fields = []
-    prof_scalar = _profile(dim)
-    corr = _ansatz_sum(p2, 1, lambda i: 0, 1)
-    if alpha == 1:
-        fields.append(NeckField([prof_scalar, corr]))
-    else:
-        fields.append(NeckField([corr, prof_scalar]))
-    for l in range(2, depth + 1):
-        odd = _ansatz_sum(p1, l, lambda i: 2 * l - 2 * i - 1, l - 1)
-        even = _ansatz_sum(p2, l, lambda i: 2 * l - 2 * i, l)
-        if alpha == 1:
-            fields.append(NeckField([odd, even]))
-        else:
-            fields.append(NeckField([even, odd]))
-    return fields
-
-
-def _recursion_3d_translation(dim: DimConfig, alpha: int, depth: int) -> list[NeckField]:
-    ia, ib = alpha - 1, 2 - alpha  # tangential indices of alpha and beta
-    xa, xb = dim.axes[ia], dim.axes[ib]
-    p1, q1, p2 = _Tables(dim), _Tables(dim), _Tables(dim)
-    p2.set(1, 1, _seed_P12(dim, alpha))
-
-    for l in range(2, depth + 1):
-        if l == 2:
-            p1.set(2, 1, _seed_P21_3d_translation(dim, alpha))
-            q1.set(2, 1, _seed_Q21_3d_translation(dim))
-        else:
-            for i in range(0, l - 1):
-                a = _a(l, i)
-                inv = ONE / (MU.scale(a * (a - 1)))
-                pt = p1.tilde(l - 1, i + 1)
-                qt = q1.tilde(l - 1, i + 1)
-                st = p2.tilde(l - 1, i + 1)
-                br_p = (
-                    st.diff(xa).scale(LAM_P_MU).scale(a - 1)
-                    + pt.diff(xb).diff(xb).scale(MU)
-                    + pt.diff(xa).diff(xa).scale(LAM_P_2MU)
-                    + qt.diff("x1").diff("x2").scale(LAM_P_MU)
-                )
-                br_q = (
-                    st.diff(xb).scale(LAM_P_MU).scale(a - 1)
-                    + qt.diff(xa).diff(xa).scale(MU)
-                    + qt.diff(xb).diff(xb).scale(LAM_P_2MU)
-                    + pt.diff("x1").diff("x2").scale(LAM_P_MU)
-                )
-                p1.set(l, i + 1, p1.get(l, i).mul_delta(2).scale(Fraction(1, 4)) - br_p.scale(inv))
-                q1.set(l, i + 1, q1.get(l, i).mul_delta(2).scale(Fraction(1, 4)) - br_q.scale(inv))
-        for i in range(0, l):
-            a = _a(l, i)
-            inv = ONE / (LAM_P_2MU.scale(a * (a + 1)))
-            st = p2.tilde(l - 1, i + 1)
-            lap = st.diff("x1").diff("x1") + st.diff("x2").diff("x2")
-            bracket = (
-                p1.tilde(l, i + 1).diff(xa) + q1.tilde(l, i + 1).diff(xb)
-            ).scale(LAM_P_MU).scale(a) + lap.scale(MU)
-            p2.set(l, i + 1, p2.get(l, i).mul_delta(2).scale(Fraction(1, 4)) - bracket.scale(inv))
-
-    zero = NeckScalar.zero(dim)
-    prof_scalar = _profile(dim)
-    fields = []
-    corr = _ansatz_sum(p2, 1, lambda i: 0, 1)
-    comps1 = [zero, zero, corr]
-    comps1[ia] = prof_scalar
-    fields.append(NeckField(comps1))
-    for l in range(2, depth + 1):
-        odd_p = _ansatz_sum(p1, l, lambda i: 2 * l - 1 - 2 * i, l - 1)
-        odd_q = _ansatz_sum(q1, l, lambda i: 2 * l - 1 - 2 * i, l - 1)
-        even = _ansatz_sum(p2, l, lambda i: 2 * l - 2 * i, l)
-        comps = [zero, zero, even]
-        comps[ia] = odd_p
-        comps[ib] = odd_q
+    for l in range(1, depth + 1):
+        comps = [_ansatz_sum(tables[k], l, int(k in odd)) for k in range(d)]
+        if l == 1:
+            comps[alpha - 1] = _profile(dim)
         fields.append(NeckField(comps))
-    return fields
-
-
-def _recursion_3d_normal(dim: DimConfig, depth: int) -> list[NeckField]:
-    p1, p2, q2 = _Tables(dim), _Tables(dim), _Tables(dim)
-    c = LAM_P_MU / MU
-    p2.set(1, 1, _x(dim, 0).scale(c).mul_delta(-2))
-    q2.set(1, 1, _x(dim, 1).scale(c).mul_delta(-2))
-
-    for l in range(2, depth + 1):
-        if l == 2:
-            p1.set(2, 1, _seed_P21_3d_normal(dim))
-        else:
-            for i in range(0, l - 1):
-                a = _a(l, i)
-                inv = ONE / (LAM_P_2MU.scale(a * (a - 1)))
-                pt = p1.tilde(l - 1, i + 1)
-                lap = pt.diff("x1").diff("x1") + pt.diff("x2").diff("x2")
-                bracket = (
-                    p2.tilde(l - 1, i + 1).diff("x1") + q2.tilde(l - 1, i + 1).diff("x2")
-                ).scale(LAM_P_MU).scale(a - 1) + lap.scale(MU)
-                p1.set(l, i + 1, p1.get(l, i).mul_delta(2).scale(Fraction(1, 4)) - bracket.scale(inv))
-        for i in range(0, l):
-            a = _a(l, i)
-            inv = ONE / (MU.scale(a * (a + 1)))
-            st, qt = p2.tilde(l - 1, i + 1), q2.tilde(l - 1, i + 1)
-            br_p = (
-                p1.tilde(l, i + 1).diff("x1").scale(LAM_P_MU).scale(a)
-                + st.diff("x1").diff("x1").scale(LAM_P_2MU)
-                + qt.diff("x1").diff("x2").scale(LAM_P_MU)
-                + st.diff("x2").diff("x2").scale(MU)
-            )
-            br_q = (
-                p1.tilde(l, i + 1).diff("x2").scale(LAM_P_MU).scale(a)
-                + qt.diff("x2").diff("x2").scale(LAM_P_2MU)
-                + st.diff("x1").diff("x2").scale(LAM_P_MU)
-                + qt.diff("x1").diff("x1").scale(MU)
-            )
-            p2.set(l, i + 1, p2.get(l, i).mul_delta(2).scale(Fraction(1, 4)) - br_p.scale(inv))
-            q2.set(l, i + 1, q2.get(l, i).mul_delta(2).scale(Fraction(1, 4)) - br_q.scale(inv))
-
-    zero = NeckScalar.zero(dim)
-    fields = [NeckField([
-        _ansatz_sum(p2, 1, lambda i: 0, 1),
-        _ansatz_sum(q2, 1, lambda i: 0, 1),
-        _profile(dim),
-    ])]
-    for l in range(2, depth + 1):
-        odd = _ansatz_sum(p1, l, lambda i: 2 * l - 1 - 2 * i, l - 1)
-        even_p = _ansatz_sum(p2, l, lambda i: 2 * l - 2 * i, l)
-        even_q = _ansatz_sum(q2, l, lambda i: 2 * l - 2 * i, l)
-        fields.append(NeckField([even_p, even_q, odd]))
     return fields
 
 
@@ -582,10 +456,11 @@ def build_family(
 ) -> AuxFamily:
     """Build the auxiliary family to the requested depth.
 
-    route='integral' works for every alpha; route='recursion' implements the
-    closed forms and exists for 2D alpha in {1,2} and 3D alpha in {1,2,3}.
-    Output size grows combinatorially with depth, so depth is capped at
-    MAX_DEPTH (coefficient_stats reports the growth).
+    route='integral' works for every alpha.  route='recursion' runs the one
+    closed-form table recursion (:func:`_recursion`), which exists for the
+    translations alpha in 1..d.  Output size grows combinatorially with
+    depth, so depth is capped at MAX_DEPTH (coefficient_stats reports the
+    growth).
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise FamilyError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
@@ -598,19 +473,9 @@ def build_family(
         return fam
     if route != "recursion":
         raise FamilyError(f"unknown route {route!r}")
-    if dim.d == 2:
-        if alpha == 3:
-            raise FamilyError("no 2D recursion for the rotation; use the integral route")
-        fields = _recursion_2d(dim, alpha, depth)
-    else:
-        if alpha in (4, 5, 6):
-            raise FamilyError("no 3D recursion for rotations; use the integral route")
-        if alpha in (1, 2):
-            fields = _recursion_3d_translation(dim, alpha, depth)
-        else:
-            fields = _recursion_3d_normal(dim, depth)
+    if alpha not in alpha_range(dim, route):
+        raise FamilyError(f"no recursion for the rotation alpha={alpha}; use the integral route")
     fam = AuxFamily(dim, alpha, route, (), ())
-    for v in fields:
+    for v in _recursion(dim, alpha, depth):
         fam = fam._with_level(v)
     return fam
-

@@ -31,6 +31,7 @@ __all__ = [
     "NeckField",
     "NeckError",
     "green_solve",
+    "term_order",
     "DIM2",
     "DIM3",
 ]
@@ -263,13 +264,26 @@ class NeckScalar:
     def neck_order(self) -> Fraction:
         """Certified growth order: value = O(delta^order) on the neck.
 
-        Uses |x_i| <= sqrt(delta), |z| <= delta/2, eps <= delta termwise.
+        Termwise (see :func:`term_order`), so it depends on the
+        representation; :meth:`expanded_order` does not.
         """
         if not self._terms:
             raise NeckError("neck order of the zero scalar is undefined (+infinity)")
-        return min(
-            Fraction(sum(p), 2) + q + s - r for (p, q, s, r) in self._terms
-        )
+        return min(map(term_order, self._terms))
+
+    def expanded_order(self) -> Fraction:
+        """Certified growth order of the function itself.
+
+        The lowest weighted degree (x: 1/2, z: 1, eps: 1) of the
+        :meth:`expand_polynomial` numerator minus its delta power R.  It is
+        at least :meth:`neck_order` and does not change when numerator and
+        denominator are multiplied by delta.
+        """
+        num = self.expand_polynomial()
+        if not num:
+            raise NeckError("order of the zero function is undefined (+infinity)")
+        big_r = max(r for (_, _, _, r) in self._terms)
+        return min(term_order((p, q, s, big_r)) for (p, q, s) in num)
 
     # -- equality / evaluation -------------------------------------------------
 
@@ -381,6 +395,13 @@ class NeckScalar:
             {"coeff": c.render(), "p": list(p), "q": q, "s": s, "r": r}
             for (p, q, s, r), c in self.sorted_terms()
         ]
+
+
+def term_order(key: Key) -> Fraction:
+    """Growth order of one term on the neck, by |x_i| <= sqrt(delta),
+    |z| <= delta/2 and eps <= delta."""
+    p, q, s, r = key
+    return Fraction(sum(p), 2) + q + s - r
 
 
 def _accumulate(out: dict[Key, RationalCoeff], key: Key, c: RationalCoeff) -> None:

@@ -118,7 +118,9 @@ class SweepConfig:
     tolerances: tuple[tuple[str, float], ...] = tuple(sorted(DEFAULT_TOLERANCES.items()))
 
     def __post_init__(self):
-        if len(set(self.eps_grid)) < 4:
+        if len(set(self.eps_grid)) != len(self.eps_grid):
+            raise SweepConfigError(f"eps grid has a repeated value: {list(self.eps_grid)}")
+        if len(self.eps_grid) < 4:
             raise SweepConfigError("need at least 4 distinct grid points for an exponent fit")
         if not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
             raise SweepConfigError("eps grid must be finite and positive")

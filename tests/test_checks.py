@@ -48,6 +48,17 @@ def test_all_checks_pass_depth3(families_depth3, d, alpha):
     assert check_z_degree(fam).passed
 
 
+def test_recursion_route_passes_every_check_depth3():
+    fams = [
+        build_family(dim, alpha, 3, route="recursion")
+        for dim in (DIM2, DIM3)
+        for alpha in range(1, dim.d + 1)
+    ]
+    reports = run_suite(fams)
+    assert len({(r.metadata["d"], r.metadata["alpha"]) for r in reports}) == 5
+    assert [r.witness for r in reports if not r.passed] == []
+
+
 # -- negative controls ---------------------------------------------------------
 
 
@@ -78,15 +89,16 @@ def test_residual_order_negative_control(families_depth3):
 
 
 def test_residual_order_refined_negative_control(families_depth3):
-    fam = families_depth3[(2, 1)]
     # an x^3 z term in level 3 leaves f^3 comp 2 at order 1: it meets the
-    # base bound l-2 = 1 but not the refined target 3/2
-    bad = _mutate_level(fam, 3, 0, NeckScalar.term(DIM2, ONE, p=(3,), q=1))
-    assert bad.f(3)[1].neck_order() == 1
-    assert residual_order_targets(DIM2, 1, 3)[1] == Fraction(3, 2)
-    rep = check_residual_order(bad)
-    assert not rep.passed
-    assert "level 3 comp 2: order 1 < 3/2" in (rep.witness or "")
+    # base bound l-2 = 1 but not the refined target 3/2; on the recursion
+    # route the miss is confirmed by the expanded order
+    for fam in (families_depth3[(2, 1)], build_family(DIM2, 1, 3, route="recursion")):
+        bad = _mutate_level(fam, 3, 0, NeckScalar.term(DIM2, ONE, p=(3,), q=1))
+        assert bad.f(3)[1].neck_order() == 1
+        assert residual_order_targets(DIM2, 1, 3)[1] == Fraction(3, 2)
+        rep = check_residual_order(bad)
+        assert not rep.passed, fam.route
+        assert "level 3 comp 2: order 1 < 3/2" in (rep.witness or ""), fam.route
 
 
 def test_z_degree_negative_control(families_depth3):

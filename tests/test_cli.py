@@ -57,6 +57,18 @@ def test_aux_verify_small(tmp_path, capsys):
     assert "checks passed" in text
 
 
+def test_aux_verify_recursion_route_covers_the_translations(tmp_path, capsys):
+    # --alpha 0 means the route's own scope: the d translations per dim
+    out = tmp_path / "verify.json"
+    assert main(["aux", "verify", "--route", "recursion", "--depth", "2", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert all(r["status"] == "pass" for r in rows)
+    cells = {(r["metadata"]["d"], r["metadata"]["alpha"]) for r in rows}
+    assert cells == {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)}
+    assert main(["aux", "verify", "--route", "recursion", "--dim", "2", "--alpha", "3"]) == 2
+    assert "integral route" in capsys.readouterr().err
+
+
 def test_fem_solve_cli(tmp_path, capsys):
     mesh_out = tmp_path / "mesh.txt"
     field_out = tmp_path / "field.csv"
@@ -166,6 +178,7 @@ def test_fem_solve_rejects_nonpositive_stride(tmp_path, monkeypatch, capsys, str
     "line",
     [
         "sweep.eps = 0.1, 0.1, 0.1, 0.1",  # rate_fit would divide by zero
+        "sweep.eps = 0.1, 0.1, 0.05, 0.025, 0.0125",  # a repeated point counts twice
         "sweep.eps = 0.1, nan, 0.025, 0.0125",
         "sweep.eps = 0.1, 0.05, inf, 0.0125",
         "compare.depth = 0",

@@ -9,7 +9,6 @@ import pytest
 from lamegap.coeffs import ONE, parse
 from lamegap.families import (
     AuxFamily,
-    FactorProfile,
     FamilyError,
     MAX_DEPTH,
     _Tables,
@@ -128,16 +127,6 @@ def test_extend_integral_requires_level1():
 
 
 # -- recursion route ----------------------------------------------------------
-
-
-def test_factor_profile_values():
-    p1 = FactorProfile.for_alpha(1)
-    assert p1.c1 == parse("(l + m)/m")
-    assert p1.c2 == parse("(l + 2*m)/m")
-    assert p1.c3 == parse("(l + m)/(l + 2*m)")
-    assert p1.c4 == parse("m/(l + 2*m)")
-    p2 = FactorProfile.for_alpha(2)
-    assert (p2.c1, p2.c2, p2.c3, p2.c4) == (p1.c3, p1.c4, p1.c1, p1.c2)
 
 
 def test_out_of_range_table_index_is_zero():

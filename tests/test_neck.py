@@ -214,6 +214,21 @@ def test_neck_order_examples():
         NeckScalar.zero(DIM2).neck_order()
 
 
+def test_expanded_order_is_the_order_of_the_function():
+    # 1 - eps/delta - x^2/delta + eps equals eps: termwise order 0, order 1
+    f = NeckScalar.one(DIM2) - T(s=1, r=1) - T(p=(2,), r=1) + T(s=1)
+    assert f.equal(T(s=1))
+    assert f.neck_order() == 0
+    assert f.expanded_order() == 1 == T(s=1).expanded_order()
+    # invariant under multiplying numerator and denominator by delta
+    g = T(p=(1,), q=1, r=2)
+    g_delta = T(p=(1,), q=1, s=1, r=3) + T(p=(3,), q=1, r=3)  # (x z delta)/delta^3
+    assert g_delta.equal(g)
+    assert g_delta.expanded_order() == g.expanded_order() == Fraction(-1, 2)
+    with pytest.raises(NeckError):
+        (T(r=1) - T(s=1, r=2) - T(p=(2,), r=2)).expanded_order()
+
+
 def test_z_degree_examples():
     assert profile.z_degree() == 1
     assert (T(q=2) - NeckScalar.one(DIM2).mul_delta(2).scale(Fraction(1, 4))).z_degree() == 2

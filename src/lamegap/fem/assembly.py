@@ -6,6 +6,12 @@ stiffness from the bilinear form
 
     a(u, w) = int lam (div u)(div w) + 2 mu e(u):e(w).
 
+The element stiffness is written in strain-displacement form: at each
+quadrature point, B (3 x 12) maps the element DOFs to the engineering strain
+(e11, e22, 2 e12), D (3 x 3) is the plane-strain constitutive matrix of the
+element's (lam, mu), and the point adds w det(J) B' D B.  The quadrature
+points are looped over, so only per-point (nE, 12, 12) arrays exist.
+
 Assembly is numpy-vectorized over elements and deterministic: the COO
 triplets are emitted in a fixed element order, so repeated runs produce
 identical matrices.
@@ -135,6 +141,11 @@ def assemble(
 
     coords = mesh.nodes[mesh.tris]  # (nE, 6, 2)
     n_el = mesh.n_elements
+    D = np.zeros((n_el, 3, 3))
+    D[:, 0, 0] = D[:, 1, 1] = lam_e + 2 * mu_e
+    D[:, 0, 1] = D[:, 1, 0] = lam_e
+    D[:, 2, 2] = mu_e
+    B = np.zeros((n_el, 3, 12))
     ke = np.zeros((n_el, 12, 12))
     for (xi, eta), w in zip(QP, QW):
         dn = shape_gradients(xi, eta)  # (6, 2)
@@ -148,20 +159,11 @@ def assemble(
         inv[:, 0, 1] = -jac[:, 0, 1]
         inv[:, 1, 0] = -jac[:, 1, 0]
         inv /= det[:, None, None]
-        g = np.einsum("aj,eji->eai", dn, inv)  # (nE, 6, 2): dN_a/dx_i
-        gg = np.einsum("eai,ebi->eab", g, g)  # grad(N_a) . grad(N_b)
-        wdet = w * det
-        # K[2a+i, 2b+j] += wdet (lam g_a,i g_b,j + mu (g_a,j g_b,i + delta_ij gg_ab))
-        blk = (
-            lam_e[:, None, None, None, None] * np.einsum("eai,ebj->eaibj", g, g)
-            + mu_e[:, None, None, None, None] * np.einsum("eaj,ebi->eaibj", g, g)
-        )
-        blk += (
-            mu_e[:, None, None, None, None]
-            * gg[:, :, None, :, None]
-            * np.eye(2)[None, None, :, None, :]
-        )
-        ke += wdet[:, None, None] * blk.reshape(n_el, 12, 12)
+        g = dn @ inv  # (nE, 6, 2): dN_a/dx_i
+        # strain-displacement matrix; DOF 2a+i is component i of node a
+        B[:, 0, 0::2] = B[:, 2, 1::2] = g[:, :, 0]
+        B[:, 1, 1::2] = B[:, 2, 0::2] = g[:, :, 1]
+        ke += B.transpose(0, 2, 1) @ ((w * det)[:, None, None] * D @ B)
 
     dofs = np.empty((n_el, 12), dtype=np.int64)
     dofs[:, 0::2] = 2 * mesh.tris

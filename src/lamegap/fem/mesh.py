@@ -101,17 +101,17 @@ class Mesh:
             raise MeshError("non-positive element area")
         # conformity: every corner edge shared by <= 2 elements; boundary
         # edges by exactly one
-        counts: dict[tuple[int, int], int] = {}
-        for tri in self.tris[:, :3]:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                e = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                counts[e] = counts.get(e, 0) + 1
-        if any(c > 2 for c in counts.values()):
+        n = self.n_nodes
+        corners = self.tris[:, :3]
+        edges = np.sort(np.stack([corners, np.roll(corners, -1, axis=1)], axis=-1), axis=-1)
+        keys, counts = np.unique(edges[..., 0] * n + edges[..., 1], return_counts=True)
+        if counts.max() > 2:
             raise MeshError("non-conforming edge (shared by >2 elements)")
-        for edge in self.boundary_edges:
-            e = (min(edge[0], edge[1]), max(edge[0], edge[1]))
-            if counts.get(e) != 1:
-                raise MeshError("boundary edge not on the mesh boundary")
+        bedges = np.sort(self.boundary_edges[:, :2], axis=1)
+        bkeys = bedges[:, 0] * n + bedges[:, 1]
+        pos = np.minimum(np.searchsorted(keys, bkeys), len(keys) - 1)
+        if not np.all((keys[pos] == bkeys) & (counts[pos] == 1)):
+            raise MeshError("boundary edge not on the mesh boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +120,21 @@ class Mesh:
 
 
 class _Registry:
+    """Node list keyed by exact coordinates: a point is an existing node only
+    if it is recomputed bit for bit, as `add_inclusion_interiors` does for
+    the snapped arc midpoints."""
+
     def __init__(self) -> None:
         self.coords: list[tuple[float, float]] = []
         self._index: dict[tuple[float, float], int] = {}
 
     def add(self, x: float, y: float) -> int:
-        key = (round(x, 12), round(y, 12))
+        key = (x, y)
         idx = self._index.get(key)
         if idx is None:
             idx = len(self.coords)
             self._index[key] = idx
-            self.coords.append((x, y))
+            self.coords.append(key)
         return idx
 
 

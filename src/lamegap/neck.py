@@ -93,6 +93,17 @@ class NeckScalar:
         # ((lam, mu), float coefficients) of the latest float-mode evaluation
         self._floats: tuple[tuple, list[float]] | None = None
 
+    @classmethod
+    def _clean(cls, dim: DimConfig, terms: dict[Key, RationalCoeff]) -> "NeckScalar":
+        """Wrap a term map already in normal form (int exponents >= 0,
+        nonzero coefficients) without re-checking it; internal results only."""
+        n = object.__new__(cls)
+        n.dim = dim
+        n._terms = terms
+        n._hash = None
+        n._floats = None
+        return n
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -165,10 +176,10 @@ class NeckScalar:
                     del out[k]
                 else:
                     out[k] = s
-        return NeckScalar(self.dim, out)
+        return NeckScalar._clean(self.dim, out)
 
     def __neg__(self) -> "NeckScalar":
-        return NeckScalar(self.dim, {k: -c for k, c in self._terms.items()})
+        return NeckScalar._clean(self.dim, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "NeckScalar") -> "NeckScalar":
         return self + (-other)
@@ -192,14 +203,16 @@ class NeckScalar:
                     out.pop(k, None)
                 else:
                     out[k] = c
-        return NeckScalar(self.dim, out)
+        return NeckScalar._clean(self.dim, out)
 
     def scale(self, c: RationalCoeff | Fraction | int) -> "NeckScalar":
+        if not c:
+            return NeckScalar(self.dim)
         if isinstance(c, RationalCoeff):
-            return NeckScalar(self.dim, {k: c * v for k, v in self._terms.items()})
+            return NeckScalar._clean(self.dim, {k: c * v for k, v in self._terms.items()})
         q = Fraction(c)
         a, b = q.numerator, q.denominator
-        return NeckScalar(self.dim, {k: v._scaled(a, b) for k, v in self._terms.items()})
+        return NeckScalar._clean(self.dim, {k: v._scaled(a, b) for k, v in self._terms.items()})
 
     def mul_delta(self, k: int) -> "NeckScalar":
         """Multiply by delta^k (k may be negative, meaning division)."""
@@ -208,12 +221,12 @@ class NeckScalar:
         out: dict[Key, RationalCoeff] = {}
         for key, c in self._terms.items():
             _term_times_delta(out, self.dim, key, c, k)
-        return NeckScalar(self.dim, out)
+        return NeckScalar._clean(self.dim, out)
 
     def mul_z(self, k: int = 1) -> "NeckScalar":
-        return NeckScalar(
-            self.dim, {(p, q + k, s, r): c for (p, q, s, r), c in self._terms.items()}
-        )
+        terms = {(p, q + k, s, r): c for (p, q, s, r), c in self._terms.items()}
+        # a negative power may leave the polynomial ring: check it
+        return NeckScalar._clean(self.dim, terms) if k >= 0 else NeckScalar(self.dim, terms)
 
     # -- calculus -----------------------------------------------------------
 
@@ -224,7 +237,7 @@ class NeckScalar:
             for (p, q, s, r), c in self._terms.items():
                 if q:
                     _accumulate(out, (p, q - 1, s, r), c.scale(q))
-            return NeckScalar(self.dim, out)
+            return NeckScalar._clean(self.dim, out)
         try:
             i = self.dim.axes.index(axis)
         except ValueError:
@@ -240,7 +253,7 @@ class NeckScalar:
                 # d(delta^-r)/dx_i = -r * 2 x_i * delta^-(r+1)
                 pp = tuple(e + 1 if j == i else e for j, e in enumerate(p))
                 _accumulate(out, (pp, q, s, r + 1), c.scale(-2 * r))
-        return NeckScalar(self.dim, out)
+        return NeckScalar._clean(self.dim, out)
 
     def substitute_boundary(self, side: str) -> "NeckScalar":
         """Substitute z -> side * delta/2 with side in {'+', '-'}."""
@@ -251,7 +264,7 @@ class NeckScalar:
         for (p, q, s, r), c in self._terms.items():
             factor = Fraction(sign**q, 2**q)
             _term_times_delta(out, self.dim, (p, 0, s, r), c.scale(factor), q)
-        return NeckScalar(self.dim, out)
+        return NeckScalar._clean(self.dim, out)
 
     # -- structure -----------------------------------------------------------
 
@@ -462,7 +475,7 @@ def green_solve(g: NeckScalar) -> NeckScalar:
     anti: dict[Key, RationalCoeff] = {}
     for (p, q, s, r), c in g.terms.items():
         _accumulate(anti, (p, q + 2, s, r), c.scale(Fraction(1, (q + 1) * (q + 2))))
-    w0 = NeckScalar(dim, anti)
+    w0 = NeckScalar._clean(dim, anti)
     top = w0.substitute_boundary("+")
     bot = w0.substitute_boundary("-")
     # A = -(top + bot)/2 ; B = -(top - bot)/delta

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,3 +110,24 @@ def test_inclusion_interiors():
     assert len(m.elements_in("incl2")) > 100
     # only the outer circle remains a boundary
     assert len(m.boundary_nodes("incl1")) == 0
+    # no two nodes coincide
+    assert len(np.unique(m.nodes, axis=0)) == m.n_nodes
+
+
+def test_validate_rejects_broken_meshes():
+    m = generate_mesh(Geometry(eps=0.05))
+    dup = replace(m, tris=np.vstack([m.tris, m.tris[:1]]), region=np.append(m.region, m.region[0]))
+    with pytest.raises(MeshError, match="non-conforming edge"):
+        dup.validate()
+    counts = Counter(
+        tuple(sorted((int(t[a]), int(t[b])))) for t in m.tris for a, b in ((0, 1), (1, 2), (2, 0))
+    )
+    interior = next(e for e, c in counts.items() if c == 2)
+    bedges = m.boundary_edges.copy()
+    bedges[0, :2] = interior
+    with pytest.raises(MeshError, match="boundary edge not on the mesh boundary"):
+        replace(m, boundary_edges=bedges).validate()
+    tris = m.tris.copy()
+    tris[0, [1, 2]] = tris[0, [2, 1]]
+    with pytest.raises(MeshError, match="non-positive element area"):
+        replace(m, tris=tris).validate()

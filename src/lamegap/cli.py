@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import checks as checks_mod
 from .config import ConfigError, load_config
 from .families import FamilyError, alpha_range, build_family
@@ -21,7 +23,7 @@ from .fem.geometry import Geometry
 from .fem.mesh import MeshParams, generate_mesh, write_mesh
 from .fem.solve import (
     SolverError,
-    sample,
+    sample_nodes,
     solve_component,
     solve_hard_inclusion,
     solve_holes,
@@ -83,6 +85,17 @@ def _cmd_aux_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
+def _gap_center_node(mesh, eps: float) -> int:
+    """The mesh node at the origin.  The band always has one there: x = 0 is
+    a station, and its column runs from -eps/2 to eps/2 (a corner for even
+    nz, an edge midpoint for odd nz)."""
+    r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    k = int(r.argmin())
+    if r[k] > 1e-9 * eps:
+        raise SolverError(f"no mesh node within {1e-9 * eps:.1e} of the gap center")
+    return k
+
+
 def _cmd_fem_solve(args) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be a positive integer, got {args.stride}")
@@ -108,16 +121,16 @@ def _cmd_fem_solve(args) -> int:
         write_mesh(mesh, args.mesh_out)
         print(f"wrote {args.mesh_out}")
     if args.out:
-        pts = mesh.nodes[:: args.stride]
-        grads = sample(fld, pts, "gradient")
+        idx = np.arange(0, mesh.n_nodes, args.stride)
+        grads = sample_nodes(fld, idx, "gradient")
+        rows = np.column_stack(
+            (mesh.nodes[idx], fld.u.reshape(-1, 2)[idx], grads.reshape(-1, 4))
+        ).tolist()
         with open(args.out, "w") as fh:
             fh.write("x,y,u1,u2,g11,g12,g21,g22\n")
-            for k, p in enumerate(pts):
-                idx = k * args.stride
-                row = (p[0], p[1], fld.u[2 * idx], fld.u[2 * idx + 1], *grads[k].ravel())
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
         print(f"wrote {args.out}")
-    g0 = sample(fld, [(0.0, 0.0)], "gradient")[0]
+    g0 = sample_nodes(fld, [_gap_center_node(mesh, geom.eps)], "gradient")[0]
     print(f"gap-center gradient: {g0.tolist()}")
     print(f"strain energy: {fld.energy():.10e}")
     return EXIT_OK

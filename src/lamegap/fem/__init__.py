@@ -5,6 +5,7 @@ from .solve import (
     DisplacementField,
     SolverError,
     sample,
+    sample_nodes,
     solve_component,
     solve_hard_inclusion,
     solve_holes,
@@ -24,6 +25,7 @@ __all__ = [
     "generate_mesh",
     "read_mesh",
     "sample",
+    "sample_nodes",
     "solve_component",
     "solve_hard_inclusion",
     "solve_holes",

@@ -121,7 +121,8 @@ class Mesh:
 
 class _Registry:
     """Node list keyed by exact coordinates: a point is an existing node only
-    if it is recomputed bit for bit, as `add_inclusion_interiors` does for
+    if it is recomputed bit for bit.  `_merge_nodes` applies the same rule
+    to a batch of points; `add_inclusion_interiors` relies on it to reuse
     the snapped arc midpoints."""
 
     def __init__(self) -> None:
@@ -313,7 +314,7 @@ def generate_mesh(geom: Geometry, params: MeshParams | None = None) -> Mesh:
             bedges.append((ring[i2], ring[i]))
             btags.append(tag)
 
-    return _finalize(reg, tris, region, bedges, btags, geom)
+    return _finalize(np.array(reg.coords), tris, region, bedges, btags, geom)
 
 
 def add_inclusion_interiors(mesh: Mesh, n_rings: int = 8) -> Mesh:
@@ -325,114 +326,129 @@ def add_inclusion_interiors(mesh: Mesh, n_rings: int = 8) -> Mesh:
     geom = mesh.geometry
     if geom is None:
         raise MeshError("mesh carries no geometry")
-    reg = _Registry()
-    for x, y in mesh.nodes:
-        reg.add(float(x), float(y))
-    tris = [tuple(t[:3]) for t in mesh.tris]
-    region = list(mesh.region)
-    # inclusion arcs become interior interfaces; only the outer circle stays
-    # a domain boundary, but the arc midpoints must stay snapped so the old
-    # curved nodes are reused
-    keep = mesh.boundary_tag == BOUNDARIES.index("outer")
-    bedges = [(int(e[0]), int(e[1])) for e in mesh.boundary_edges[keep]]
-    btags = [int(t) for t in mesh.boundary_tag[keep]]
-    snap_edges = {
-        (min(int(e[0]), int(e[1])), max(int(e[0]), int(e[1]))): int(t)
-        for e, t in zip(mesh.boundary_edges, mesh.boundary_tag)
-    }
-
+    scale = 1 - np.arange(1, n_rings) / n_rings  # ring k sits at radius fraction scale[k-1]
+    loops, points = [], []
     for tag, center in (("incl1", geom.center1), ("incl2", geom.center2)):
         bnodes = mesh.boundary_nodes(tag)
         # order the circle nodes by angle around the center
         ang = np.arctan2(mesh.nodes[bnodes, 1] - center[1], mesh.nodes[bnodes, 0] - center[0])
-        order = np.argsort(ang)
+        ordered = bnodes[np.argsort(ang)]
         # keep only corner nodes of the boundary edges (drop midpoints)
-        corners = set()
-        k = BOUNDARIES.index(tag)
-        for e in mesh.boundary_edges[mesh.boundary_tag == k]:
-            corners.add(int(e[0]))
-            corners.add(int(e[1]))
-        loop = [int(n) for n in bnodes[order] if int(n) in corners]
+        corners = mesh.boundary_edges[mesh.boundary_tag == BOUNDARIES.index(tag), :2]
+        loop = ordered[np.isin(ordered, corners)]
+        c = np.array(center)
+        rings = c + (mesh.nodes[loop] - c) * scale[:, None, None]  # (n_rings - 1, m, 2)
+        loops.append(loop)
+        points += [rings.reshape(-1, 2), c[None]]
+    coords, idx = _merge_nodes(mesh.nodes, np.concatenate(points))
+
+    tris, region = [mesh.tris[:, :3]], [mesh.region]
+    start = 0
+    for tag, loop in zip(("incl1", "incl2"), loops):
         m = len(loop)
-        rings = [loop]
-        for k_r in range(1, n_rings):
-            t = 1 - k_r / n_rings
-            row = []
-            for idx in loop:
-                x, y = mesh.nodes[idx]
-                row.append(reg.add(center[0] + (x - center[0]) * t, center[1] + (y - center[1]) * t))
-            rings.append(row)
-        center_id = reg.add(center[0], center[1])
-        rcode = REGIONS.index(tag)
-        for k_r in range(n_rings - 1):
-            for i in range(m):
-                i2 = (i + 1) % m
-                a, b = rings[k_r][i], rings[k_r][i2]
-                c, d = rings[k_r + 1][i2], rings[k_r + 1][i]
-                tris.append((a, c, b))
-                tris.append((a, d, c))
-                region.extend([rcode] * 2)
-        for i in range(m):
-            i2 = (i + 1) % m
-            tris.append((rings[-1][i], center_id, rings[-1][i2]))
-            region.append(rcode)
+        stop = start + (n_rings - 1) * m
+        rings = np.vstack([loop, idx[start:stop].reshape(n_rings - 1, m)])  # (n_rings, m)
+        center_id = idx[stop]
+        start = stop + 1
+        a, d = rings[:-1], rings[1:]
+        b, c = np.roll(a, -1, axis=1), np.roll(d, -1, axis=1)
+        quads = np.stack([np.stack([a, c, b], axis=-1), np.stack([a, d, c], axis=-1)], axis=2)
+        quads = quads.reshape(-1, 3)  # per ring and loop position: (a, c, b), (a, d, c)
+        inner = rings[-1]
+        fan = np.stack([inner, np.full(m, center_id), np.roll(inner, -1)], axis=-1)
+        tris += [quads, fan]
+        region.append(np.full(len(quads) + len(fan), REGIONS.index(tag)))
 
-    return _finalize(reg, tris, region, bedges, btags, geom, snap_edges)
+    # inclusion arcs become interior interfaces; only the outer circle stays
+    # a domain boundary, but the arc midpoints must stay snapped so the old
+    # curved nodes are reused
+    keep = mesh.boundary_tag == BOUNDARIES.index("outer")
+    return _finalize(
+        coords, np.concatenate(tris), np.concatenate(region),
+        mesh.boundary_edges[keep, :2], mesh.boundary_tag[keep], geom,
+        snap=(mesh.boundary_edges[:, :2], mesh.boundary_tag),
+    )
 
 
-def _finalize(reg, tris, region, bedges, btags, geom: Geometry,
-              snap_edges: dict[tuple[int, int], int] | None = None) -> Mesh:
-    """Orient corners ccw, add quadratic midpoints, snap boundary arcs."""
-    coords = reg.coords
-    btag_by_edge: dict[tuple[int, int], int] = dict(snap_edges or {})
-    for (a, b), t in zip(bedges, btags):
-        btag_by_edge[(min(a, b), max(a, b))] = t
+def _merge_nodes(coords: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Append the rows of `new` to the node list `coords` by the rule of
+    `_Registry.add`: a row equal to an earlier node (old or new) is that
+    node, and the others become new nodes in row order.  Returns the
+    extended node list and the node index of each row."""
+    n0 = len(coords)
+    pts = np.concatenate([coords, new])
+    order = np.lexsort((pts[:, 1], pts[:, 0]))  # stable: equal rows stay in index order
+    srt = pts[order]
+    head = np.ones(len(pts), dtype=bool)
+    head[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    first = np.empty(len(pts), dtype=np.int64)  # first row equal to each row
+    first[order] = order[head][np.cumsum(head) - 1]
+    first = first[n0:]
+    fresh = first == np.arange(n0, len(pts))
+    number = n0 - 1 + np.cumsum(fresh)  # node index of each fresh row
+    idx = first.copy()
+    later = first >= n0
+    idx[later] = number[first[later] - n0]
+    return np.concatenate([coords, new[fresh]]), idx
 
-    def snap(x: float, y: float, tag: int) -> tuple[float, float]:
-        name = BOUNDARIES[tag]
-        if name == "outer":
-            c, rho = (0.0, 0.0), geom.R0
-        elif name == "incl1":
-            c, rho = geom.center1, geom.rho1
-        else:
-            c, rho = geom.center2, geom.rho2
-        dx, dy = x - c[0], y - c[1]
-        d = math.hypot(dx, dy)
-        return (c[0] + dx * rho / d, c[1] + dy * rho / d)
 
-    mid_cache: dict[tuple[int, int], int] = {}
+def _finalize(coords, tris, region, bedges, btags, geom: Geometry, snap=None) -> Mesh:
+    """Orient corners ccw, add quadratic midpoints, snap boundary arcs.
 
-    def midpoint(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        idx = mid_cache.get(key)
-        if idx is not None:
-            return idx
-        xa, ya = coords[a]
-        xb, yb = coords[b]
-        x, y = (xa + xb) / 2, (ya + yb) / 2
-        tag = btag_by_edge.get(key)
-        if tag is not None:
-            x, y = snap(x, y, tag)
-        idx = reg.add(x, y)
-        mid_cache[key] = idx
-        return idx
+    Midpoints are numbered in order of first appearance (element edges 01,
+    12, 20 in element order, then the boundary edges), after the corners;
+    a midpoint equal to an existing node is that node.  The midpoint of a
+    boundary edge is snapped to its circle, and so is that of an edge in
+    `snap` (edges, tags); a boundary edge's tag wins over `snap`.
+    """
+    coords = np.asarray(coords, dtype=float)
+    tris = np.array(tris, dtype=np.int64).reshape(-1, 3)
+    bedges = np.asarray(bedges, dtype=np.int64).reshape(-1, 2)
+    btags = np.asarray(btags, dtype=np.int8)
+    p = coords[tris]
+    cw = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+        p[:, 2, 0] - p[:, 0, 0]
+    ) * (p[:, 1, 1] - p[:, 0, 1]) < 0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
 
-    tris6 = []
-    for (a, b, c) in tris:
-        xa, ya = coords[a]
-        xb, yb = coords[b]
-        xc, yc = coords[c]
-        if (xb - xa) * (yc - ya) - (xc - xa) * (yb - ya) < 0:
-            b, c = c, b
-        tris6.append((a, b, c, midpoint(a, b), midpoint(b, c), midpoint(c, a)))
+    n = len(coords)
+    edges = np.concatenate([tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), bedges])
+    keys = edges.min(axis=1) * n + edges.max(axis=1)
+    ukeys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    mid = (coords[edges[first, 0]] + coords[edges[first, 1]]) / 2  # one per key
 
-    bedges3 = [(a, b, midpoint(a, b)) for a, b in bedges]
+    tagged, tags = bedges, btags
+    if snap is not None:
+        tagged = np.concatenate([np.asarray(snap[0], dtype=np.int64), bedges])
+        tags = np.concatenate([np.asarray(snap[1], dtype=np.int8), btags])
+    tkeys = (tagged.min(axis=1) * n + tagged.max(axis=1))[::-1]
+    tkeys, last = np.unique(tkeys, return_index=True)  # the last entry of a key wins
+    at = np.searchsorted(ukeys, tkeys)
+    found = at < len(ukeys)
+    found[found] = ukeys[at[found]] == tkeys[found]
+    tag = np.full(len(ukeys), -1)
+    tag[at[found]] = tags[::-1][last][found]
+    circles = ((0.0, 0.0), geom.R0), (geom.center1, geom.rho1), (geom.center2, geom.rho2)
+    for k, ((cx, cy), rho) in enumerate(circles):  # in BOUNDARIES order
+        sel = tag == k
+        dx, dy = mid[sel, 0] - cx, mid[sel, 1] - cy
+        # math.hypot: np.hypot differs from it in the last bit on about 0.6% of inputs
+        d = np.array([math.hypot(u, v) for u, v in zip(dx.tolist(), dy.tolist())])
+        mid[sel, 0] = cx + dx * rho / d
+        mid[sel, 1] = cy + dy * rho / d
+
+    appear = np.argsort(first)  # keys in order of first appearance
+    coords, node = _merge_nodes(coords, mid[appear])
+    mid_node = np.empty(len(ukeys), dtype=np.int64)
+    mid_node[appear] = node
+    mids = mid_node[inverse]
+    n_el = len(tris)
     mesh = Mesh(
-        nodes=np.array(reg.coords, dtype=float),
-        tris=np.array(tris6, dtype=np.int64),
-        region=np.array(region, dtype=np.int8),
-        boundary_edges=np.array(bedges3, dtype=np.int64),
-        boundary_tag=np.array(btags, dtype=np.int8),
+        nodes=coords,
+        tris=np.column_stack([tris, mids[: 3 * n_el].reshape(-1, 3)]),
+        region=np.asarray(region, dtype=np.int8),
+        boundary_edges=np.column_stack([bedges, mids[3 * n_el:]]),
+        boundary_tag=btags,
         geometry=geom,
     )
     mesh.validate()

@@ -30,6 +30,9 @@ from .geometry import Geometry
 from .mesh import Mesh, MeshParams, add_inclusion_interiors, generate_mesh
 
 RESIDUAL_TOL = 1e-10
+# reference coordinates of the six P2 nodes (corners, then the midpoints of
+# edges 01, 12, 20), in the node order of Mesh.tris
+NODE_REF = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)])
 # SuperLU arguments for the SPD reduced system: symmetric fill-reducing
 # ordering and diagonal pivots (stable because A is SPD)
 SPD_SPLU = {
@@ -336,7 +339,13 @@ class _Locator:
 
     def find(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Owning element and reference coordinates for each row of an (n, 2)
-        array.  The owner is the lowest-index element containing the point."""
+        array.  The owner is the lowest-index element containing the point
+        among the candidates scanned: the 16 nearest centroids, or the 256
+        nearest for a point none of those 16 contains.  A point on a shared
+        edge or vertex can therefore get a higher-index owner than the
+        lowest-index element containing it, when that element's centroid is
+        not among the candidates (node 0 of every default mesh lies in the
+        long thin element 0, but gets element 1)."""
         n_el = len(self.curved)
         elems = np.empty(len(points), dtype=np.int64)
         refs = np.empty((len(points), 2))
@@ -367,15 +376,47 @@ def sample(
     (n,2,2), rows du_i/dx_j) at interior points."""
     if order not in ("value", "gradient"):
         raise ValueError("order must be 'value' or 'gradient'")
-    locator = fld._locator
-    elems, ref = locator.find(np.asarray(points, dtype=float).reshape(-1, 2))
+    elems, ref = fld._locator.find(np.asarray(points, dtype=float).reshape(-1, 2))
+    return _evaluate(fld, elems, ref, order)
+
+
+def sample_nodes(
+    fld: DisplacementField,
+    nodes: Sequence[int],
+    order: str = "value",
+) -> np.ndarray:
+    """`sample` at mesh nodes, located by connectivity instead of by point
+    location: each node is evaluated in the lowest-index element that
+    contains it, at the exact reference coordinates of its local slot."""
+    if order not in ("value", "gradient"):
+        raise ValueError("order must be 'value' or 'gradient'")
+    return _evaluate(fld, *_node_owners(fld.mesh, nodes), order)
+
+
+def _node_owners(mesh: Mesh, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest-index element containing each node and the node's reference
+    coordinates there."""
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    flat = mesh.tris.ravel()
+    first = np.full(mesh.n_nodes, len(flat))  # first position of each node in flat
+    np.minimum.at(first, flat, np.arange(len(flat)))
+    pos = first[nodes]
+    orphan = pos == len(flat)
+    if orphan.any():
+        raise SolverError(f"node {nodes[orphan][0]} is in no element")
+    return pos // 6, NODE_REF[pos % 6]
+
+
+def _evaluate(fld: DisplacementField, elems: np.ndarray, ref: np.ndarray, order: str) -> np.ndarray:
+    """The field or its gradient at reference coordinates ref[i] of element
+    elems[i]."""
     tris = fld.mesh.tris[elems]
     ue = fld.u[np.stack([2 * tris, 2 * tris + 1], axis=2)]  # (n, 6, 2)
     xi, eta = ref[:, 0], ref[:, 1]
     if order == "value":
         return (shape_functions(xi, eta)[:, None] @ ue)[:, 0]
     dn = shape_gradients(xi, eta)
-    jac = np.ascontiguousarray(locator.nodes[elems].transpose(0, 2, 1)) @ dn
+    jac = np.ascontiguousarray(fld.mesh.nodes[tris].transpose(0, 2, 1)) @ dn
     g = dn @ np.linalg.inv(jac)  # (n, 6, 2): dN_a/dx_j
     return np.ascontiguousarray(ue.transpose(0, 2, 1)) @ g  # (n, 2, 2): du_i/dx_j
 

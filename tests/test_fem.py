@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from lamegap.fem.solve import (
     _condensed_solve,
     _prescribe,
     sample,
+    sample_nodes,
     solve_component,
     solve_hard_inclusion,
     solve_holes,
@@ -362,6 +364,35 @@ def test_sample_batch_matches_single_points(setup05):
     assert len(owners) > 1
     elems, _ = fld._locator.find(np.array([(0.0, 0.0)]))
     assert elems[0] == owners.min()
+
+
+def test_sample_nodes_matches_sample(setup05):
+    geom, mesh, system = setup05
+    fld = solve_component(geom, LAM, MU, 1, 1, system=system)
+    nodes = np.arange(mesh.n_nodes)
+    assert np.array_equal(sample_nodes(fld, nodes, "value"), fld.u.reshape(-1, 2))
+    # the lowest incident element: the first row of tris holding the node
+    held, at = np.unique(mesh.tris.ravel(), return_index=True)
+    assert np.array_equal(held, nodes)
+    located, _ = fld._locator.find(mesh.nodes)
+    same = located == at // 6
+    assert same.sum() > 0.99 * mesh.n_nodes
+    for order in ("value", "gradient"):
+        got = sample_nodes(fld, nodes[same], order)
+        want = sample(fld, mesh.nodes[same], order)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_node_owner_is_the_lowest_incident_element(setup05):
+    # node 0, the band corner (-R, gamma2(-R)), is vertex 0 of the long thin
+    # element 0, whose centroid is not among the 16 nearest to it
+    _, mesh, _ = setup05
+    elems, ref = solve_mod._node_owners(mesh, [0])
+    assert elems.tolist() == [0]
+    assert ref.tolist() == [[0.0, 0.0]]
+    # the midpoint of the first edge of element 0 is in no other element
+    with pytest.raises(SolverError, match="in no element"):
+        solve_mod._node_owners(replace(mesh, tris=mesh.tris[1:]), [mesh.tris[0, 3]])
 
 
 def test_locator_inverts_the_element_map(setup05):

@@ -102,6 +102,19 @@ def test_deterministic_generation():
     assert np.array_equal(a.tris, b.tris)
 
 
+@pytest.mark.parametrize("nz", (2, 3, 8))
+def test_gap_center_is_a_node(nz):
+    # x = 0 is a station and its column runs from -eps/2 to eps/2: the
+    # origin is a corner for even nz and an edge midpoint for odd nz
+    for rho2 in (1.0, 0.75):
+        for eps in (0.1, 2e-4, 1e-6):
+            mesh = generate_mesh(Geometry(eps=eps, rho2=rho2), MeshParams(nz=nz))
+            r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
+            k = r.argmin()
+            assert r[k] <= 1e-9 * eps, (rho2, eps, r[k])
+            assert (k in mesh.tris[:, :3]) == (nz % 2 == 0)
+
+
 def test_inclusion_interiors():
     g = Geometry(eps=0.05)
     m = add_inclusion_interiors(generate_mesh(g))

@@ -12,22 +12,35 @@ Canonical form of a ratio num/den:
 * den has a positive leading coefficient under graded lexicographic order
   with lam > mu.
 
-Because the form is unique, each operation computes only the gcds whose
-answer is not already known from its reduced operands:
+The denominator is stored factored, as (c, a, b, rest) standing for
+c * mu^a * (lam+2mu)^b * rest: c is a positive integer, and rest is
+primitive, positive-leading and divisible by neither mu nor lam+2mu.  Every
+denominator of the auxiliary families is built from the two Lame moduli mu
+and lam+2mu, so there rest is 1; a general rest comes only from parsed or
+otherwise general inputs.  ``num`` is a ParamPoly, and ``den`` expands the
+factors on first use.
+
+mu and lam+2mu are primitive and irreducible, so by Gauss's lemma the
+factorization is unique and, for any numerator t,
+
+    gcd(t, den) = gcd(c, content t) * mu^min(a, ord_mu t)
+                  * (lam+2mu)^min(b, ord_l t) * gcd(t, rest),
+
+where ord_mu t is the smallest mu exponent in t, and ord_l t, the order of
+lam+2mu in t, comes from the test t(-2mu, mu) = 0 (one integer sum per
+total degree) and an exact synthetic division for each factor found.  Only gcd(t, rest) needs the
+primitive PRS (``poly_gcd``), and only when rest is not 1.  Each operation
+computes only the gcds whose answer is not already known from its reduced
+operands:
 
 * ``scale`` by an integer or a Fraction a/b changes only the integer
-  content: it cancels gcd(a, content(den)) and gcd(b, content(num)), with no
-  polynomial gcd.
+  contents: it cancels gcd(a, c) and gcd(b, content(num)).
 * ``+`` is Henrici's sum: with g = gcd(d1, d2), t = n1 (d2/g) + n2 (d1/g) is
   coprime to (d1/g)(d2/g), so only h = gcd(t, g) is left to cancel.
+  gcd(d1, d2), d1/g and the product of denominators are integer and
+  exponent arithmetic on the factors.
 * ``*`` cross-reduces, gcd(n1, d2) and gcd(n2, d1); the product of the
   cross-reduced parts is already reduced.
-* ``poly_gcd`` is memoized: the families repeat the same few thousand
-  (a, b) pairs tens of thousands of times.  The memo keeps the
-  ``GCD_CACHE_SIZE`` most recently used pairs: enough for those repeats,
-  while the memory it holds stays bounded in a long run (an unbounded memo
-  roughly doubles the resident size of the depth-5 builds for a small
-  further gain).
 
 Results of ParamPoly arithmetic are built by a trusted internal constructor
 that skips the per-term checks the public constructor applies to its input.
@@ -203,16 +216,6 @@ class ParamPoly:
         k = max(self._terms, key=_grlex_key)
         return k, self._terms[k]
 
-    def content(self) -> int:
-        """Integer content carrying the sign of the leading coefficient."""
-        if not self._terms:
-            return 0
-        g = 0
-        for c in self._terms.values():
-            g = math.gcd(g, abs(c))
-        _, lead = self.leading()
-        return g if lead > 0 else -g
-
     def evaluate(self, lam: Fraction, mu: Fraction) -> Fraction:
         acc = Fraction(0)
         for (i, j), c in self._terms.items():
@@ -277,14 +280,11 @@ class ParamPoly:
 # recursing at v + 1, and pseudo-division uses ParamPoly's own arithmetic.
 # A single-term argument (every integer is one) ends the recursion.
 # Polynomials are small (degrees rarely exceed ~10), so no factorization
-# is attempted.
+# is attempted.  The field operations reach it only through the `rest`
+# factor of a denominator, which is 1 for every family coefficient.
 # ---------------------------------------------------------------------------
 
-# Entries kept by the poly_gcd memo (see the module docstring).
-GCD_CACHE_SIZE = 4096
 
-
-@functools.lru_cache(maxsize=GCD_CACHE_SIZE)
 def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """gcd over Z[lam, mu], positive leading coefficient under grlex."""
     g = _gcd(a, b, 0)
@@ -347,38 +347,190 @@ def _pseudo_rem(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
     return r
 
 
+# ---------------------------------------------------------------------------
+# Factored denominators (c, a, b, rest) = c * mu^a * (lam+2mu)^b * rest; see
+# the module docstring.
+# ---------------------------------------------------------------------------
+
+Den = tuple[int, int, int, ParamPoly]
+
+# The shared 1 that every `rest` free of other factors is (tested by identity).
+_ONE = ParamPoly._clean({(0, 0): 1})
+_UNIT: Den = (1, 0, 0, _ONE)
+_L2M = ParamPoly._clean({(1, 0): 1, (0, 1): 2})
+
+
+def _one_or(p: ParamPoly) -> ParamPoly:
+    return _ONE if _is_one(p) else p
+
+
+def _l2m_divides(p: ParamPoly) -> bool:
+    """Whether lam + 2mu divides p: p(-2mu, mu) = 0, which is one integer
+    sum per total degree."""
+    sums: dict[int, int] = {}
+    for (i, j), c in p._terms.items():
+        v = c << i
+        sums[i + j] = sums.get(i + j, 0) + (-v if i & 1 else v)
+    return not any(sums.values())
+
+
+def _div_l2m(p: ParamPoly) -> ParamPoly:
+    """p / (lam + 2mu) for a p that lam + 2mu divides: synthetic division in
+    lam, quotient rows q_{i-1} = p_i - 2 mu q_i from the top lam degree down."""
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), c in p._terms.items():
+        rows.setdefault(i, {})[j] = c
+    out: dict[tuple[int, int], int] = {}
+    carry: dict[int, int] = {}
+    for i in range(max(rows), 0, -1):
+        row = dict(rows.get(i, ()))
+        for j, q in carry.items():
+            v = row.get(j + 1, 0) - 2 * q
+            if v:
+                row[j + 1] = v
+            else:
+                row.pop(j + 1, None)
+        for j, q in row.items():
+            out[(i - 1, j)] = q
+        carry = row
+    return ParamPoly._clean(out)
+
+
+def _strip(p: ParamPoly, a: int, b: int) -> tuple[int, int, ParamPoly]:
+    """(i, k, p / (mu^i (lam+2mu)^k)) for a nonzero p, with i = min(a, the
+    mu order of p) and k = min(b, the lam+2mu order of p)."""
+    i = min(a, min(j for _, j in p._terms)) if a else 0
+    if i:
+        p = ParamPoly._clean({(x, y - i): c for (x, y), c in p._terms.items()})
+    k = 0
+    while k < b and _l2m_divides(p):
+        p = _div_l2m(p)
+        k += 1
+    return i, k, p
+
+
+def _factor(p: ParamPoly) -> tuple[int, Den]:
+    """(sign, den) with p = sign * den, for a nonzero p."""
+    deg = max(i + j for i, j in p._terms)
+    a, b, q = _strip(p, deg, deg)
+    sign = 1 if q.leading()[1] > 0 else -1
+    c = math.gcd(*q._terms.values())
+    return sign, (c, a, b, _one_or(q._ratio(sign, c)))
+
+
+@functools.lru_cache(maxsize=None)
+def _modulus_power(a: int, b: int) -> ParamPoly:
+    """mu^a (lam+2mu)^b, expanded."""
+    return ParamPoly._clean({(0, a): 1}) * _L2M**b
+
+
+def _times(n: ParamPoly, d: Den) -> ParamPoly:
+    """n times the expanded d."""
+    c, a, b, rest = d
+    if a or b:
+        n = n * _modulus_power(a, b)
+    if rest is not _ONE:
+        n = n * rest
+    return n.scale(c) if c != 1 else n
+
+
+def _expand(d: Den) -> ParamPoly:
+    return _times(_ONE, d)
+
+
+def _den_mul(d1: Den, d2: Den) -> Den:
+    c1, a1, b1, r1 = d1
+    c2, a2, b2, r2 = d2
+    return (c1 * c2, a1 + a2, b1 + b2, r2 if r1 is _ONE else r1 if r2 is _ONE else r1 * r2)
+
+
+def _den_div(d: Den, g: Den) -> Den:
+    """d / g for a g that divides d."""
+    c, a, b, r = d
+    gc, ga, gb, gr = g
+    return (c // gc, a - ga, b - gb, r if gr is _ONE else _one_or(r.exact_div(gr)))
+
+
+def _den_gcd(d1: Den, d2: Den) -> Den:
+    c1, a1, b1, r1 = d1
+    c2, a2, b2, r2 = d2
+    if r1 is _ONE or r2 is _ONE:
+        r = _ONE
+    else:
+        r = r1 if r1 == r2 else _one_or(poly_gcd(r1, r2))
+    return (math.gcd(c1, c2), min(a1, a2), min(b1, b2), r)
+
+
+def _cancel(n: ParamPoly, d: Den) -> tuple[ParamPoly, Den]:
+    """n / d in lowest terms, (n/h, d/h) with h = gcd(n, d), for a nonzero n."""
+    c, a, b, rest = d
+    i, k, n = _strip(n, a, b)
+    g = math.gcd(c, *n._terms.values()) if c != 1 else 1
+    if g != 1:
+        n = n._ratio(1, g)
+    if rest is not _ONE:
+        h = poly_gcd(n, rest)
+        if not _is_one(h):
+            n, rest = n.exact_div(h), _one_or(rest.exact_div(h))
+    return n, (c // g, a - i, b - k, rest)
+
+
+def _make(num: ParamPoly, d: Den) -> "RationalCoeff":
+    """A RationalCoeff from a numerator and denominator already in canonical
+    form."""
+    x = object.__new__(RationalCoeff)
+    x.num = num
+    x._d = d
+    x._den = None
+    x._hash = None
+    return x
+
+
 class RationalCoeff:
     """Reduced ratio of ParamPoly's; the scalar field of the term algebra.
 
     Immutable; arithmetic returns new values in canonical form, so exact
     equality of representations coincides with mathematical equality.
+    ``num`` is a ParamPoly; the denominator is kept factored (see the module
+    docstring), and ``den`` expands it on first use.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "_d", "_den", "_hash")
 
-    def __init__(self, num: ParamPoly, den: ParamPoly | None = None, *, _reduced: bool = False):
+    def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
         if den is None:
-            den = ParamPoly.const(1)
+            den = _ONE
         if den.is_zero():
             raise CoeffDivisionError("zero denominator")
-        if not _reduced:
-            num, den = _reduce(num, den)
+        if num.is_zero():
+            num, d = ParamPoly(), _UNIT
+        else:
+            sign, d = _factor(den)
+            num, d = _cancel(-num if sign < 0 else num, d)
         self.num = num
-        self.den = den
+        self._d = d
+        self._den: ParamPoly | None = None
         self._hash: int | None = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_int(cls, c: int) -> "RationalCoeff":
-        return cls(ParamPoly.const(c), ParamPoly.const(1), _reduced=True)
+        return _make(ParamPoly.const(c), _UNIT)
 
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> "RationalCoeff":
         q = Fraction(q)
-        return cls(ParamPoly.const(q.numerator), ParamPoly.const(q.denominator), _reduced=True)
+        return _make(ParamPoly.const(q.numerator), (q.denominator, 0, 0, _ONE))
 
     # -- protocol -------------------------------------------------------
+
+    @property
+    def den(self) -> ParamPoly:
+        """The denominator, expanded (and cached)."""
+        if self._den is None:
+            self._den = _expand(self._d)
+        return self._den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -391,7 +543,7 @@ class RationalCoeff:
             other = RationalCoeff.from_int(other)
         if not isinstance(other, RationalCoeff):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self._d == other._d
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -409,24 +561,22 @@ class RationalCoeff:
         if other.is_zero():
             return self
         # Henrici: with g = gcd(d1, d2), t = n1 (d2/g) + n2 (d1/g) is coprime
-        # to (d1/g)(d2/g), so t/h over (d1/g)(d2/h) with h = gcd(t, g) is
-        # reduced.  Quotients of positive-leading polynomials stay
-        # positive-leading, so it is canonical.
-        d1, d2 = self.den, other.den
+        # to (d1/g)(d2/g), so t/h over (d1/g)(d2/g)(g/h) with h = gcd(t, g)
+        # is reduced.
+        d1, d2 = self._d, other._d
         if d1 == d2:
-            g, d1g, t = d1, None, self.num + other.num
+            g, d12, t = d1, _UNIT, self.num + other.num
         else:
-            g = poly_gcd(d1, d2)
-            d1g = d1.exact_div(g)
-            t = self.num * d2.exact_div(g) + other.num * d1g
+            g = _den_gcd(d1, d2)
+            d1g, d2g = _den_div(d1, g), _den_div(d2, g)
+            d12, t = _den_mul(d1g, d2g), _times(self.num, d2g) + _times(other.num, d1g)
         if t.is_zero():
             return ZERO
-        h = poly_gcd(t, g)
-        den = d2.exact_div(h)
-        return RationalCoeff(t.exact_div(h), den if d1g is None else d1g * den, _reduced=True)
+        t, gh = _cancel(t, g)
+        return _make(t, _den_mul(d12, gh))
 
     def __neg__(self) -> "RationalCoeff":
-        return RationalCoeff(-self.num, self.den, _reduced=True)
+        return _make(-self.num, self._d)
 
     def __sub__(self, other: "RationalCoeff") -> "RationalCoeff":
         return self + (-other)
@@ -435,14 +585,10 @@ class RationalCoeff:
         if self.is_zero() or other.is_zero():
             return ZERO
         # Cross-reduce: n1/d1 and n2/d2 stay reduced, n1/d2 and n2/d1 become
-        # coprime, so the product is reduced.  Dividing by a positive-leading
-        # gcd keeps each denominator positive-leading, and grlex leading
-        # coefficients multiply, so the product is already canonical.
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1, d2 = self.num.exact_div(g1), other.den.exact_div(g1)
-        n2, d1 = other.num.exact_div(g2), self.den.exact_div(g2)
-        return RationalCoeff(n1 * n2, d1 * d2, _reduced=True)
+        # coprime, so the product is reduced.
+        n1, d2 = _cancel(self.num, other._d)
+        n2, d1 = _cancel(other.num, self._d)
+        return _make(n1 * n2, _den_mul(d1, d2))
 
     def __truediv__(self, other: "RationalCoeff") -> "RationalCoeff":
         if other.is_zero():
@@ -453,42 +599,41 @@ class RationalCoeff:
         if self.is_zero():
             raise CoeffDivisionError("inverse of zero coefficient")
         # den/num is already reduced; only the sign may need moving
-        if self.num.leading()[1] < 0:
-            return RationalCoeff(-self.den, -self.num, _reduced=True)
-        return RationalCoeff(self.den, self.num, _reduced=True)
+        sign, d = _factor(self.num)
+        return _make(-self.den if sign < 0 else self.den, d)
 
     def scale(self, q: Fraction | int) -> "RationalCoeff":
         q = Fraction(q)
         return self._scaled(q.numerator, q.denominator)
 
-    def _scaled(self, a: int, b: int) -> "RationalCoeff":
-        """self * a/b for coprime integers a and b > 0.  Only the integer
-        content changes: with g1 = gcd(a, content(den)) and
-        g2 = gcd(b, content(num)), num (a/g1) / g2 over den (b/g2) / g1 is
+    def _scaled(self, n: int, m: int) -> "RationalCoeff":
+        """self * n/m for coprime integers n and m > 0.  Only the integer
+        contents change: with g1 = gcd(n, c) and g2 = gcd(m, content(num)),
+        num (n/g1) / g2 over the denominator with c (m/g2) / g1 is
         canonical."""
-        if not a:
+        if not n:
             return ZERO
-        g1 = math.gcd(a, *self.den.terms.values())
-        g2 = math.gcd(b, *self.num.terms.values())
-        return RationalCoeff(
-            self.num._ratio(a // g1, g2), self.den._ratio(b // g2, g1), _reduced=True
-        )
+        c, a, b, rest = self._d
+        g1 = math.gcd(n, c)
+        g2 = math.gcd(m, *self.num._terms.values())
+        return _make(self.num._ratio(n // g1, g2), (c // g1 * (m // g2), a, b, rest))
 
     # -- evaluation / rendering ------------------------------------------
 
     def evaluate(self, lam: Fraction | int, mu: Fraction | int) -> Fraction:
         lam, mu = Fraction(lam), Fraction(mu)
-        d = self.den.evaluate(lam, mu)
+        c, a, b, rest = self._d
+        d = c * mu**a * (lam + 2 * mu) ** b * rest.evaluate(lam, mu)
         if d == 0:
             raise CoeffPoleError(f"denominator vanishes at (lam={lam}, mu={mu})")
         return self.num.evaluate(lam, mu) / d
 
     def render(self) -> str:
         num = self.num.render()
-        if self.den == ParamPoly.const(1):
+        c, a, b, rest = self._d
+        if self._d == _UNIT:
             return num
-        c = abs(self.den.content())
-        prim = self.den.exact_div(ParamPoly.const(c))
+        prim = _expand((1, a, b, rest))
         if c != 1 and not _is_one(prim):
             den = f"{c}*({prim.render()})"
         elif c != 1:
@@ -500,17 +645,6 @@ class RationalCoeff:
 
 def _is_one(p: ParamPoly) -> bool:
     return p.terms == {(0, 0): 1}
-
-
-def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
-    if num.is_zero():
-        return ParamPoly(), ParamPoly.const(1)
-    g = poly_gcd(num, den)
-    num, den = num.exact_div(g), den.exact_div(g)
-    _, lead = den.leading()
-    if lead < 0:
-        num, den = -num, -den
-    return num, den
 
 
 # Shared constants for the formal parameters.

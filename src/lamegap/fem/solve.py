@@ -30,6 +30,9 @@ from .geometry import Geometry
 from .mesh import Mesh, MeshParams, add_inclusion_interiors, generate_mesh
 
 RESIDUAL_TOL = 1e-10
+# how far outside its reference triangle (in reference coordinates) a point
+# may lie and still count as inside an element
+CONTAIN_TOL = 1e-9
 # reference coordinates of the six P2 nodes (corners, then the midpoints of
 # edges 01, 12, 20), in the node order of Mesh.tris
 NODE_REF = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)])
@@ -307,9 +310,15 @@ class _Locator:
         self.curved = np.abs(self.nodes[:, 3:] - expect).max(axis=(1, 2)) > 1e-12
         a = corners[:, 0]
         self.affine = np.stack([corners[:, 1] - a, corners[:, 2] - a], axis=-1)  # (nE, 2, 2)
+        # vertex stars: the elements with corner v are star[star_ptr[v]:star_ptr[v + 1]]
+        self.corners = mesh.tris[:, :3]
+        flat = self.corners.ravel()
+        by_node = np.argsort(flat, kind="stable")
+        self.star = by_node // 3
+        self.star_ptr = np.searchsorted(flat[by_node], np.arange(len(mesh.nodes) + 1))
 
     def invert(
-        self, cands: np.ndarray, points: np.ndarray, tol: float = 1e-9
+        self, cands: np.ndarray, points: np.ndarray, tol: float = CONTAIN_TOL
     ) -> tuple[np.ndarray, np.ndarray]:
         """Reference coordinates of points[i] in element cands[i, j] and a
         mask of those inside the reference triangle (to within tol)."""
@@ -320,6 +329,7 @@ class _Locator:
         r, cp, target = ref[curved], pts[curved], points[curved[0]]
         cp_t = np.ascontiguousarray(cp.transpose(0, 2, 1))
         active = np.arange(len(r))
+        step = np.zeros((0, 2))
         for _ in range(30):
             if not len(active):
                 break
@@ -332,20 +342,24 @@ class _Locator:
             active, jac, x = active[~singular], jac[~singular], x[~singular]
             step = np.linalg.solve(jac, (target[active] - x)[..., None])[..., 0]
             r[active] = r[active] + step
-            active = active[~(np.abs(step).max(axis=1) < 1e-14)]
+            moving = ~(np.abs(step).max(axis=1) < 1e-14)
+            active, step = active[moving], step[moving]
+        # Still moving after the cap: roundoff keeps converged candidates
+        # stepping by about 1e-14; a last step above tol means the iteration
+        # did not converge, so the candidate is rejected.
+        r[active[~(np.abs(step).max(axis=1) <= tol)]] = np.nan
         ref[curved] = r
         xi, eta = ref[..., 0], ref[..., 1]
         return ref, (xi >= -tol) & (eta >= -tol) & (xi + eta <= 1 + tol)
 
     def find(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Owning element and reference coordinates for each row of an (n, 2)
-        array.  The owner is the lowest-index element containing the point
-        among the candidates scanned: the 16 nearest centroids, or the 256
-        nearest for a point none of those 16 contains.  A point on a shared
-        edge or vertex can therefore get a higher-index owner than the
-        lowest-index element containing it, when that element's centroid is
-        not among the candidates (node 0 of every default mesh lies in the
-        long thin element 0, but gets element 1)."""
+        array.  The owner is the lowest-index element containing the point.
+        The first hit is the lowest-index containing element among the 16
+        nearest centroids (or the 256 nearest, for a point none of those 16
+        contains).  A point inside it lies in no other element; a point on
+        its boundary lies only in elements of the vertex stars of its
+        corners, so those are scanned for a lower-index owner."""
         n_el = len(self.curved)
         elems = np.empty(len(points), dtype=np.int64)
         refs = np.empty((len(points), 2))
@@ -364,7 +378,29 @@ class _Locator:
             todo = np.delete(todo, rows)
         if len(todo):
             raise SolverError(f"point {tuple(points[todo[0]].tolist())} is outside the mesh")
+        xi, eta = refs[:, 0], refs[:, 1]
+        edge = np.nonzero(np.minimum(np.minimum(xi, eta), 1 - xi - eta) <= CONTAIN_TOL)[0]
+        if len(edge):
+            elems[edge], refs[edge] = self._star_owner(points[edge], elems[edge], refs[edge])
         return elems, refs
+
+    def _star_owner(
+        self, points: np.ndarray, first: np.ndarray, ref0: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest-index element containing each point among its first hit
+        and the vertex stars of the first hit's corners."""
+        starts = self.star_ptr[self.corners[first]]  # (n, 3)
+        lens = self.star_ptr[self.corners[first] + 1] - starts
+        k = np.arange(lens.max())
+        idx = np.minimum(starts[..., None] + k, len(self.star) - 1)
+        stars = np.where(k < lens[..., None], self.star[idx], first[:, None, None])
+        cands = np.column_stack([first, stars.reshape(len(first), -1)])
+        ref, hit = self.invert(cands, points)
+        # the first hit stays a candidate whatever a second inversion gives
+        ref[:, 0], hit[:, 0] = ref0, True
+        owner = np.where(hit, cands, len(self.curved)).argmin(axis=1)
+        rows = np.arange(len(first))
+        return cands[rows, owner], ref[rows, owner]
 
 
 def sample(

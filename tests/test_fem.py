@@ -16,6 +16,7 @@ from lamegap.fem.solve import (
     SolverError,
     _condensed_solve,
     _prescribe,
+    gap_centerline_points,
     sample,
     sample_nodes,
     solve_component,
@@ -430,6 +431,69 @@ def test_locator_rejects_singular_newton_jacobian():
     elems, ref = loc.find(np.array([(0.0, 0.0), (0.2, 0.1)]))
     assert elems.tolist() == [1, 0]
     assert np.array_equal(ref[0], [0.0, 0.0])
+
+
+def _sweep_mesh(eps):
+    """The mesh of the default SweepConfig at eps."""
+    from lamegap.studies import SweepConfig
+
+    cfg = SweepConfig()
+    geom = cfg.geometry(eps)
+    return geom, generate_mesh(geom, cfg.mesh_params(eps))
+
+
+@pytest.fixture(scope="module")
+def sweep01():
+    return _sweep_mesh(0.1)
+
+
+def test_locator_rejects_unconverged_newton(sweep01):
+    # Newton in the curved element 0 towards node 7 is still moving after
+    # the step cap; it used to stop at ref (0.257, 0.391), which maps 0.23
+    # away from the node, and report a hit
+    _, mesh = sweep01
+    loc = solve_mod._Locator(mesh)
+    _, inside = loc.invert(np.array([[0]]), mesh.nodes[7][None])
+    assert inside.tolist() == [[False]]
+    assert not (mesh.tris[0] == 7).any()
+
+
+def _full_scan_owner(loc, points):
+    """Lowest-index element containing each point, over every element.  An
+    element lies within 1.75 max_a |x_a - x_0| of its vertex x_0 (the P2
+    shape functions sum to 1 and their negative parts to at least -3/8), so
+    only elements that near a point are inverted."""
+    x0 = loc.nodes[:, 0]
+    reach = 2 * np.linalg.norm(loc.nodes - x0[:, None], axis=2).max(axis=1)
+    near = np.hypot(*(points.T[:, :, None] - x0.T[:, None, :])) <= reach
+    pt, el = np.nonzero(near)
+    _, hit = loc.invert(el[:, None], points[pt])
+    owner = np.full(len(points), len(x0))
+    np.minimum.at(owner, pt[hit[:, 0]], el[hit[:, 0]])
+    return owner
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025, 0.0125])
+def test_find_owner_matches_a_full_scan(eps):
+    # points on shared edges and vertices (the z = 0 centerline crosses
+    # element edges; node 0 is a vertex of the long thin element 0) get the
+    # lowest-index element that contains them
+    geom, mesh = _sweep_mesh(eps)
+    loc = solve_mod._Locator(mesh)
+    pts = np.concatenate([gap_centerline_points(geom, half_extent=0.45 * 0.65), mesh.nodes[::7]])
+    elems, _ = loc.find(pts)
+    assert np.array_equal(elems, _full_scan_owner(loc, pts))
+    assert elems[41] == 0  # node 0
+
+
+def test_sample_at_every_node_matches_sample_nodes(sweep01):
+    geom, mesh = sweep01
+    fld = solve_component(geom, LAM, MU, 1, 1, system=assemble(mesh, LAM, MU))
+    nodes = np.arange(mesh.n_nodes)
+    for order in ("value", "gradient"):
+        got = sample(fld, mesh.nodes, order)
+        want = sample_nodes(fld, nodes, order)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_sample_batch_with_outside_point_errors(setup05):

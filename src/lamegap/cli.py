@@ -23,7 +23,8 @@ from .fem.geometry import Geometry
 from .fem.mesh import MeshParams, generate_mesh, write_mesh
 from .fem.solve import (
     SolverError,
-    sample_nodes,
+    gap_center_node,
+    sample,
     solve_component,
     solve_hard_inclusion,
     solve_holes,
@@ -85,17 +86,6 @@ def _cmd_aux_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
-def _gap_center_node(mesh, eps: float) -> int:
-    """The mesh node at the origin.  The band always has one there: x = 0 is
-    a station, and its column runs from -eps/2 to eps/2 (a corner for even
-    nz, an edge midpoint for odd nz)."""
-    r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    k = int(r.argmin())
-    if r[k] > 1e-9 * eps:
-        raise SolverError(f"no mesh node within {1e-9 * eps:.1e} of the gap center")
-    return k
-
-
 def _cmd_fem_solve(args) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be a positive integer, got {args.stride}")
@@ -122,7 +112,7 @@ def _cmd_fem_solve(args) -> int:
         print(f"wrote {args.mesh_out}")
     if args.out:
         idx = np.arange(0, mesh.n_nodes, args.stride)
-        grads = sample_nodes(fld, idx, "gradient")
+        grads = sample(fld, idx, "gradient")
         rows = np.column_stack(
             (mesh.nodes[idx], fld.u.reshape(-1, 2)[idx], grads.reshape(-1, 4))
         ).tolist()
@@ -130,7 +120,7 @@ def _cmd_fem_solve(args) -> int:
             fh.write("x,y,u1,u2,g11,g12,g21,g22\n")
             fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
         print(f"wrote {args.out}")
-    g0 = sample_nodes(fld, [_gap_center_node(mesh, geom.eps)], "gradient")[0]
+    g0 = sample(fld, [gap_center_node(mesh, geom.eps)], "gradient")[0]
     print(f"gap-center gradient: {g0.tolist()}")
     print(f"strain energy: {fld.energy():.10e}")
     return EXIT_OK

@@ -4,8 +4,9 @@ from .assembly import AssemblyError, ElasticitySystem, assemble
 from .solve import (
     DisplacementField,
     SolverError,
+    gap_center_node,
+    incident_gradients,
     sample,
-    sample_nodes,
     solve_component,
     solve_hard_inclusion,
     solve_holes,
@@ -24,8 +25,9 @@ __all__ = [
     "assemble",
     "generate_mesh",
     "read_mesh",
+    "gap_center_node",
+    "incident_gradients",
     "sample",
-    "sample_nodes",
     "solve_component",
     "solve_hard_inclusion",
     "solve_holes",

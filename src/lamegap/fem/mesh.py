@@ -15,7 +15,7 @@ Everything is deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +69,6 @@ class Mesh:
     boundary_edges: np.ndarray  # (nB, 3) corner, corner, midpoint
     boundary_tag: np.ndarray  # (nB,) index into BOUNDARIES
     geometry: Geometry | None = None
-    # point locator built on first use by fem.solve.sample
-    _locator: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:

@@ -1,4 +1,4 @@
-"""Constrained solves on the two-inclusion geometry and field sampling.
+"""Constrained solves on the two-inclusion geometry and field reads at nodes.
 
 Boundary handling is by DOF condensation: the full displacement vector is
 u = T y + g, with g carrying prescribed Dirichlet values and T mapping the
@@ -30,9 +30,6 @@ from .geometry import Geometry
 from .mesh import Mesh, MeshParams, add_inclusion_interiors, generate_mesh
 
 RESIDUAL_TOL = 1e-10
-# how far outside its reference triangle (in reference coordinates) a point
-# may lie and still count as inside an element
-CONTAIN_TOL = 1e-9
 # reference coordinates of the six P2 nodes (corners, then the midpoints of
 # edges 01, 12, 20), in the node order of Mesh.tris
 NODE_REF = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)])
@@ -66,13 +63,6 @@ class DisplacementField:
     @property
     def mesh(self) -> Mesh:
         return self.system.mesh
-
-    @property
-    def _locator(self) -> "_Locator":
-        """The point locator of the mesh, shared by every field on it."""
-        if self.mesh._locator is None:
-            self.mesh._locator = _Locator(self.mesh)
-        return self.mesh._locator
 
     def energy(self) -> float:
         return self.system.energy(self.u)
@@ -292,147 +282,59 @@ def solve_large_contrast(
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Reading the field at mesh nodes
 # ---------------------------------------------------------------------------
-
-
-class _Locator:
-    """Batched element lookup: centroid KD-tree plus reference-coordinate
-    inversion (affine solve, then Newton steps on curved elements)."""
-
-    def __init__(self, mesh: Mesh):
-        from scipy.spatial import cKDTree
-
-        corners = mesh.nodes[mesh.tris[:, :3]]
-        self.tree = cKDTree(corners.mean(axis=1))
-        self.nodes = mesh.nodes[mesh.tris]  # (nE, 6, 2)
-        expect = 0.5 * (corners + np.roll(corners, -1, axis=1))
-        self.curved = np.abs(self.nodes[:, 3:] - expect).max(axis=(1, 2)) > 1e-12
-        a = corners[:, 0]
-        self.affine = np.stack([corners[:, 1] - a, corners[:, 2] - a], axis=-1)  # (nE, 2, 2)
-        # vertex stars: the elements with corner v are star[star_ptr[v]:star_ptr[v + 1]]
-        self.corners = mesh.tris[:, :3]
-        flat = self.corners.ravel()
-        by_node = np.argsort(flat, kind="stable")
-        self.star = by_node // 3
-        self.star_ptr = np.searchsorted(flat[by_node], np.arange(len(mesh.nodes) + 1))
-
-    def invert(
-        self, cands: np.ndarray, points: np.ndarray, tol: float = CONTAIN_TOL
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Reference coordinates of points[i] in element cands[i, j] and a
-        mask of those inside the reference triangle (to within tol)."""
-        pts = self.nodes[cands]  # (n, k, 6, 2)
-        rhs = points[:, None] - pts[:, :, 0]
-        ref = np.linalg.solve(self.affine[cands], rhs[..., None])[..., 0]
-        curved = np.nonzero(self.curved[cands])
-        r, cp, target = ref[curved], pts[curved], points[curved[0]]
-        cp_t = np.ascontiguousarray(cp.transpose(0, 2, 1))
-        active = np.arange(len(r))
-        step = np.zeros((0, 2))
-        for _ in range(30):
-            if not len(active):
-                break
-            xi, eta = r[active, 0], r[active, 1]
-            jac = cp_t[active] @ shape_gradients(xi, eta)
-            x = (shape_functions(xi, eta)[:, None] @ cp[active])[:, 0]
-            # a singular Jacobian rejects the candidate (NaN fails every bound)
-            singular = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0] == 0
-            r[active[singular]] = np.nan
-            active, jac, x = active[~singular], jac[~singular], x[~singular]
-            step = np.linalg.solve(jac, (target[active] - x)[..., None])[..., 0]
-            r[active] = r[active] + step
-            moving = ~(np.abs(step).max(axis=1) < 1e-14)
-            active, step = active[moving], step[moving]
-        # Still moving after the cap: roundoff keeps converged candidates
-        # stepping by about 1e-14; a last step above tol means the iteration
-        # did not converge, so the candidate is rejected.
-        r[active[~(np.abs(step).max(axis=1) <= tol)]] = np.nan
-        ref[curved] = r
-        xi, eta = ref[..., 0], ref[..., 1]
-        return ref, (xi >= -tol) & (eta >= -tol) & (xi + eta <= 1 + tol)
-
-    def find(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Owning element and reference coordinates for each row of an (n, 2)
-        array.  The owner is the lowest-index element containing the point.
-        The first hit is the lowest-index containing element among the 16
-        nearest centroids (or the 256 nearest, for a point none of those 16
-        contains).  A point inside it lies in no other element; a point on
-        its boundary lies only in elements of the vertex stars of its
-        corners, so those are scanned for a lower-index owner."""
-        n_el = len(self.curved)
-        elems = np.empty(len(points), dtype=np.int64)
-        refs = np.empty((len(points), 2))
-        todo = np.arange(len(points))
-        # nearest 16 centroids first, then a wider scan for the points missed
-        for k in (min(16, n_el), min(256, n_el)):
-            if not len(todo):
-                break
-            _, cands = self.tree.query(points[todo], k=k)
-            cands = cands.reshape(len(todo), k)
-            ref, hit = self.invert(cands, points[todo])
-            owner = np.where(hit, cands, n_el).argmin(axis=1)
-            rows = np.nonzero(hit.any(axis=1))[0]
-            elems[todo[rows]] = cands[rows, owner[rows]]
-            refs[todo[rows]] = ref[rows, owner[rows]]
-            todo = np.delete(todo, rows)
-        if len(todo):
-            raise SolverError(f"point {tuple(points[todo[0]].tolist())} is outside the mesh")
-        xi, eta = refs[:, 0], refs[:, 1]
-        edge = np.nonzero(np.minimum(np.minimum(xi, eta), 1 - xi - eta) <= CONTAIN_TOL)[0]
-        if len(edge):
-            elems[edge], refs[edge] = self._star_owner(points[edge], elems[edge], refs[edge])
-        return elems, refs
-
-    def _star_owner(
-        self, points: np.ndarray, first: np.ndarray, ref0: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lowest-index element containing each point among its first hit
-        and the vertex stars of the first hit's corners."""
-        starts = self.star_ptr[self.corners[first]]  # (n, 3)
-        lens = self.star_ptr[self.corners[first] + 1] - starts
-        k = np.arange(lens.max())
-        idx = np.minimum(starts[..., None] + k, len(self.star) - 1)
-        stars = np.where(k < lens[..., None], self.star[idx], first[:, None, None])
-        cands = np.column_stack([first, stars.reshape(len(first), -1)])
-        ref, hit = self.invert(cands, points)
-        # the first hit stays a candidate whatever a second inversion gives
-        ref[:, 0], hit[:, 0] = ref0, True
-        owner = np.where(hit, cands, len(self.curved)).argmin(axis=1)
-        rows = np.arange(len(first))
-        return cands[rows, owner], ref[rows, owner]
 
 
 def sample(
     fld: DisplacementField,
-    points: Sequence[Sequence[float]],
-    order: str = "value",
-) -> np.ndarray:
-    """Evaluate the field ('value' -> (n,2)) or its gradient ('gradient' ->
-    (n,2,2), rows du_i/dx_j) at interior points."""
-    if order not in ("value", "gradient"):
-        raise ValueError("order must be 'value' or 'gradient'")
-    elems, ref = fld._locator.find(np.asarray(points, dtype=float).reshape(-1, 2))
-    return _evaluate(fld, elems, ref, order)
-
-
-def sample_nodes(
-    fld: DisplacementField,
     nodes: Sequence[int],
     order: str = "value",
 ) -> np.ndarray:
-    """`sample` at mesh nodes, located by connectivity instead of by point
-    location: each node is evaluated in the lowest-index element that
-    contains it, at the exact reference coordinates of its local slot."""
+    """The field ('value' -> (n,2)) or its gradient ('gradient' -> (n,2,2),
+    rows du_i/dx_j) at mesh nodes.  Each node is evaluated in the
+    lowest-index element that holds it, at the exact reference coordinates
+    of its local slot; a value is the node's own coefficient pair."""
     if order not in ("value", "gradient"):
         raise ValueError("order must be 'value' or 'gradient'")
     return _evaluate(fld, *_node_owners(fld.mesh, nodes), order)
 
 
+def incident_gradients(fld: DisplacementField, nodes: Sequence[int]) -> np.ndarray:
+    """The gradient at `nodes` in every element that holds one of them, one
+    (2, 2) row per (element, node) incidence in element order.  A P2
+    gradient jumps across element edges, so a node has one gradient per
+    incident element; `sample` keeps only the lowest-index one."""
+    held = np.isin(fld.mesh.tris, _checked_nodes(fld.mesh, nodes))
+    elems, slots = np.nonzero(held)
+    return _evaluate(fld, elems, NODE_REF[slots], "gradient")
+
+
+def gap_center_node(mesh: Mesh, eps: float) -> int:
+    """The mesh node at the origin.  The band always has one there: x = 0 is
+    a station, and its column runs from -eps/2 to eps/2 (a corner for even
+    nz, an edge midpoint for odd nz)."""
+    r = np.hypot(mesh.nodes[:, 0], mesh.nodes[:, 1])
+    k = int(r.argmin())
+    if r[k] > 1e-9 * eps:
+        raise SolverError(f"no mesh node within {1e-9 * eps:.1e} of the gap center")
+    return k
+
+
+def _checked_nodes(mesh: Mesh, nodes: Sequence[int]) -> np.ndarray:
+    """`nodes` as a flat index array; an index outside [0, n_nodes) is a
+    SolverError (numpy would wrap -1 to the last node)."""
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    bad = (nodes < 0) | (nodes >= mesh.n_nodes)
+    if bad.any():
+        raise SolverError(f"node index {nodes[bad][0]} is outside [0, {mesh.n_nodes})")
+    return nodes
+
+
 def _node_owners(mesh: Mesh, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Lowest-index element containing each node and the node's reference
     coordinates there."""
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    nodes = _checked_nodes(mesh, nodes)
     flat = mesh.tris.ravel()
     first = np.full(mesh.n_nodes, len(flat))  # first position of each node in flat
     np.minimum.at(first, flat, np.arange(len(flat)))
@@ -455,10 +357,3 @@ def _evaluate(fld: DisplacementField, elems: np.ndarray, ref: np.ndarray, order:
     jac = np.ascontiguousarray(fld.mesh.nodes[tris].transpose(0, 2, 1)) @ dn
     g = dn @ np.linalg.inv(jac)  # (n, 6, 2): dN_a/dx_j
     return np.ascontiguousarray(ue.transpose(0, 2, 1)) @ g  # (n, 2, 2): du_i/dx_j
-
-
-def gap_centerline_points(geom: Geometry, half_extent: float = 0.3, n: int = 41) -> np.ndarray:
-    """Sample points on the gap centerline z = 0, graded toward the origin."""
-    t = np.linspace(-1.0, 1.0, n)
-    xs = half_extent * np.sign(t) * t * t
-    return np.stack([xs, np.zeros_like(xs)], axis=1)

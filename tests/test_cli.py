@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lamegap.cli import _gap_center_node, main
-from lamegap.fem.solve import SolverError
+from lamegap.cli import main
+from lamegap.fem.solve import SolverError, gap_center_node
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -104,28 +104,11 @@ def test_fem_solve_hard_csv_cells_parse(tmp_path, capsys):
             float(cell)  # raises on reprs such as "np.float64(...)"
 
 
-def test_fem_solve_builds_no_locator(tmp_path, monkeypatch, capsys):
-    # the export rows and the gap-center line are mesh nodes, located by
-    # connectivity; no point locator (centroid KD-tree) is built
-    def no_locator(mesh):
-        raise AssertionError("fem solve built a point locator")
-
-    monkeypatch.setattr("lamegap.fem.solve._Locator", no_locator)
-    field_out = tmp_path / "field.csv"
-    code = main(
-        ["fem", "solve", "--eps", "0.05", "--problem", "hard",
-         "--stride", "50", "--out", str(field_out)]
-    )
-    assert code == 0
-    assert "gap-center gradient" in capsys.readouterr().out
-    assert len(field_out.read_text().splitlines()) > 1
-
-
 def test_gap_center_node_missing_is_a_solver_error():
     mesh = SimpleNamespace(nodes=np.array([(0.0, 0.5), (2e-11, 0.0)]))
-    assert _gap_center_node(mesh, 0.1) == 1
+    assert gap_center_node(mesh, 0.1) == 1
     with pytest.raises(SolverError, match="gap center"):
-        _gap_center_node(mesh, 1e-3)
+        gap_center_node(mesh, 1e-3)
 
 
 def test_study_config_error(tmp_path, capsys):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +14,11 @@ from lamegap.fem.solve import (
     DisplacementField,
     SolverError,
     _condensed_solve,
+    NODE_REF,
     _prescribe,
-    gap_centerline_points,
+    gap_center_node,
+    incident_gradients,
     sample,
-    sample_nodes,
     solve_component,
     solve_hard_inclusion,
     solve_holes,
@@ -135,13 +135,13 @@ def test_linear_patch_reproduced(setup05):
     _, mesh, system = setup05
     lin = lambda x, y: (0.3 * x + 0.1 * y, -0.2 * x + 0.05 * y)
     fld = dirichlet_everywhere(mesh, system, lin)
-    pts = [(0.0, 0.0), (0.3, 2.5), (2.0, 0.5), (0.0, -2.3), (1.2, 0.0)]
-    vals = sample(fld, pts, "value")
-    expect = np.array([lin(x, y) for x, y in pts])
+    nodes = np.arange(mesh.n_nodes)
+    vals = sample(fld, nodes, "value")
+    expect = np.array([lin(x, y) for x, y in mesh.nodes])
     assert np.abs(vals - expect).max() < 1e-12
-    grads = sample(fld, pts, "gradient")
     ge = np.array([[0.3, 0.1], [-0.2, 0.05]])
-    assert np.abs(grads - ge).max() < 1e-11
+    assert np.abs(sample(fld, nodes, "gradient") - ge).max() < 1e-11
+    assert np.abs(incident_gradients(fld, nodes) - ge).max() < 1e-11
 
 
 def test_rigid_field_zero_energy(setup05):
@@ -194,14 +194,23 @@ def test_manufactured_cubic_convergence():
 # -- problem solves ------------------------------------------------------------
 
 
+def _mirror_pairs(mesh, half_extent=0.3):
+    """(node at (x, 0), node at (-x, 0)) for every x in (0, half_extent]."""
+    on_line = np.nonzero((mesh.nodes[:, 1] == 0.0) & (np.abs(mesh.nodes[:, 0]) <= half_extent))[0]
+    at = {float(mesh.nodes[n, 0]): int(n) for n in on_line}
+    return np.array([(n, at[-x]) for x, n in at.items() if x > 0])
+
+
 def test_component_symmetry(setup05):
-    geom, _, system = setup05
+    geom, mesh, system = setup05
     fld = solve_component(geom, LAM, MU, 1, 1, system=system)
-    left = sample(fld, [(-0.12, 0.0)], "value")[0]
-    right = sample(fld, [(0.12, 0.0)], "value")[0]
+    pairs = _mirror_pairs(mesh)
+    assert len(pairs) >= 5
+    right = sample(fld, pairs[:, 0], "value")
+    left = sample(fld, pairs[:, 1], "value")
     # u^(1) even in x1 on the center line, up to discretization asymmetry
     # (the triangle split direction is not mirror-symmetric)
-    assert left[0] == pytest.approx(right[0], rel=2e-3)
+    assert left[:, 0] == pytest.approx(right[:, 0], rel=2e-3)
 
 
 def test_component_requires_valid_args(setup05):
@@ -216,7 +225,7 @@ def test_gap_gradient_matches_leading_term(setup05):
     # d_z u^(1)(0,0) ~ 1/delta(0) = 1/eps for the leading profile z/delta
     geom, _, system = setup05
     fld = solve_component(geom, LAM, MU, 1, 1, system=system)
-    g0 = sample(fld, [(0.0, 0.0)], "gradient")[0]
+    g0 = sample(fld, [gap_center_node(system.mesh, geom.eps)], "gradient")[0]
     assert g0[0, 1] == pytest.approx(1 / geom.eps, rel=0.02)
 
 
@@ -273,7 +282,7 @@ def test_holes_rigid_exact(setup05):
     geom, _, system = setup05
     fld = solve_holes(geom, LAM, MU, lambda x, y: (y, -x), system=system)
     assert abs(fld.energy()) < 1e-9
-    g0 = sample(fld, [(0.0, 0.0)], "gradient")[0]
+    g0 = sample(fld, [gap_center_node(system.mesh, geom.eps)], "gradient")[0]
     assert np.abs(g0 - [[0, 1], [-1, 0]]).max() < 1e-6
 
 
@@ -333,60 +342,66 @@ def test_large_contrast_cross_check():
     phi = lambda x, y: (y, x + y)
     rigid, _ = solve_hard_inclusion(geom, LAM, MU, phi)
     contrast = solve_large_contrast(geom, LAM, MU, phi, lam1=1e6, mu1=1e6)
-    g1 = sample(rigid, [(0.0, 0.0)], "gradient")[0]
-    g2 = sample(contrast, [(0.0, 0.0)], "gradient")[0]
+    g1 = sample(rigid, [gap_center_node(rigid.mesh, geom.eps)], "gradient")[0]
+    g2 = sample(contrast, [gap_center_node(contrast.mesh, geom.eps)], "gradient")[0]
     assert np.abs(g1 - g2).max() / np.abs(g1).max() < 0.05
 
 
 def test_sample_outside_errors(setup05):
-    geom, _, system = setup05
+    # numpy would wrap -1 to the last node and raise a bare IndexError for
+    # n_nodes; both are rejected as solver errors
+    geom, mesh, system = setup05
     fld = solve_component(geom, LAM, MU, 1, 1, system=system)
-    with pytest.raises(SolverError):
-        sample(fld, [(0.0, 1.0)], "value")  # inside inclusion 1
-    with pytest.raises(SolverError):
-        sample(fld, [(5.0, 0.0)], "value")  # outside the outer disk
+    for bad in (-1, mesh.n_nodes):
+        for order in ("value", "gradient"):
+            with pytest.raises(SolverError, match="outside"):
+                sample(fld, [bad], order)
+        with pytest.raises(SolverError, match="outside"):
+            incident_gradients(fld, [bad])
 
 
 def test_sample_batch_matches_single_points(setup05):
     geom, mesh, system = setup05
     fld = solve_component(geom, LAM, MU, 1, 1, system=system)
-    xs = np.linspace(-0.3, 0.3, 7)
-    pts = [(0.0, 0.0)]  # a vertex shared by several elements
-    pts += [(x, geom.gamma1(x) - 1e-12) for x in xs]  # curved elements
-    pts += [(x, 0.0) for x in xs]  # gap centerline
-    pts += [(0.3, 2.5), (2.0, 0.5), (0.0, -2.3), (-1.7, -1.1)]  # bulk
+    origin = gap_center_node(mesh, geom.eps)
+    arc = mesh.boundary_nodes("incl1")
+    arc = arc[np.abs(mesh.nodes[arc, 0]) <= 0.3][::3]  # curved elements
+    line = _mirror_pairs(mesh).ravel()  # gap centerline
+    bulk = np.nonzero(np.hypot(*mesh.nodes.T) > 2.0)[0][::97]
+    nodes = np.concatenate([[origin], arc, line, bulk])
     for order in ("value", "gradient"):
-        batch = sample(fld, pts, order)
-        single = np.array([sample(fld, [p], order)[0] for p in pts])
+        batch = sample(fld, nodes, order)
+        single = np.array([sample(fld, [n], order)[0] for n in nodes])
         assert np.array_equal(batch, single)
-    origin = np.nonzero((mesh.nodes == 0.0).all(axis=1))[0]
-    assert len(origin) == 1
-    owners = np.nonzero((mesh.tris == origin[0]).any(axis=1))[0]
-    assert len(owners) > 1
-    elems, _ = fld._locator.find(np.array([(0.0, 0.0)]))
+    owners = np.nonzero((mesh.tris == origin).any(axis=1))[0]
+    assert len(owners) > 1  # a vertex shared by several elements
+    elems, _ = solve_mod._node_owners(mesh, [origin])
     assert elems[0] == owners.min()
 
 
 def test_sample_nodes_matches_sample(setup05):
+    # values are the nodal coefficients; gradients are the isoparametric
+    # gradient, computed here independently, in the lowest incident element
     geom, mesh, system = setup05
     fld = solve_component(geom, LAM, MU, 1, 1, system=system)
     nodes = np.arange(mesh.n_nodes)
-    assert np.array_equal(sample_nodes(fld, nodes, "value"), fld.u.reshape(-1, 2))
-    # the lowest incident element: the first row of tris holding the node
+    assert np.array_equal(sample(fld, nodes, "value"), fld.u.reshape(-1, 2))
     held, at = np.unique(mesh.tris.ravel(), return_index=True)
     assert np.array_equal(held, nodes)
-    located, _ = fld._locator.find(mesh.nodes)
-    same = located == at // 6
-    assert same.sum() > 0.99 * mesh.n_nodes
-    for order in ("value", "gradient"):
-        got = sample_nodes(fld, nodes[same], order)
-        want = sample(fld, mesh.nodes[same], order)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    el, slot = at // 6, at % 6
+    dn = np.stack([shape_gradients(xi, eta) for xi, eta in NODE_REF[slot]])
+    coords = mesh.nodes[mesh.tris[el]]
+    jac = np.einsum("nai,naj->nij", coords, dn)
+    g = np.einsum("naj,nji->nai", dn, np.linalg.inv(jac))
+    ue = fld.u[np.stack([2 * mesh.tris[el], 2 * mesh.tris[el] + 1], axis=2)]
+    want = np.einsum("nak,nai->nki", ue, g)
+    got = sample(fld, nodes, "gradient")
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_node_owner_is_the_lowest_incident_element(setup05):
     # node 0, the band corner (-R, gamma2(-R)), is vertex 0 of the long thin
-    # element 0, whose centroid is not among the 16 nearest to it
+    # element 0
     _, mesh, _ = setup05
     elems, ref = solve_mod._node_owners(mesh, [0])
     assert elems.tolist() == [0]
@@ -394,43 +409,6 @@ def test_node_owner_is_the_lowest_incident_element(setup05):
     # the midpoint of the first edge of element 0 is in no other element
     with pytest.raises(SolverError, match="in no element"):
         solve_mod._node_owners(replace(mesh, tris=mesh.tris[1:]), [mesh.tris[0, 3]])
-
-
-def test_locator_inverts_the_element_map(setup05):
-    # points mapped from random reference coordinates of random elements,
-    # including curved ones and points the 16 nearest centroids miss
-    _, mesh, _ = setup05
-    loc = solve_mod._Locator(mesh)
-    rng = np.random.default_rng(11)
-    el = rng.integers(0, mesh.n_elements, 2000)
-    ref = rng.random((2000, 2))
-    flip = ref.sum(axis=1) > 1
-    ref[flip] = 1 - ref[flip]
-    nodes = mesh.nodes[mesh.tris[el]]
-    pts = (shape_functions(ref[:, 0], ref[:, 1])[:, None] @ nodes)[:, 0]
-    elems, got = loc.find(pts)
-    assert np.all(elems <= el)  # the owner is the lowest containing index
-    back = (shape_functions(got[:, 0], got[:, 1])[:, None] @ mesh.nodes[mesh.tris[elems]])[:, 0]
-    assert np.abs(back - pts).max() < 1e-12
-    same = elems == el
-    assert np.abs(got[same] - ref[same]).max() < 1e-9
-
-
-def test_locator_rejects_singular_newton_jacobian():
-    # element 0 is curved with its first edge midpoint pulled to b/4, which
-    # makes its Jacobian singular at vertex a; element 1 is straight
-    nodes = np.array(
-        [(0, 0), (1, 0), (0, 1), (0.25, 0), (0.5, 0.5), (0, 0.5),
-         (0, -1), (1, -1), (0, -0.5), (0.5, -1), (0.5, -0.5)],
-        dtype=float,
-    )
-    tris = np.array([[0, 1, 2, 3, 4, 5], [0, 6, 7, 8, 9, 10]])
-    loc = solve_mod._Locator(SimpleNamespace(nodes=nodes, tris=tris))
-    _, inside = loc.invert(np.array([[0, 1]]), np.zeros((1, 2)))
-    assert inside.tolist() == [[False, True]]
-    elems, ref = loc.find(np.array([(0.0, 0.0), (0.2, 0.1)]))
-    assert elems.tolist() == [1, 0]
-    assert np.array_equal(ref[0], [0.0, 0.0])
 
 
 def _sweep_mesh(eps):
@@ -442,65 +420,52 @@ def _sweep_mesh(eps):
     return geom, generate_mesh(geom, cfg.mesh_params(eps))
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025, 0.0125])
+def test_find_owner_matches_a_full_scan(eps):
+    # the owner of a node is the lowest-index element holding it, found by
+    # connectivity; a scan of every element's node list gives the same one,
+    # on the z = 0 centerline, where elements meet along their edges, and
+    # on every 7th node
+    geom, mesh = _sweep_mesh(eps)
+    line = np.nonzero((mesh.nodes[:, 1] == 0.0) & (np.abs(mesh.nodes[:, 0]) <= 0.45 * 0.65))[0]
+    nodes = np.concatenate([line, np.arange(0, mesh.n_nodes, 7)])
+    elems, ref = solve_mod._node_owners(mesh, nodes)
+    scan = np.array([np.nonzero((mesh.tris == n).any(axis=1))[0].min() for n in nodes])
+    assert np.array_equal(elems, scan)
+    slots = np.nonzero(mesh.tris[scan] == nodes[:, None])[1]
+    assert np.array_equal(ref, NODE_REF[slots])
+    assert elems[len(line)] == 0  # node 0
+
+
 @pytest.fixture(scope="module")
 def sweep01():
     return _sweep_mesh(0.1)
 
 
-def test_locator_rejects_unconverged_newton(sweep01):
-    # Newton in the curved element 0 towards node 7 is still moving after
-    # the step cap; it used to stop at ref (0.257, 0.391), which maps 0.23
-    # away from the node, and report a hit
-    _, mesh = sweep01
-    loc = solve_mod._Locator(mesh)
-    _, inside = loc.invert(np.array([[0]]), mesh.nodes[7][None])
-    assert inside.tolist() == [[False]]
-    assert not (mesh.tris[0] == 7).any()
-
-
-def _full_scan_owner(loc, points):
-    """Lowest-index element containing each point, over every element.  An
-    element lies within 1.75 max_a |x_a - x_0| of its vertex x_0 (the P2
-    shape functions sum to 1 and their negative parts to at least -3/8), so
-    only elements that near a point are inverted."""
-    x0 = loc.nodes[:, 0]
-    reach = 2 * np.linalg.norm(loc.nodes - x0[:, None], axis=2).max(axis=1)
-    near = np.hypot(*(points.T[:, :, None] - x0.T[:, None, :])) <= reach
-    pt, el = np.nonzero(near)
-    _, hit = loc.invert(el[:, None], points[pt])
-    owner = np.full(len(points), len(x0))
-    np.minimum.at(owner, pt[hit[:, 0]], el[hit[:, 0]])
-    return owner
-
-
-@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025, 0.0125])
-def test_find_owner_matches_a_full_scan(eps):
-    # points on shared edges and vertices (the z = 0 centerline crosses
-    # element edges; node 0 is a vertex of the long thin element 0) get the
-    # lowest-index element that contains them
-    geom, mesh = _sweep_mesh(eps)
-    loc = solve_mod._Locator(mesh)
-    pts = np.concatenate([gap_centerline_points(geom, half_extent=0.45 * 0.65), mesh.nodes[::7]])
-    elems, _ = loc.find(pts)
-    assert np.array_equal(elems, _full_scan_owner(loc, pts))
-    assert elems[41] == 0  # node 0
-
-
 def test_sample_at_every_node_matches_sample_nodes(sweep01):
+    # every incidence of every node, in element order, is one row of
+    # incident_gradients; sample reads the first incidence of each node
     geom, mesh = sweep01
     fld = solve_component(geom, LAM, MU, 1, 1, system=assemble(mesh, LAM, MU))
     nodes = np.arange(mesh.n_nodes)
-    for order in ("value", "gradient"):
-        got = sample(fld, mesh.nodes, order)
-        want = sample_nodes(fld, nodes, order)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    every = incident_gradients(fld, nodes)
+    assert every.shape == (6 * mesh.n_elements, 2, 2)
+    _, first = np.unique(mesh.tris.ravel(), return_index=True)
+    assert np.array_equal(every[first], sample(fld, nodes, "gradient"))
+    # P2 gradients jump across element edges: a node's incident gradients
+    # differ, so a maximum over the band must look at all of them
+    origin = gap_center_node(mesh, geom.eps)
+    at_origin = incident_gradients(fld, [origin])
+    assert len(at_origin) > 1 and np.ptp(at_origin[:, 0, 1]) > 0
 
 
 def test_sample_batch_with_outside_point_errors(setup05):
-    geom, _, system = setup05
+    geom, mesh, system = setup05
     fld = solve_component(geom, LAM, MU, 1, 1, system=system)
-    with pytest.raises(SolverError, match="outside the mesh"):
-        sample(fld, [(0.0, 0.0), (0.1, 0.0), (5.0, 0.0), (0.2, 0.0)], "gradient")
+    with pytest.raises(SolverError, match="outside"):
+        sample(fld, [0, 1, mesh.n_nodes + 5, 2], "gradient")
+    with pytest.raises(SolverError, match="outside"):
+        sample(fld, np.array([0, -3, 2]), "value")
 
 
 def test_mesh_independence():
@@ -509,7 +474,7 @@ def test_mesh_independence():
         vals = []
         for params in (MeshParams(), MeshParams(nz=16, ct=0.175)):
             fld = solve_component(geom, LAM, MU, 1, 1, params=params)
-            vals.append(sample(fld, [(0.0, 0.0)], "gradient")[0][0, 1])
+            vals.append(sample(fld, [gap_center_node(fld.mesh, eps)], "gradient")[0][0, 1])
         assert abs(vals[0] - vals[1]) / abs(vals[1]) < 0.02
 
 

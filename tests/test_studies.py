@@ -208,3 +208,57 @@ def test_neck_comparison_depth_checked_before_meshing(monkeypatch):
     monkeypatch.setattr("lamegap.studies.generate_mesh", no_mesh)
     with pytest.raises(StudyError):
         run_neck_comparison(SweepConfig(), depth=0)
+
+
+# -- node reads -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("override", [{"nz": 7}, {"rho2": 0.75}])
+def test_mid_gap_band_follows_the_mid_line(override):
+    # odd nz puts the mid-gap nodes on edge midpoints; unequal radii bend
+    # the mid-line (gamma1 + gamma2)/2 away from y = 0, where a y = 0 rule
+    # keeps only the origin
+    from lamegap.fem.mesh import generate_mesh
+    from lamegap.studies import _EpsCase
+
+    cfg = SweepConfig(**override)
+    case = _EpsCase(cfg, 0.1)
+    mesh = generate_mesh(case.geom, cfg.mesh_params(0.1))
+    band = case.mid_gap(mesh)
+    assert len(band) >= 5  # the stations 0, +-0.09, +-0.19
+    x, y = mesh.nodes[band].T
+    assert np.abs(x).max() <= 0.65 * cfg.neck_halfwidth
+    mid = [(case.geom.gamma1(v) + case.geom.gamma2(v)) / 2 for v in x]
+    assert np.abs(y - mid).max() <= 1e-9 * case.geom.eps
+    if cfg.rho2 != cfg.rho1:
+        assert np.count_nonzero(y == 0.0) == 1
+
+
+def test_rates_small_eps_u13_slope():
+    # at eps 1e-5 .. 1.25e-6 the mid-gap nodes resolve the neck; the
+    # rotation rate must sit within 0.04 of the theoretical -1/2 (41 fixed
+    # centerline points gave -0.452 here)
+    from lamegap.studies import run_blowup_study
+
+    rep = run_blowup_study(SweepConfig(study_id="small-eps", eps_grid=(1e-5, 5e-6, 2.5e-6, 1.25e-6)))
+    assert rep.passed
+    assert abs(rep.checks["u13_gap_max_slope"]["value"] + 0.5) <= 0.04
+
+
+def test_holes_rigid_control_is_a_direct_bound():
+    from lamegap.studies import _report_holes
+
+    records = [
+        {"eps": e, "holes_gap_max": e**-0.5, "holes_normalized": e**-0.4,
+         "rigid_grad": 1 + 1e-12, "energy": 1.0, "boundary_work": 2.0}
+        for e in (0.1, 0.05, 0.025, 0.0125)
+    ]
+    tol = dict(DEFAULT_TOLERANCES)
+    fits, checks = _report_holes(tol, records)
+    assert checks["rigid_control"] == {"passed": True, "value": pytest.approx(1e-12), "bound": 1e-8}
+    assert "rigid_grad" not in fits
+    # an eps-independent error of 2e-8 has slope 0 and used to pass
+    for r in records:
+        r["rigid_grad"] = 1 - 2e-8
+    _, checks = _report_holes(tol, records)
+    assert not checks["rigid_control"]["passed"]

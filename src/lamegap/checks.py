@@ -81,15 +81,20 @@ def _witness_scalar(s: NeckScalar, limit: int = 4) -> str:
 
 def check_boundary(fam: AuxFamily) -> CheckReport:
     """Level 1 equals psi_alpha on the top boundary and 0 on the bottom;
-    every level >= 2 vanishes on both."""
+    every level >= 2 vanishes on both.
+
+    Each component is substituted once: with the parity split E +- O of
+    its trace, the trace on side +- vanishes iff E = -+O, and it is built
+    only for a witness."""
     psi = rigid_basis(fam.dim)[fam.alpha - 1]
     for l in range(1, fam.depth + 1):
+        parts = [comp.boundary_parts() for comp in fam.v(l).components]
         for side in ("+", "-"):
-            for i in range(fam.dim.d):
-                trace = fam.v(l)[i].substitute_boundary(side)
+            for i, (even, odd) in enumerate(parts):
                 if l == 1 and side == "+":
-                    trace = trace - psi[i].substitute_boundary(side)
-                if not trace.equal(NeckScalar.zero(fam.dim)):
+                    even = even - psi[i].substitute_boundary(side)
+                if not even.equal(-odd if side == "+" else odd):
+                    trace = even + odd if side == "+" else even - odd
                     return CheckReport(
                         "boundary",
                         "fail",
@@ -121,25 +126,25 @@ def _identity_residuals(fam: AuxFamily, l: int) -> list[tuple[str, NeckScalar]]:
     if order == "tangential_first":
         targets = level2_split_targets(fam) if split else [f_prev[i] for i in range(d - 1)]
         for i in range(d - 1):
-            res = vl[i].diff("z").diff("z").scale(MU) + targets[i]
+            res = vl[i].diff2("z", "z").scale(MU) + targets[i]
             out.append((f"tangential ODE comp {i + 1}", res))
         slave = NeckScalar.zero(dim)
         for i in range(d - 1):
-            slave = slave + vl[i].diff(axes[i]).diff("z")
+            slave = slave + vl[i].diff2("z", axes[i])
         res = (
-            vl[d - 1].diff("z").diff("z").scale(LAM_P_2MU)
+            vl[d - 1].diff2("z", "z").scale(LAM_P_2MU)
             + f_prev[d - 1]
             + slave.scale(LAM_P_MU)
         )
         out.append(("normal ODE", res))
     else:
-        res = vl[d - 1].diff("z").diff("z").scale(LAM_P_2MU) + f_prev[d - 1]
+        res = vl[d - 1].diff2("z", "z").scale(LAM_P_2MU) + f_prev[d - 1]
         out.append(("normal ODE", res))
         for i in range(d - 1):
             res = (
-                vl[i].diff("z").diff("z").scale(MU)
+                vl[i].diff2("z", "z").scale(MU)
                 + f_prev[i]
-                + vl[d - 1].diff(axes[i]).diff("z").scale(LAM_P_MU)
+                + vl[d - 1].diff2("z", axes[i]).scale(LAM_P_MU)
             )
             out.append((f"tangential ODE comp {i + 1}", res))
     return out
@@ -160,7 +165,7 @@ def _structure_residuals(fam: AuxFamily, l: int) -> list[tuple[str, NeckScalar]]
     if order == "tangential_first":
         lap = NeckScalar.zero(dim)
         for ax in axes[:-1]:
-            lap = lap + vl[d - 1].diff(ax).diff(ax)
+            lap = lap + vl[d - 1].diff2(ax, ax)
         out.append((f"residual structure comp {d}", fl[d - 1] - lap.scale(MU)))
     else:
         div_t = NeckScalar.zero(dim)
@@ -169,7 +174,7 @@ def _structure_residuals(fam: AuxFamily, l: int) -> list[tuple[str, NeckScalar]]
         for i in range(d - 1):
             lap = NeckScalar.zero(dim)
             for ax in axes[:-1]:
-                lap = lap + vl[i].diff(ax).diff(ax)
+                lap = lap + vl[i].diff2(ax, ax)
             expect = lap.scale(MU) + div_t.diff(axes[i]).scale(LAM_P_MU)
             out.append((f"residual structure comp {i + 1}", fl[i] - expect))
     return out

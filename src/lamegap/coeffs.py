@@ -613,6 +613,8 @@ class RationalCoeff:
         canonical."""
         if not n:
             return ZERO
+        if n == m == 1:
+            return self
         c, a, b, rest = self._d
         g1 = math.gcd(n, c)
         g2 = math.gcd(m, *self.num._terms.values())

@@ -102,7 +102,7 @@ def lame_apply(u: NeckField) -> NeckField:
     for i, comp in enumerate(u.components):
         lap = NeckScalar.zero(dim)
         for ax in axes:
-            lap = lap + comp.diff(ax).diff(ax)
+            lap = lap + comp.diff2(ax, ax)
         out.append(lap.scale(MU) + div.diff(axes[i]).scale(LAM_P_MU))
     return NeckField(out)
 
@@ -239,13 +239,13 @@ def seed_level1(dim: DimConfig, alpha: int) -> NeckField:
     if alpha <= dim.n_tangential:
         # tangential translation: normal component solves
         # (lam+2mu) w_zz = -(lam+mu) d_{x_alpha z} profile
-        rhs = prof.diff(axes[alpha - 1]).diff("z").scale(-(LAM_P_MU / LAM_P_2MU))
+        rhs = prof.diff2("z", axes[alpha - 1]).scale(-(LAM_P_MU / LAM_P_2MU))
         comps[d - 1] = green_solve(rhs)
     else:
         # normal translation: each tangential component solves
         # mu w_zz = -(lam+mu) d_{x_i z} profile
         for i in range(dim.n_tangential):
-            rhs = prof.diff(axes[i]).diff("z").scale(-(LAM_P_MU / MU))
+            rhs = prof.diff2("z", axes[i]).scale(-(LAM_P_MU / MU))
             comps[i] = green_solve(rhs)
     return NeckField(comps)
 
@@ -262,9 +262,7 @@ def level2_split_targets(fam: AuxFamily) -> list[NeckScalar]:
     axes = dim.axes
     out = []
     for i in range(dim.n_tangential):
-        t = v1[i].diff("z").diff("z").scale(MU) + v1[dim.d - 1].diff(axes[i]).diff(
-            "z"
-        ).scale(LAM_P_MU)
+        t = v1[i].diff2("z", "z").scale(MU) + v1[dim.d - 1].diff2("z", axes[i]).scale(LAM_P_MU)
         out.append(t)
     return out
 
@@ -288,13 +286,13 @@ def extend_integral(fam: AuxFamily) -> AuxFamily:
             comps[i] = green_solve(target.scale(-(ONE / MU)))
         slave = NeckScalar.zero(dim)
         for i in range(dim.n_tangential):
-            slave = slave + comps[i].diff(axes[i]).diff("z")
+            slave = slave + comps[i].diff2("z", axes[i])
         target_d = f_prev[d - 1] + slave.scale(LAM_P_MU)
         comps[d - 1] = green_solve(target_d.scale(-(ONE / LAM_P_2MU)))
     else:
         comps[d - 1] = green_solve(f_prev[d - 1].scale(-(ONE / LAM_P_2MU)))
         for i in range(dim.n_tangential):
-            target = f_prev[i] + comps[d - 1].diff(axes[i]).diff("z").scale(LAM_P_MU)
+            target = f_prev[i] + comps[d - 1].diff2("z", axes[i]).scale(LAM_P_MU)
             comps[i] = green_solve(target.scale(-(ONE / MU)))
     return fam._with_level(NeckField(comps))
 
@@ -384,7 +382,7 @@ def _bracket(
     out = cross.scale(LAM_P_MU).scale(n + 1)
     for j, pt in own.items():
         for (a, b), coeff in _own_symbol(dim.n_tangential, k, j).items():
-            out = out + pt.diff(axes[a]).diff(axes[b]).scale(coeff)
+            out = out + pt.diff2(axes[b], axes[a]).scale(coeff)
     return out
 
 
@@ -448,7 +446,12 @@ def _recursion(dim: DimConfig, alpha: int, depth: int) -> list[NeckField]:
 # ---------------------------------------------------------------------------
 
 
-MAX_DEPTH = 6
+MAX_DEPTH = 8
+
+# The deepest family built so far for each (dim, alpha, route): level k of
+# a family does not depend on the depth it was built to, so a shallower
+# request is a prefix of the entry and a deeper one extends it.
+_BUILT: dict[tuple[DimConfig, int, str], AuxFamily] = {}
 
 
 def build_family(
@@ -460,22 +463,30 @@ def build_family(
     closed-form table recursion (:func:`_recursion`), which exists for the
     translations alpha in 1..d.  Output size grows combinatorially with
     depth, so depth is capped at MAX_DEPTH (coefficient_stats reports the
-    growth).
+    growth).  Each family is built once per process, to the deepest depth
+    requested so far; shallower requests return its prefix.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise FamilyError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
     if alpha not in alpha_range(dim):
         raise FamilyError(f"alpha={alpha} invalid for d={dim.d}")
-    if route == "integral":
-        fam = AuxFamily(dim, alpha, route, (), ())._with_level(seed_level1(dim, alpha))
-        for _ in range(depth - 1):
-            fam = extend_integral(fam)
-        return fam
-    if route != "recursion":
+    if route not in ("integral", "recursion"):
         raise FamilyError(f"unknown route {route!r}")
     if alpha not in alpha_range(dim, route):
         raise FamilyError(f"no recursion for the rotation alpha={alpha}; use the integral route")
-    fam = AuxFamily(dim, alpha, route, (), ())
-    for v in _recursion(dim, alpha, depth):
-        fam = fam._with_level(v)
+    key = (dim, alpha, route)
+    fam = _BUILT.get(key)
+    if fam is not None and depth <= fam.depth:
+        return AuxFamily(dim, alpha, route, fam.levels[:depth], fam.residuals[:depth])
+    if route == "integral":
+        if fam is None:
+            fam = AuxFamily(dim, alpha, route, (), ())._with_level(seed_level1(dim, alpha))
+        while fam.depth < depth:
+            fam = extend_integral(fam)
+    else:
+        # a deeper recursion builds all its tables anew
+        fam = AuxFamily(dim, alpha, route, (), ())
+        for v in _recursion(dim, alpha, depth):
+            fam = fam._with_level(v)
+    _BUILT[key] = fam
     return fam

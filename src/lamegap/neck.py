@@ -7,13 +7,14 @@ A scalar is a finite sum of terms
 with ``coeff`` in the exact field Q(lam, mu), tangential exponents ``p``
 (one per tangential variable), normal exponent ``q``, and nonnegative
 ``s``, ``r``.  The representation is not unique (delta - eps - |x'|^2 = 0);
-semantic equality expands every delta power over a common denominator and
-compares the resulting polynomial to zero.
+semantic equality rewrites eps = delta - |x'|^2, which leaves a unique
+Laurent polynomial in x', z and delta, and compares it to zero.
 
-Supported calculus: exact differentiation, boundary substitution
-z -> +-delta/2 (the symmetric quadratic geometry), the two-point normal ODE
-solve d^2w/dz^2 = g with w(+-delta/2) = 0, certified growth orders on the
-neck, and exact/float evaluation.  All values are immutable.
+Supported calculus: exact first and second derivatives, boundary
+substitution z -> +-delta/2 (the symmetric quadratic geometry) split by the
+parity of the normal exponent, the two-point normal ODE solve
+d^2w/dz^2 = g with w(+-delta/2) = 0, certified growth orders on the neck,
+and exact/float evaluation.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .coeffs import ONE, RationalCoeff
@@ -136,7 +138,8 @@ class NeckScalar:
 
     @property
     def terms(self) -> Mapping[Key, RationalCoeff]:
-        return self._terms
+        """Read-only view of the term map (families are shared once built)."""
+        return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -230,41 +233,59 @@ class NeckScalar:
 
     # -- calculus -----------------------------------------------------------
 
+    def _axis(self, axis: str) -> int:
+        """Index of a differentiation axis in dim.axes; z is the last."""
+        try:
+            return self.dim.axes.index(axis)
+        except ValueError:
+            raise NeckError(f"unknown axis {axis!r} for dimension {self.dim.d}") from None
+
     def diff(self, axis: str) -> "NeckScalar":
         """Exact partial derivative along 'x1', 'x2' or 'z'."""
-        if axis == "z":
-            out: dict[Key, RationalCoeff] = {}
-            for (p, q, s, r), c in self._terms.items():
-                if q:
-                    _accumulate(out, (p, q - 1, s, r), c.scale(q))
-            return NeckScalar._clean(self.dim, out)
-        try:
-            i = self.dim.axes.index(axis)
-        except ValueError:
-            raise NeckError(f"unknown axis {axis!r} for dimension {self.dim.d}")
-        if i >= self.dim.n_tangential:
-            raise NeckError(f"axis {axis!r} is not tangential")
-        out = {}
-        for (p, q, s, r), c in self._terms.items():
-            if p[i]:
-                pm = tuple(e - 1 if j == i else e for j, e in enumerate(p))
-                _accumulate(out, (pm, q, s, r), c.scale(p[i]))
-            if r:
-                # d(delta^-r)/dx_i = -r * 2 x_i * delta^-(r+1)
-                pp = tuple(e + 1 if j == i else e for j, e in enumerate(p))
-                _accumulate(out, (pp, q, s, r + 1), c.scale(-2 * r))
+        i, nt = self._axis(axis), self.dim.n_tangential
+        out: dict[Key, RationalCoeff] = {}
+        for key, c in self._terms.items():
+            for k, m in _monomial_diff(key, i, nt):
+                _accumulate(out, k, c._scaled(m, 1))
         return NeckScalar._clean(self.dim, out)
+
+    def diff2(self, a: str, b: str) -> "NeckScalar":
+        """Exact second derivative d_a d_b, equal to ``diff(b).diff(a)``.
+
+        Each term's integer multipliers are summed over both steps first,
+        so every output coefficient is scaled and accumulated once.
+        """
+        i, j, nt = self._axis(a), self._axis(b), self.dim.n_tangential
+        out: dict[Key, RationalCoeff] = {}
+        for key, c in self._terms.items():
+            mults: dict[Key, int] = {}
+            for k1, m1 in _monomial_diff(key, j, nt):
+                for k2, m2 in _monomial_diff(k1, i, nt):
+                    mults[k2] = mults.get(k2, 0) + m1 * m2
+            for k, m in mults.items():
+                if m:
+                    _accumulate(out, k, c._scaled(m, 1))
+        return NeckScalar._clean(self.dim, out)
+
+    def boundary_parts(self) -> tuple["NeckScalar", "NeckScalar"]:
+        """Even and odd parts (E, O) of the boundary trace, in one pass.
+
+        Each term c z^q ... becomes (c / 2^q) delta^q ... and goes to E for
+        even q and to O for odd q, so z -> +-delta/2 gives E +- O.
+        """
+        even: dict[Key, RationalCoeff] = {}
+        odd: dict[Key, RationalCoeff] = {}
+        for (p, q, s, r), c in self._terms.items():
+            part = odd if q & 1 else even
+            _term_times_delta(part, self.dim, (p, 0, s, r), c._scaled(1, 2**q), q)
+        return NeckScalar._clean(self.dim, even), NeckScalar._clean(self.dim, odd)
 
     def substitute_boundary(self, side: str) -> "NeckScalar":
         """Substitute z -> side * delta/2 with side in {'+', '-'}."""
         if side not in ("+", "-"):
             raise NeckError("side must be '+' or '-'")
-        sign = 1 if side == "+" else -1
-        out: dict[Key, RationalCoeff] = {}
-        for (p, q, s, r), c in self._terms.items():
-            factor = Fraction(sign**q, 2**q)
-            _term_times_delta(out, self.dim, (p, 0, s, r), c.scale(factor), q)
-        return NeckScalar._clean(self.dim, out)
+        even, odd = self.boundary_parts()
+        return even + odd if side == "+" else even - odd
 
     # -- structure -----------------------------------------------------------
 
@@ -290,13 +311,14 @@ class NeckScalar:
         The lowest weighted degree (x: 1/2, z: 1, eps: 1) of the
         :meth:`expand_polynomial` numerator minus its delta power R.  It is
         at least :meth:`neck_order` and does not change when numerator and
-        denominator are multiplied by delta.
+        denominator are multiplied by delta.  Read off the
+        :meth:`_delta_basis` form, whose monomials keep the order of the
+        terms they come from.
         """
-        num = self.expand_polynomial()
-        if not num:
+        basis = self._delta_basis()
+        if not basis:
             raise NeckError("order of the zero function is undefined (+infinity)")
-        big_r = max(r for (_, _, _, r) in self._terms)
-        return min(term_order((p, q, s, big_r)) for (p, q, s) in num)
+        return min(Fraction(sum(p), 2) + q + e for (p, q, e) in basis)
 
     # -- equality / evaluation -------------------------------------------------
 
@@ -316,7 +338,7 @@ class NeckScalar:
                 self.dim.n_tangential, big_r - r
             ):
                 key = (tuple(a + b for a, b in zip(p, dp)), q, s + ds)
-                cc = c.scale(mult)
+                cc = c._scaled(mult, 1)
                 acc = out.get(key)
                 if acc is not None:
                     cc = acc + cc
@@ -329,7 +351,27 @@ class NeckScalar:
     def equal(self, other: "NeckScalar") -> bool:
         """Semantic equality modulo delta = eps + |x'|^2."""
         _check_same_dim(self, other)
-        return not (self - other).expand_polynomial()
+        return not (self - other)._delta_basis()
+
+    def _delta_basis(self) -> dict[tuple[tuple[int, ...], int, int], RationalCoeff]:
+        """The scalar as a Laurent polynomial in x', z and delta.
+
+        Substituting eps = delta - |x'|^2 turns a term with eps^s into the
+        monomials x'^p z^q delta^e of (delta - |x'|^2)^s / delta^r (e may
+        be negative), keyed (p, q, e).  x', z and delta are algebraically
+        independent, so the map is unique: empty iff the scalar is zero.
+        Each monomial has the weighted degree of its term (x: 1/2, z: 1,
+        delta: 1).  Unlike :meth:`expand_polynomial` it never expands a
+        power of delta, and eps^s has small s on the neck families.
+        """
+        out: dict[tuple[tuple[int, ...], int, int], RationalCoeff] = {}
+        for (p, q, s, r), c in self._terms.items():
+            # (delta - |x'|^2)^s from the monomials of (delta + |x'|^2)^s
+            for (dp, ds), mult in _delta_power_monomials(self.dim.n_tangential, s):
+                sign = -1 if (s - ds) & 1 else 1
+                key = (tuple(a + b for a, b in zip(p, dp)), q, ds - r)
+                _accumulate(out, key, c._scaled(sign * mult, 1))
+        return out
 
     def evaluate(
         self,
@@ -417,6 +459,20 @@ def term_order(key: Key) -> Fraction:
     return Fraction(sum(p), 2) + q + s - r
 
 
+def _monomial_diff(key: Key, i: int, nt: int) -> list[tuple[Key, int]]:
+    """d/dx_i of one monomial (i = nt is z) as (key, integer multiplier) pairs."""
+    p, q, s, r = key
+    if i == nt:
+        return [((p, q - 1, s, r), q)] if q else []
+    out = []
+    if p[i]:
+        out.append(((p[:i] + (p[i] - 1,) + p[i + 1 :], q, s, r), p[i]))
+    if r:
+        # d(delta^-r)/dx_i = -r * 2 x_i * delta^-(r+1)
+        out.append(((p[:i] + (p[i] + 1,) + p[i + 1 :], q, s, r + 1), -2 * r))
+    return out
+
+
 def _accumulate(out: dict[Key, RationalCoeff], key: Key, c: RationalCoeff) -> None:
     acc = out.get(key)
     if acc is not None:
@@ -437,7 +493,7 @@ def _term_times_delta(
         return
     for (dp, ds), mult in _delta_power_monomials(dim.n_tangential, k - r):
         kk = (tuple(a + b for a, b in zip(p, dp)), q, s + ds, 0)
-        _accumulate(out, kk, c.scale(mult))
+        _accumulate(out, kk, c._scaled(mult, 1))
 
 
 _DELTA_CACHE: dict[tuple[int, int], tuple[tuple[tuple[tuple[int, ...], int], int], ...]] = {}
@@ -468,20 +524,18 @@ def _delta_power_monomials(
 def green_solve(g: NeckScalar) -> NeckScalar:
     """Solve d^2 w/dz^2 = g with w(+-delta/2) = 0, exactly.
 
-    Termwise double antidifferentiation in z plus the unique correction
-    A + B*z matching the two boundary values.
+    Termwise double antidifferentiation in z gives w0, plus the unique
+    correction A + B*z matching the two boundary values.  With the parity
+    split w0(+-delta/2) = E +- O (:meth:`NeckScalar.boundary_parts`), the
+    sum and difference of the two traces are 2E and 2O, so A = -E and
+    B = -2O/delta.
     """
-    dim = g.dim
-    anti: dict[Key, RationalCoeff] = {}
-    for (p, q, s, r), c in g.terms.items():
-        _accumulate(anti, (p, q + 2, s, r), c.scale(Fraction(1, (q + 1) * (q + 2))))
-    w0 = NeckScalar._clean(dim, anti)
-    top = w0.substitute_boundary("+")
-    bot = w0.substitute_boundary("-")
-    # A = -(top + bot)/2 ; B = -(top - bot)/delta
-    a = (top + bot).scale(Fraction(-1, 2))
-    b = (top - bot).scale(-1).mul_delta(-1)
-    return w0 + a + b.mul_z(1)
+    anti = {
+        (p, q + 2, s, r): c._scaled(1, (q + 1) * (q + 2)) for (p, q, s, r), c in g._terms.items()
+    }
+    w0 = NeckScalar._clean(g.dim, anti)
+    even, odd = w0.boundary_parts()
+    return w0 - even + odd.scale(-2).mul_delta(-1).mul_z(1)
 
 
 class NeckField:

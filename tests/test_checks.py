@@ -71,6 +71,52 @@ def test_boundary_negative_control(families_depth3):
     assert rep.witness and "level 2" in rep.witness
 
 
+# The witness texts are those of the check that substituted each side
+# separately; the parity split must name the same level, component and side.
+@pytest.mark.parametrize(
+    "level,comp,extra,witness",
+    [
+        # odd in z: the parity split puts its trace x1/(2 delta) in O
+        (
+            2,
+            0,
+            NeckScalar.term(DIM2, ONE, p=(1,), q=1, r=2),
+            "level 2 comp 1 side +: [((1)) / (2)]*x1/d",
+        ),
+        # even in z: its trace eps/(4 delta) goes to E
+        (
+            2,
+            1,
+            NeckScalar.term(DIM2, ONE, q=2, s=1, r=3),
+            "level 2 comp 2 side +: [((1)) / (4)]*eps/d",
+        ),
+        # x1 (z/delta - 1/2)/delta vanishes on top and is -x1/delta on the bottom
+        (
+            2,
+            1,
+            NeckScalar.term(DIM2, ONE, p=(1,), q=1, r=2)
+            - NeckScalar.term(DIM2, ONE, p=(1,), r=1).scale(Fraction(1, 2)),
+            "level 2 comp 2 side -: [-1]*x1/d",
+        ),
+        # level 1 on top: the trace minus psi_1
+        (
+            1,
+            0,
+            NeckScalar.term(DIM2, ONE, p=(1,), q=1, r=2),
+            "level 1 comp 1 side +: [((1)) / (2)]*x1/d",
+        ),
+    ],
+)
+def test_boundary_witness_names_level_component_and_side(
+    families_depth3, level, comp, extra, witness
+):
+    bad = _mutate_level(families_depth3[(2, 1)], level, comp, extra)
+    rep = check_boundary(bad)
+    assert not rep.passed
+    assert rep.witness == witness
+    assert rep.metadata["level"] == level
+
+
 def test_cancel_identity_negative_control(families_depth3):
     fam = families_depth3[(2, 1)]
     bad = _mutate_level(fam, 2, 1, NeckScalar.term(DIM2, ONE, q=2, s=1, r=2))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lamegap.cli import main
+from lamegap.families import MAX_DEPTH
 from lamegap.fem.solve import SolverError, gap_center_node
 
 
@@ -39,7 +40,8 @@ def test_aux_build_invalid_alpha(capsys):
 
 
 def test_aux_build_depth_over_cap_exits_2(capsys):
-    assert main(["aux", "build", "--dim", "2", "--alpha", "1", "--depth", "7"]) == 2
+    over_cap = str(MAX_DEPTH + 1)
+    assert main(["aux", "build", "--dim", "2", "--alpha", "1", "--depth", over_cap]) == 2
     assert "depth" in capsys.readouterr().err
 
 
@@ -192,7 +194,7 @@ def test_fem_solve_rejects_nonpositive_stride(tmp_path, monkeypatch, capsys, str
         "sweep.eps = 0.1, nan, 0.025, 0.0125",
         "sweep.eps = 0.1, 0.05, inf, 0.0125",
         "compare.depth = 0",
-        "compare.depth = 7",
+        f"compare.depth = {MAX_DEPTH + 1}",
         "workers = 0",
     ],
 )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamegap import coeffs
+from lamegap import coeffs, families
 from lamegap.coeffs import ParamPoly, RationalCoeff, parse, poly_gcd
 from lamegap.families import alpha_range, build_family
 from lamegap.neck import DIM2, DIM3
@@ -140,6 +140,8 @@ def test_family_builds_never_reach_the_prs(monkeypatch):
         return prs(*args)
 
     monkeypatch.setattr(coeffs, "_gcd", counted)
+    # build every family anew, not from an earlier test's builds
+    monkeypatch.setattr(families, "_BUILT", {})
     for dim in (DIM2, DIM3):
         for alpha in alpha_range(dim):
             build_family(dim, alpha, 3)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lamegap import families
 from lamegap.coeffs import ONE, parse
 from lamegap.families import (
     AuxFamily,
@@ -205,7 +206,7 @@ def test_depth_outside_cap_rejected():
 
 def test_depth_cap_and_telemetry():
     with pytest.raises(FamilyError):
-        build_family(DIM2, 1, 7)
+        build_family(DIM2, 1, MAX_DEPTH + 1)
     fam = build_family(DIM2, 1, 2)
     stats = fam.coefficient_stats()
     assert stats["terms"] > 0 and stats["max_coeff_bits"] >= 1
@@ -217,3 +218,67 @@ def test_route_equivalence_level5_invariant(d, alpha, families_depth5):
     fam_i = families_depth5[(d, alpha)]
     fam_r = build_family(dim, alpha, 5, route="recursion")
     assert fam_i.v(5).equal(fam_r.v(5))
+
+
+# -- one build per family ----------------------------------------------------
+
+
+def _fields(fam: AuxFamily) -> list:
+    return [fld.components for fld in fam.levels + fam.residuals]
+
+
+def _count_extensions(monkeypatch) -> list:
+    calls = []
+
+    def counted(fam):
+        calls.append(fam.depth)
+        return extend_integral(fam)
+
+    monkeypatch.setattr(families, "extend_integral", counted)
+    return calls
+
+
+def test_shallower_request_is_the_prefix_of_the_deepest_build(monkeypatch):
+    monkeypatch.setattr(families, "_BUILT", {})
+    build_family(DIM3, 1, 3)
+    calls = _count_extensions(monkeypatch)
+    fam = build_family(DIM3, 1, 2)
+    assert calls == []
+    assert fam.depth == 2
+    monkeypatch.setattr(families, "_BUILT", {})
+    cold = build_family(DIM3, 1, 2)
+    assert calls == [1]
+    assert _fields(fam) == _fields(cold)
+    assert fam.to_json_obj() == cold.to_json_obj()
+
+
+def test_deeper_request_extends_the_cached_family_once(monkeypatch):
+    monkeypatch.setattr(families, "_BUILT", {})
+    shallow = build_family(DIM2, 2, 3)
+    calls = _count_extensions(monkeypatch)
+    deep = build_family(DIM2, 2, 4)
+    assert calls == [3]
+    assert _fields(deep)[:3] == _fields(shallow)[:3]
+    assert _fields(deep)[4:7] == _fields(shallow)[3:]
+    # the depth-4 family replaced the entry: asking again extends nothing
+    assert _fields(build_family(DIM2, 2, 4)) == _fields(deep)
+    assert calls == [3]
+
+
+def test_recursion_route_rebuilds_a_deeper_request(monkeypatch):
+    monkeypatch.setattr(families, "_BUILT", {})
+    shallow = build_family(DIM2, 1, 2, route="recursion")
+    deep = build_family(DIM2, 1, 4, route="recursion")
+    assert _fields(deep)[:2] == _fields(shallow)[:2]
+    assert _fields(deep)[4:6] == _fields(shallow)[2:]
+    # the shallow request is now a prefix of the rebuilt entry
+    assert _fields(build_family(DIM2, 1, 2, route="recursion")) == _fields(shallow)
+
+
+def test_shared_terms_are_read_only(families_depth3):
+    comp = families_depth3[(2, 1)].v(2)[0]
+    key = next(iter(comp.terms))
+    with pytest.raises(TypeError):
+        comp.terms[key] = ONE
+    with pytest.raises(TypeError):
+        del comp.terms[key]

@@ -445,7 +445,7 @@ def run_suite(
         reports.append(check_residual_order(fam))
         reports.append(check_z_degree(fam))
         if with_lower_bound and fam.alpha == 1:
-            for m in range(1, min(fam.depth, 4) + 1):
+            for m in range(1, fam.depth + 1):
                 for r in (Fraction(1, 10), Fraction(1, 20)):
                     reports.append(lower_bound_probe(fam, m, r=r))
     reports.sort(key=lambda c: (c.metadata.get("d", 0), c.metadata.get("alpha", 0), c.name))

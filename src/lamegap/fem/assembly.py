@@ -96,15 +96,30 @@ def check_ellipticity(lam: float, mu: float) -> None:
 
 @dataclass
 class ElasticitySystem:
-    """Assembled stiffness with its mesh and material table."""
+    """Assembled stiffness with its mesh and material table.
+
+    `release` drops the stiffness and the factor; the next read of `K`
+    assembles it again.  Assembly is deterministic, so that is the same
+    matrix, bit for bit.
+    """
 
     mesh: Mesh
-    K: sp.csr_matrix
+    _K: sp.csr_matrix | None = field(repr=False, compare=False)
     lam: float
     mu: float
     materials: dict[str, tuple[float, float]]
     # reduced system of the latest constraint pattern, kept by fem.solve
     _reduced: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def K(self) -> sp.csr_matrix:
+        if self._K is None:
+            self._K = assemble(self.mesh, self.lam, self.mu, self.materials)._K
+        return self._K
+
+    def release(self) -> None:
+        """Drop the stiffness matrix and the factor of the latest pattern."""
+        self._K = self._reduced = None
 
     @property
     def n_dofs(self) -> int:
@@ -172,4 +187,4 @@ def assemble(
     cols = np.tile(dofs, (1, 12)).ravel()
     n = 2 * mesh.n_nodes
     K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return ElasticitySystem(mesh=mesh, K=K, lam=lam, mu=mu, materials=dict(materials))
+    return ElasticitySystem(mesh, K, lam, mu, dict(materials))

@@ -13,7 +13,8 @@ the default column ordering with partial pivoting.  A constraint pattern
 (fixed DOF mask plus rigid node groups) is factorized once per system: later
 solves with the same pattern and new boundary values reuse the factor, and
 only the latest pattern is kept.  Every solve verifies the relative backward
-error.
+error.  The stiffness is read through `ElasticitySystem.K`, which assembles
+it again after `ElasticitySystem.release`.
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ Each study then fits log-log rates to its records and evaluates its
 pass/fail criteria against tolerances carried in the configuration (every
 threshold is echoed into the report; there are no hidden numbers).
 
+The cases outlive the call: the process keeps those of the latest
+configuration, so a later study on the same meshes reads the fields an
+earlier one solved.  Once an eps has been read, its stiffness matrices and
+factors are dropped (a later solve assembles the stiffness again), so only
+the meshes and the solved fields stay.
+
 Every quantity is read at mesh nodes.  Gradient magnitudes are measured as
 the maximum absolute matrix entry.  "Gap" quantities are maximized over the
 mid-gap band: the nodes of neck elements on the gap's mid-line with
@@ -24,8 +30,7 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -285,6 +290,9 @@ class _EpsCase:
     One assembled system is kept per `MeshParams`, and each field is solved
     at most once, keyed by (solver, arguments, mesh params).  The compare
     mesh has grading factor 1 at eps_max, so there it is the shared mesh.
+    A case serves every config with the same `_solve_key`; `cfg` is the one
+    it was made for, read only for what reaches a mesh or a solve.  The
+    stored field arrays are read-only.
     """
 
     def __init__(self, cfg: SweepConfig, eps: float):
@@ -300,8 +308,18 @@ class _EpsCase:
             if params not in self._systems:
                 self._systems[params] = assemble(generate_mesh(self.geom, params), cfg.lam, cfg.mu)
             system = self._systems[params]
-            self._fields[key] = solver(self.geom, cfg.lam, cfg.mu, *args, system=system)
+            result = solver(self.geom, cfg.lam, cfg.mu, *args, system=system)
+            fld = result[0] if isinstance(result, tuple) else result
+            for arr in (fld.u, fld.rigid):
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._fields[key] = result
         return self._fields[key]
+
+    def release(self) -> None:
+        """Drop every system's stiffness and factor; meshes and fields stay."""
+        for system in self._systems.values():
+            system.release()
 
     def mid_gap(self, mesh: Mesh) -> np.ndarray:
         """The mid-gap band nodes of `mesh`: nodes of neck elements with
@@ -339,7 +357,7 @@ def _origin_grad(case: _EpsCase, fld: DisplacementField) -> float:
     return float(np.abs(sample(fld, [center], "gradient")[0]).max())
 
 
-def _record_rates(case: _EpsCase) -> dict:
+def _record_rates(cfg: SweepConfig, case: _EpsCase) -> dict:
     rec = {}
     for alpha in (1, 2, 3):
         fld = case.field(solve_component, 1, alpha)
@@ -347,13 +365,13 @@ def _record_rates(case: _EpsCase) -> dict:
         # a translation's shear entry du_alpha/dz; every entry for the rotation
         rec[f"u1{alpha}_gap_max"] = float((grads[:, alpha - 1, 1] if alpha < 3 else grads).max())
         rec[f"u1{alpha}_origin"] = _origin_grad(case, fld)
-    fld, _ = case.field(solve_hard_inclusion, BOUNDARY_DATA[case.cfg.phi])
+    fld, _ = case.field(solve_hard_inclusion, BOUNDARY_DATA[cfg.phi])
     rec["full_gap_max"] = _gap_max(case, fld)
     return rec
 
 
-def _record_constants(case: _EpsCase) -> dict:
-    cfg, eps = case.cfg, case.eps
+def _record_constants(cfg: SweepConfig, case: _EpsCase) -> dict:
+    eps = case.eps
     _, c = case.field(solve_hard_inclusion, BOUNDARY_DATA[cfg.phi])
     rec = {"c_norm": float(np.abs(c).max())}
     for alpha in (1, 2, 3):
@@ -365,8 +383,8 @@ def _record_constants(case: _EpsCase) -> dict:
     return rec
 
 
-def _record_compare(case: _EpsCase) -> dict:
-    cfg, eps, geom = case.cfg, case.eps, case.geom
+def _record_compare(cfg: SweepConfig, case: _EpsCase) -> dict:
+    eps, geom = case.eps, case.geom
     params = cfg.mesh_params(eps, ct_power=cfg.ct_eps_power or 1.0 / 3.0)
     fld = case.field(solve_component, 1, 1, params=params)
 
@@ -405,7 +423,7 @@ def _record_compare(case: _EpsCase) -> dict:
     }
 
 
-def _record_cancel(case: _EpsCase) -> dict:
+def _record_cancel(cfg: SweepConfig, case: _EpsCase) -> dict:
     f11, f21, f13, f23 = (
         case.field(solve_component, i, alpha) for alpha in (1, 3) for i in (1, 2)
     )
@@ -416,8 +434,8 @@ def _record_cancel(case: _EpsCase) -> dict:
     }
 
 
-def _record_holes(case: _EpsCase) -> dict:
-    fld = case.field(solve_holes, BOUNDARY_DATA[case.cfg.phi])
+def _record_holes(cfg: SweepConfig, case: _EpsCase) -> dict:
+    fld = case.field(solve_holes, BOUNDARY_DATA[cfg.phi])
     rigid = case.field(solve_holes, BOUNDARY_DATA["rigid_psi3"])
     rec = {"holes_gap_max": _gap_max(case, fld)}
     rec["u_inf_neck"] = float(np.abs(sample(fld, case.mid_gap(fld.mesh), "value")).max())
@@ -568,15 +586,47 @@ _STUDIES = {
 }
 
 
+# SweepConfig fields that reach no mesh and no solve.  A config that differs
+# from the kept cases' in any other field, or in max(eps_grid) (it grades
+# the meshes), drops them.
+_READ_ONLY_FIELDS = frozenset({"eps_grid", "compare_depth", "study_id", "workers", "tolerances"})
+
+# the cases of the latest configuration: {_solve_key(cfg): {eps: case}}, at
+# most one entry.  Forked workers start from a copy of it; what they add is
+# lost when they exit.
+_CASES: dict[tuple, dict[float, _EpsCase]] = {}
+
+
+def _solve_key(cfg: SweepConfig) -> tuple:
+    named = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _READ_ONLY_FIELDS]
+    return (max(cfg.eps_grid), *named)
+
+
+def _cases(cfg: SweepConfig) -> dict[float, _EpsCase]:
+    """The kept cases for `cfg`, by eps; a different configuration first
+    drops the ones kept."""
+    key = _solve_key(cfg)
+    if key not in _CASES:
+        _CASES.clear()
+        _CASES[key] = {}
+    return _CASES[key]
+
+
 def _eps_records(cfg: SweepConfig, kinds: tuple[str, ...], eps: float) -> dict[str, dict]:
-    """The record of every study in `kinds` at one eps, from one case
+    """The record of every study in `kinds` at one eps, from its kept case
     (module-level, so the process pool can map it)."""
-    case = _EpsCase(cfg, eps)
-    return {
-        kind: {"eps": eps, **record(case)}
-        for kind, (record, _) in _STUDIES.items()
-        if kind in kinds
-    }
+    cases = _cases(cfg)
+    case = cases.get(eps)
+    if case is None:
+        case = cases[eps] = _EpsCase(cfg, eps)
+    try:
+        return {
+            kind: {"eps": eps, **record(cfg, case)}
+            for kind, (record, _) in _STUDIES.items()
+            if kind in kinds
+        }
+    finally:
+        case.release()
 
 
 def run_studies(cfg: SweepConfig, kinds: Sequence[str] | None = None) -> dict[str, StudyReport]:
@@ -585,9 +635,12 @@ def run_studies(cfg: SweepConfig, kinds: Sequence[str] | None = None) -> dict[st
     kinds = tuple(RUNNERS if kinds is None else kinds)
     if not set(kinds) <= set(_STUDIES):
         raise StudyError(f"unknown study in {kinds}")
+    _cases(cfg)  # drop kept cases of another configuration before any fork
     run = partial(_eps_records, cfg, kinds)
     grid = sorted(cfg.eps_grid, reverse=True)  # records merge in sweep order
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 6 ms to import, so only here
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_eps = list(pool.map(run, grid))
     else:

@@ -196,7 +196,10 @@ def test_fd_oracle_depth3_component(families_depth3):
 # -- lower bound probe -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m,target", [(1, -1.0), (2, -1.5), (3, -2.0), (4, -2.5)])
+@pytest.mark.parametrize(
+    "m,target",
+    [(1, -1.0), (2, -1.5), (3, -2.0), (4, -2.5), (5, -3.0), (6, -3.5), (7, -4.0), (8, -4.5)],
+)
 def test_lower_bound_slopes(families_depth3, m, target):
     fam = families_depth3[(2, 1)]
     for r in (Fraction(1, 10), Fraction(1, 20)):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -254,14 +257,19 @@ def test_study_all_runs_every_study_from_one_pass(tmp_path, monkeypatch, capsys)
 
     single = tmp_path / "single"
     single.mkdir()
+    monkeypatch.setattr(studies, "_CASES", {})
     for kind in ("rates", "constants", "compare", "cancel", "holes"):
         assert main(
             ["study", kind, "--config", str(cfg),
              "--json", str(single / f"{kind}.json"), "--out", str(single / f"{kind}.csv")]
         ) == 0
-    assert counts == {"generate_mesh": 20, "splu": 24}
+    # the calls share the kept cases, so each mesh is made once; a call
+    # drops the factors of each eps it read, so cancel factors the
+    # component pattern again: 4 factorizations more than study all
+    assert counts == {"generate_mesh": 7, "splu": 19}
 
     counts.update(generate_mesh=0, splu=0)
+    monkeypatch.setattr(studies, "_CASES", {})
     both = tmp_path / "all"
     assert main(["study", "all", "--config", str(cfg), "--json", str(both), "--out", str(both)]) == 0
     # 4 shared meshes plus the compare meshes below eps_max; per shared
@@ -272,6 +280,24 @@ def test_study_all_runs_every_study_from_one_pass(tmp_path, monkeypatch, capsys)
     for name in names:
         assert (both / name).read_bytes() == (single / name).read_bytes(), name
 
+    monkeypatch.setattr(studies, "_CASES", {})
     pooled = studies.run_studies(replace(load_config(str(cfg)), workers=2))
     for kind, report in pooled.items():
         assert report.records == json.loads((both / f"{kind}.json").read_text())["records"]
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # the pool is imported only when a study runs with workers > 1
+    import lamegap
+
+    src = str(Path(lamegap.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = (
+        "import sys, lamegap.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

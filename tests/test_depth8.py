@@ -15,7 +15,8 @@ from lamegap.neck import DIM2, DIM3
 pytestmark = pytest.mark.slow
 
 
-@pytest.mark.parametrize("route,n_checks", [("integral", 52), ("recursion", 36)])
+# the lower-bound probe runs for m = 1..8 on both alpha = 1 families, at two radii
+@pytest.mark.parametrize("route,n_checks", [("integral", 68), ("recursion", 52)])
 def test_aux_verify_depth8_passes(tmp_path, capsys, route, n_checks):
     out = tmp_path / "verify.json"
     assert main(["aux", "verify", "--route", route, "--depth", "8", "--json", str(out)]) == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -189,12 +190,14 @@ def test_constant_study_phi_sensitivity():
     assert abs(b_base - b_alt) > 1e-3 * abs(b_base)
 
 
-def test_workers_pool_path_matches_sequential():
-    from dataclasses import replace
+def test_workers_pool_path_matches_sequential(monkeypatch):
+    from lamegap import studies
     from lamegap.studies import run_constant_study
 
     cfg = SweepConfig(study_id="pool")
     seq = run_constant_study(cfg)
+    # the workers solve afresh rather than read the cases kept above
+    monkeypatch.setattr(studies, "_CASES", {})
     par = run_constant_study(replace(cfg, workers=2))
     assert seq.records == par.records
 
@@ -262,3 +265,113 @@ def test_holes_rigid_control_is_a_direct_bound():
         r["rigid_grad"] = 1 - 2e-8
     _, checks = _report_holes(tol, records)
     assert not checks["rigid_control"]["passed"]
+
+
+# -- kept cases -------------------------------------------------------------------
+
+KINDS = ("rates", "constants", "compare", "cancel", "holes")
+COARSE = dict(nr=8, arc_target=0.24)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Empty the kept cases and count meshes and factorizations from here on."""
+    import scipy.sparse.linalg as spla
+
+    from lamegap import studies
+
+    monkeypatch.setattr(studies, "_CASES", {})
+    tally = {"generate_mesh": 0, "splu": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            tally[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(studies, "generate_mesh", counted("generate_mesh", studies.generate_mesh))
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    return tally
+
+
+def test_warm_and_cold_cases_give_identical_reports(monkeypatch, counts):
+    from lamegap import studies
+
+    cfg = SweepConfig(study_id="warm", **COARSE)
+    warm = {kind: studies.RUNNERS[kind](cfg).to_json() for kind in KINDS}
+    (cases,) = studies._CASES.values()
+    systems = [s for case in cases.values() for s in case._systems.values()]
+    assert systems and all(s._K is None and s._reduced is None for s in systems)
+    for kind in KINDS:
+        monkeypatch.setattr(studies, "_CASES", {})
+        assert studies.RUNNERS[kind](cfg).to_json() == warm[kind], kind
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"nr": 9}, {"lam": 2.0}, {"rho2": 0.75}, {"phi": "odd_cubic"},
+     {"eps_grid": (0.12, 0.05, 0.025, 0.0125)}],
+)
+def test_a_solve_field_change_meshes_afresh(counts, change):
+    from lamegap.studies import run_constant_study
+
+    cfg = SweepConfig(**COARSE)
+    run_constant_study(cfg)
+    counts.update(generate_mesh=0, splu=0)
+    run_constant_study(replace(cfg, **change))
+    assert counts == {"generate_mesh": 4, "splu": 4}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"study_id": "other"}, {"workers": 2}, {"compare_depth": 3},
+     {"tolerances": tuple(sorted({**DEFAULT_TOLERANCES, "dc3_rel_max": 1e-9}.items()))}],
+)
+def test_a_read_only_change_keeps_the_cases(counts, change):
+    from lamegap import studies
+
+    cfg = SweepConfig(**COARSE)
+    studies.run_constant_study(cfg)
+    kept = dict(studies._CASES)
+    counts.update(generate_mesh=0, splu=0)
+    studies.run_constant_study(replace(cfg, **change))
+    assert counts == {"generate_mesh": 0, "splu": 0}
+    assert studies._CASES.keys() == kept.keys()
+    for key, cases in kept.items():
+        assert all(studies._CASES[key][eps] is case for eps, case in cases.items())
+
+
+def test_deeper_comparison_after_a_shallow_one_equals_a_cold_run(monkeypatch, counts):
+    from lamegap import studies
+
+    cfg = SweepConfig(study_id="depth", **COARSE)
+    studies.run_neck_comparison(cfg)
+    counts.update(generate_mesh=0, splu=0)
+    warm = studies.run_neck_comparison(cfg, depth=3)
+    assert counts == {"generate_mesh": 0, "splu": 0}
+    monkeypatch.setattr(studies, "_CASES", {})
+    cold = studies.run_neck_comparison(cfg, depth=3)
+    assert warm.to_json() == cold.to_json()
+    assert warm.config["compare_depth"] == 3
+
+
+def test_kept_fields_are_read_only_and_released_energy_is_exact(counts):
+    from lamegap import studies
+
+    cfg = SweepConfig(**COARSE)
+    report = studies.run_holes_study(cfg)
+    (cases,) = studies._CASES.values()
+    assert sorted(cases) == sorted(cfg.eps_grid)
+    for rec in report.records:
+        case = cases[rec["eps"]]
+        fld = case.field(studies.solve_holes, studies.BOUNDARY_DATA[cfg.phi])
+        assert fld.system._K is None
+        with pytest.raises(ValueError):
+            fld.u[0] = 1.0
+        # K is assembled again, bit for bit
+        assert fld.energy() == rec["energy"]
+    assert counts["splu"] == 4
+    _, c = cases[0.1].field(studies.solve_hard_inclusion, studies.BOUNDARY_DATA[cfg.phi])
+    with pytest.raises(ValueError):
+        c[0, 0] = 1.0

@@ -126,14 +126,20 @@ def _cmd_fem_solve(args) -> int:
     return EXIT_OK
 
 
+def _status(passed: bool | None) -> str:
+    """A check's status word; `passed` None marks a check that does not apply."""
+    return "n/a" if passed is None else "pass" if passed else "FAIL"
+
+
 def _print_study(kind: str, report: StudyReport) -> None:
     print(f"study {kind} ({report.study_id}):")
     for name in sorted(report.checks):
         c = report.checks[name]
-        status = "pass" if c["passed"] else "FAIL"
         val = c.get("value")
         shown = f"{val:.6g}" if isinstance(val, float) else str(val)
-        print(f"  {name:<28} {status}  value={shown}")
+        print(f"  {name:<28} {_status(c['passed'])}  value={shown}")
+        if c["passed"] is None:
+            print(f"    not applicable: {c['reason']}")
         if c.get("near_zero_excluded"):
             print("    near-zero values excluded from the fit")
         if "note" in c:
@@ -169,12 +175,12 @@ def _cmd_report(args) -> int:
             rep = StudyReport.from_json(fh.read())
         for name, c in sorted(rep.checks.items()):
             rows.append((rep.study_id, rep.study, name, c["passed"], c.get("value")))
-            ok = ok and c["passed"]
+            ok = ok and c["passed"] is not False
     width = max((len(r[0]) + len(r[2]) for r in rows), default=20) + 4
     print(f"{'study':<16} {'kind':<10} {'check':<28} {'status':<7} value")
     for sid, kind, name, passed, value in rows:
         shown = f"{value:.6g}" if isinstance(value, float) else str(value)
-        print(f"{sid:<16} {kind:<10} {name:<28} {'pass' if passed else 'FAIL':<7} {shown}")
+        print(f"{sid:<16} {kind:<10} {name:<28} {_status(passed):<7} {shown}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(

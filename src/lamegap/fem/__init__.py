@@ -8,6 +8,7 @@ from .solve import (
     incident_gradients,
     sample,
     solve_component,
+    solve_components,
     solve_hard_inclusion,
     solve_holes,
     solve_large_contrast,
@@ -29,6 +30,7 @@ __all__ = [
     "incident_gradients",
     "sample",
     "solve_component",
+    "solve_components",
     "solve_hard_inclusion",
     "solve_holes",
     "solve_large_contrast",

@@ -108,7 +108,7 @@ class ElasticitySystem:
     lam: float
     mu: float
     materials: dict[str, tuple[float, float]]
-    # reduced system of the latest constraint pattern, kept by fem.solve
+    # reduced system of the latest set of prescribed boundaries, kept by fem.solve
     _reduced: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -118,7 +118,7 @@ class ElasticitySystem:
         return self._K
 
     def release(self) -> None:
-        """Drop the stiffness matrix and the factor of the latest pattern."""
+        """Drop the stiffness matrix and the latest factor."""
         self._K = self._reduced = None
 
     @property

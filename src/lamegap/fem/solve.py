@@ -1,20 +1,28 @@
 """Constrained solves on the two-inclusion geometry and field reads at nodes.
 
-Boundary handling is by DOF condensation: the full displacement vector is
-u = T y + g, with g carrying prescribed Dirichlet values and T mapping the
-reduced unknowns (free nodal DOFs plus, for hard inclusions, three rigid
-parameters per inclusion) into nodal DOFs.  The reduced system A = T'KT is
-symmetric positive definite (SPD), so it is factorized by SuperLU in
-symmetric mode: a minimum-degree ordering of the pattern of A' + A, applied
-to rows and columns alike, and diagonal pivots.  Because A is SPD, every
-diagonal pivot is positive and the elimination is stable without row
-interchanges, and the symmetric ordering keeps the fill under half that of
-the default column ordering with partial pivoting.  A constraint pattern
-(fixed DOF mask plus rigid node groups) is factorized once per system: later
-solves with the same pattern and new boundary values reuse the factor, and
-only the latest pattern is kept.  Every solve verifies the relative backward
-error.  The stiffness is read through `ElasticitySystem.K`, which assembles
-it again after `ElasticitySystem.release`.
+Boundary handling is by DOF condensation: every problem prescribes all DOFs
+on a set of boundaries, and the reduced system A is K restricted to the
+other DOFs (index slicing, with entries that cancelled in assembly
+dropped).  A is symmetric positive definite (SPD), so it is factorized by
+SuperLU in symmetric mode: a minimum-degree ordering of the pattern of
+A' + A, applied to rows and columns alike, and diagonal pivots.  Because A
+is SPD, every diagonal pivot is positive and the elimination is stable
+without row interchanges, and the symmetric ordering keeps the fill under
+half that of the default column ordering with partial pivoting.  A set of
+boundaries is factorized once per system and solved for a block of
+right-hand sides; later solves on the same boundaries reuse the factor, and
+only the latest factor is kept.  Every column gets two steps of iterative
+refinement and a check of its relative backward error.
+
+The component problems v_i^alpha and the hard-inclusion problem prescribe
+the same boundaries (outer, incl1, incl2), so one factor per mesh serves
+all of them.  A hard inclusion is solved as in Bao, Li & Li (2015): u =
+v_0 + sum C_i^alpha v_i^alpha, where v_0 carries phi on the outer circle
+and zero on both inclusions, and C solves the SPD 6x6 system M C = -r with
+M = V'KV and r = V'K v_0 (V the six v_i^alpha).  The holes and
+large-contrast problems prescribe the outer circle only.  The stiffness is
+read through `ElasticitySystem.K`, which assembles it again after
+`ElasticitySystem.release`.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ class DisplacementField:
         solver residual, since interior rows of K u vanish)."""
         r = self.system.K @ self.u
         mask = np.zeros(len(self.u), dtype=bool)
-        for tag in ("outer", "incl1", "incl2"):
+        for tag in INCLUSION_BOUNDARIES:
             nodes = self.mesh.boundary_nodes(tag)
             mask[2 * nodes] = True
             mask[2 * nodes + 1] = True
@@ -94,109 +102,96 @@ class DisplacementField:
 # Condensation and linear solve
 # ---------------------------------------------------------------------------
 
+# the Dirichlet boundaries of the component and hard-inclusion problems
+INCLUSION_BOUNDARIES = ("outer", "incl1", "incl2")
+# (i, alpha) of the six component problems v_i^alpha, in block column order
+COMPONENTS = tuple((i, alpha) for i in (1, 2) for alpha in (1, 2, 3))
+
 
 @dataclass
 class _ReducedSystem:
-    """T, A = T'KT, its LU factor and ||A||_inf for one constraint pattern."""
+    """K restricted to the DOFs off a set of Dirichlet boundaries, its LU
+    factor and ||A||_inf."""
 
-    key: tuple
-    T: sp.csr_matrix
+    tags: tuple[str, ...]
+    free: np.ndarray
     A: sp.csr_matrix
     lu: spla.SuperLU
     norm_a: float
 
 
-def _reduced_system(
-    system: ElasticitySystem, fixed: np.ndarray, rigid_groups: Sequence[np.ndarray]
-) -> _ReducedSystem:
-    """The reduced system of `system` for the pattern (fixed DOF mask, rigid
-    node groups).  Only the latest pattern is kept on the system."""
-    groups = [np.asarray(nodes, dtype=np.int64) for nodes in rigid_groups]
-    key = (fixed.tobytes(), tuple(nodes.tobytes() for nodes in groups))
-    if system._reduced is not None and system._reduced.key == key:
+def _reduced_system(system: ElasticitySystem, tags: tuple[str, ...]) -> _ReducedSystem:
+    """The reduced system of `system` with every DOF on the boundaries `tags`
+    prescribed.  Only the latest one is kept on the system."""
+    if system._reduced is not None and system._reduced.tags == tags:
         return system._reduced
     system._reduced = None  # release the old factor before building the new one
-
-    n = system.n_dofs
-    tied = np.zeros(n, dtype=bool)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    n_rigid = 3 * len(groups)
-    for gi, nodes in enumerate(groups):
-        clash = nodes[fixed[2 * nodes]]
-        if len(clash):
-            raise SolverError(f"node {clash[0]} both prescribed and rigid-tied")
-        x, y = system.mesh.nodes[nodes].T
-        base = np.full(len(nodes), 3 * gi)
-        ones = np.ones(len(nodes))
-        tied[2 * nodes] = tied[2 * nodes + 1] = True
-        # u_x = c0 + c2 y,  u_y = c1 - c2 x
-        rows += [2 * nodes, 2 * nodes + 1, 2 * nodes, 2 * nodes + 1]
-        cols += [base, base + 1, base + 2, base + 2]
-        vals += [ones, ones, y, -x]
-    free_idx = np.nonzero(~(fixed | tied))[0]
-    n_red = n_rigid + len(free_idx)
-    rows.append(free_idx)
-    cols.append(np.arange(n_rigid, n_red))
-    vals.append(np.ones(len(free_idx)))
-    T = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n_red)
-    ).tocsr()
-
-    A = (T.T @ system.K @ T).tocsr()
+    fixed = np.zeros(system.n_dofs, dtype=bool)
+    for tag in tags:
+        nodes = system.mesh.boundary_nodes(tag)
+        fixed[2 * nodes] = fixed[2 * nodes + 1] = True
+    free = np.nonzero(~fixed)[0]
+    A = system.K[free][:, free]
+    A.eliminate_zeros()  # entries that cancelled in assembly stay out of the ordering
     try:
         lu = spla.splu(A.tocsc(), **SPD_SPLU)
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     norm_a = float(np.abs(A).sum(axis=1).max())
-    system._reduced = _ReducedSystem(key, T, A, lu, norm_a)
+    system._reduced = _ReducedSystem(tags, free, A, lu, norm_a)
     return system._reduced
 
 
-def _condensed_solve(
-    system: ElasticitySystem,
-    prescribed: dict[int, tuple[float, float]],
-    rigid_groups: Sequence[np.ndarray] = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve K u = 0 with prescribed nodal values and rigid-tied node groups.
+def _check_backward_error(norm_a: float, residual: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:
+    """Reject a solve whose relative backward error ||A x - b|| / (||A|| ||x||
+    + ||b||) exceeds RESIDUAL_TOL in any column; plain ||b|| would be
+    unattainable for the high-contrast cross-check systems."""
+    res = np.linalg.norm(residual, axis=0)
+    scale = np.maximum(norm_a * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0), 1e-300)
+    worst = float(np.max(res / scale))
+    if worst > RESIDUAL_TOL:
+        raise SolverError(f"linear solve residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
-    Returns (u, c) where c stacks 3 rigid parameters per group.
-    """
-    n = system.n_dofs
-    nodes = np.fromiter(prescribed, dtype=np.int64, count=len(prescribed))
-    values = np.array(list(prescribed.values()), dtype=float).reshape(-1, 2)
-    g = np.zeros(n)
-    g[2 * nodes], g[2 * nodes + 1] = values[:, 0], values[:, 1]
-    fixed = np.zeros(n, dtype=bool)
-    fixed[2 * nodes] = fixed[2 * nodes + 1] = True
-    red = _reduced_system(system, fixed, rigid_groups)
 
+def _condensed_solve(system: ElasticitySystem, tags: tuple[str, ...], g: np.ndarray) -> np.ndarray:
+    """Solve K u = 0 off the boundaries `tags` with u = g on them, one
+    problem per column of g ((n,) or (n, k), zero off `tags`)."""
+    red = _reduced_system(system, tags)
     A, lu = red.A, red.lu
-    b = -(red.T.T @ (system.K @ g))
+    b = -(system.K @ g)[red.free]
     y = lu.solve(b)
     # two steps of iterative refinement; high-contrast materials push the
     # raw factorization residual above the acceptance threshold
     for _ in range(2):
         y = y + lu.solve(b - A @ y)
-    res = np.linalg.norm(A @ y - b)
-    # backward-error normalization; plain ||b|| would be unattainable for
-    # the high-contrast cross-check systems
-    scale = max(red.norm_a * np.linalg.norm(y) + np.linalg.norm(b), 1e-300)
-    if res / scale > RESIDUAL_TOL:
-        raise SolverError(
-            f"linear solve residual {res / scale:.3e} exceeds {RESIDUAL_TOL:.0e}"
-        )
-    u = red.T @ y + g
-    n_rigid = 3 * len(rigid_groups)
-    c = y[:n_rigid].reshape(-1, 3) if n_rigid else np.zeros((0, 3))
-    return u, c
+    _check_backward_error(red.norm_a, A @ y - b, y, b)
+    u = g.copy()
+    u[red.free] += y
+    return u
 
 
-def _prescribe(mesh: Mesh, tag: str, fn: Callable[[float, float], tuple[float, float]], out: dict) -> None:
-    for node in mesh.boundary_nodes(tag):
-        x, y = mesh.nodes[node]
-        out[int(node)] = fn(x, y)
+def _dirichlet(mesh: Mesh, data: dict[str, Callable[[float, float], tuple[float, float]]]) -> np.ndarray:
+    """The nodal DOF vector holding data[tag](x, y) at the nodes of each
+    boundary tag and zero elsewhere."""
+    g = np.zeros(2 * mesh.n_nodes)
+    for tag, fn in data.items():
+        for node in mesh.boundary_nodes(tag):
+            x, y = mesh.nodes[node]
+            g[2 * node], g[2 * node + 1] = fn(x, y)
+    return g
+
+
+def _component_data(mesh: Mesh) -> np.ndarray:
+    """The boundary data of the six component problems, one column each."""
+    return np.column_stack(
+        [_dirichlet(mesh, {f"incl{i}": PSI[alpha - 1]}) for i, alpha in COMPONENTS]
+    )
+
+
+def _rigid_system(K: sp.csr_matrix, V: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M = V'KV and r = V'K v0: the energy of v0 + V c is c'Mc/2 + r'c + const."""
+    KV = K @ V
+    return V.T @ KV, KV.T @ v0
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +208,26 @@ def solve_component(
     params: MeshParams | None = None,
     system: ElasticitySystem | None = None,
 ) -> DisplacementField:
-    """u = psi_alpha on inclusion i, u = 0 on the other inclusion and outer."""
+    """v_i^alpha: u = psi_alpha on inclusion i, u = 0 on the other inclusion
+    and outer (solved in the block of all six)."""
     if i not in (1, 2):
         raise ValueError("inclusion index must be 1 or 2")
     if alpha not in (1, 2, 3):
         raise ValueError("alpha must be 1, 2 or 3")
+    return solve_components(geom, lam, mu, params, system)[i, alpha]
+
+
+def solve_components(
+    geom: Geometry,
+    lam: float,
+    mu: float,
+    params: MeshParams | None = None,
+    system: ElasticitySystem | None = None,
+) -> dict[tuple[int, int], DisplacementField]:
+    """All six v_i^alpha by (i, alpha), solved as one block on one factor."""
     system = system or assemble(generate_mesh(geom, params), lam, mu)
-    mesh_ = system.mesh
-    zero = lambda x, y: (0.0, 0.0)
-    prescribed: dict[int, tuple[float, float]] = {}
-    _prescribe(mesh_, "outer", zero, prescribed)
-    _prescribe(mesh_, "incl1" if i == 2 else "incl2", zero, prescribed)
-    _prescribe(mesh_, f"incl{i}", PSI[alpha - 1], prescribed)
-    u, _ = _condensed_solve(system, prescribed)
-    return DisplacementField(system, u)
+    V = _condensed_solve(system, INCLUSION_BOUNDARIES, _component_data(system.mesh))
+    return {ia: DisplacementField(system, v) for ia, v in zip(COMPONENTS, V.T.copy())}
 
 
 def solve_hard_inclusion(
@@ -237,14 +238,20 @@ def solve_hard_inclusion(
     params: MeshParams | None = None,
     system: ElasticitySystem | None = None,
 ) -> tuple[DisplacementField, np.ndarray]:
-    """Energy minimum over fields rigid on each inclusion; returns C (2x3)."""
+    """Energy minimum over fields rigid on each inclusion with u = phi on the
+    outer circle, as u = v_0 + sum C_i^alpha v_i^alpha; returns the field
+    and C (2x3)."""
     system = system or assemble(generate_mesh(geom, params), lam, mu)
     mesh_ = system.mesh
-    prescribed: dict[int, tuple[float, float]] = {}
-    _prescribe(mesh_, "outer", phi, prescribed)
-    groups = [mesh_.boundary_nodes("incl1"), mesh_.boundary_nodes("incl2")]
-    u, c = _condensed_solve(system, prescribed, rigid_groups=groups)
-    return DisplacementField(system, u, rigid=c), c
+    # the six v_i^alpha and v_0 (phi on outer, zero on both inclusions)
+    g = np.column_stack([_component_data(mesh_), _dirichlet(mesh_, {"outer": phi})])
+    sol = _condensed_solve(system, INCLUSION_BOUNDARIES, g)
+    V, v0 = sol[:, :6], sol[:, 6]
+    M, r = _rigid_system(system.K, V, v0)
+    c = np.linalg.solve(M, -r)
+    _check_backward_error(float(np.abs(M).sum(axis=1).max()), M @ c + r, c, r)
+    c = c.reshape(2, 3)
+    return DisplacementField(system, v0 + V @ c.ravel(), rigid=c), c
 
 
 def solve_holes(
@@ -257,10 +264,8 @@ def solve_holes(
 ) -> DisplacementField:
     """Traction-free inclusion boundaries, Dirichlet phi on the outer circle."""
     system = system or assemble(generate_mesh(geom, params), lam, mu)
-    prescribed: dict[int, tuple[float, float]] = {}
-    _prescribe(system.mesh, "outer", phi, prescribed)
-    u, _ = _condensed_solve(system, prescribed)
-    return DisplacementField(system, u)
+    g = _dirichlet(system.mesh, {"outer": phi})
+    return DisplacementField(system, _condensed_solve(system, ("outer",), g))
 
 
 def solve_large_contrast(
@@ -276,10 +281,8 @@ def solve_large_contrast(
     base = generate_mesh(geom, params)
     mesh = add_inclusion_interiors(base)
     system = assemble(mesh, lam, mu, materials={"incl1": (lam1, mu1), "incl2": (lam1, mu1)})
-    prescribed: dict[int, tuple[float, float]] = {}
-    _prescribe(mesh, "outer", phi, prescribed)
-    u, _ = _condensed_solve(system, prescribed)
-    return DisplacementField(system, u)
+    g = _dirichlet(mesh, {"outer": phi})
+    return DisplacementField(system, _condensed_solve(system, ("outer",), g))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .fem.solve import (
     gap_center_node,
     incident_gradients,
     sample,
-    solve_component,
+    solve_components,
     solve_hard_inclusion,
     solve_holes,
 )
@@ -217,7 +217,9 @@ class StudyReport:
 
     @property
     def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks.values())
+        """Every applicable check passed (a check whose `passed` is None does
+        not apply to this configuration)."""
+        return all(c["passed"] for c in self.checks.values() if c["passed"] is not None)
 
     def to_json(self) -> str:
         obj = {
@@ -288,7 +290,9 @@ class _EpsCase:
     """The geometry and the solved fields at one eps.
 
     One assembled system is kept per `MeshParams`, and each field is solved
-    at most once, keyed by (solver, arguments, mesh params).  The compare
+    at most once, keyed by (solver, arguments, mesh params).  The six
+    component fields of a mesh are solved together, on its first component
+    request, and the hard-inclusion solve reuses their factor.  The compare
     mesh has grading factor 1 at eps_max, so there it is the shared mesh.
     A case serves every config with the same `_solve_key`; `cfg` is the one
     it was made for, read only for what reaches a mesh or a solve.  The
@@ -309,12 +313,17 @@ class _EpsCase:
                 self._systems[params] = assemble(generate_mesh(self.geom, params), cfg.lam, cfg.mu)
             system = self._systems[params]
             result = solver(self.geom, cfg.lam, cfg.mu, *args, system=system)
-            fld = result[0] if isinstance(result, tuple) else result
-            for arr in (fld.u, fld.rigid):
-                if arr is not None:
-                    arr.flags.writeable = False
+            for fld in result.values() if isinstance(result, dict) else [result]:
+                fld = fld[0] if isinstance(fld, tuple) else fld
+                for arr in (fld.u, fld.rigid):
+                    if arr is not None:
+                        arr.flags.writeable = False
             self._fields[key] = result
         return self._fields[key]
+
+    def component(self, i: int, alpha: int, params: MeshParams | None = None) -> DisplacementField:
+        """v_i^alpha on the mesh of `params` (default: the shared mesh)."""
+        return self.field(solve_components, params=params)[i, alpha]
 
     def release(self) -> None:
         """Drop every system's stiffness and factor; meshes and fields stay."""
@@ -360,7 +369,7 @@ def _origin_grad(case: _EpsCase, fld: DisplacementField) -> float:
 def _record_rates(cfg: SweepConfig, case: _EpsCase) -> dict:
     rec = {}
     for alpha in (1, 2, 3):
-        fld = case.field(solve_component, 1, alpha)
+        fld = case.component(1, alpha)
         grads = _band_grads(case, fld)
         # a translation's shear entry du_alpha/dz; every entry for the rotation
         rec[f"u1{alpha}_gap_max"] = float((grads[:, alpha - 1, 1] if alpha < 3 else grads).max())
@@ -386,7 +395,7 @@ def _record_constants(cfg: SweepConfig, case: _EpsCase) -> dict:
 def _record_compare(cfg: SweepConfig, case: _EpsCase) -> dict:
     eps, geom = case.eps, case.geom
     params = cfg.mesh_params(eps, ct_power=cfg.ct_eps_power or 1.0 / 3.0)
-    fld = case.field(solve_component, 1, 1, params=params)
+    fld = case.component(1, 1, params=params)
 
     vsum = build_family(DIM2, 1, cfg.compare_depth).partial_sum()
 
@@ -425,7 +434,7 @@ def _record_compare(cfg: SweepConfig, case: _EpsCase) -> dict:
 
 def _record_cancel(cfg: SweepConfig, case: _EpsCase) -> dict:
     f11, f21, f13, f23 = (
-        case.field(solve_component, i, alpha) for alpha in (1, 3) for i in (1, 2)
+        case.component(i, alpha) for alpha in (1, 3) for i in (1, 2)
     )
     return {
         "cancel_sum": _origin_grad(case, DisplacementField(f11.system, f11.u + f21.u)),
@@ -575,8 +584,8 @@ def _report_holes(tol: dict, records: list[dict]) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 # kind -> (record function, report function), in pass order: the solves run
-# grouped by constraint pattern (components, then hard, then holes), so each
-# system factorizes every pattern once although it keeps only the latest
+# grouped by prescribed boundaries (components and hard, then holes), so each
+# system factorizes every set once although it keeps only the latest factor
 _STUDIES = {
     "cancel": (_record_cancel, _report_cancel),
     "rates": (_record_rates, _report_rates),
@@ -584,6 +593,25 @@ _STUDIES = {
     "holes": (_record_holes, _report_holes),
     "compare": (_record_compare, _report_compare),
 }
+
+
+# checks that rest on a symmetry exchanging the two inclusions, which the
+# domain has only for equal radii
+_EXCHANGE_CHECKS = frozenset({"dc3_zero", "cancel_bounded", "rotation_pair_bound"})
+
+
+def _mark_not_applicable(cfg: SweepConfig, checks: dict[str, dict]) -> None:
+    """With unequal radii, record the exchange-symmetry checks with their
+    values but as not applicable (`passed` None), so they cannot pass by
+    accident or fail a run."""
+    if cfg.rho1 == cfg.rho2:
+        return
+    reason = (
+        "rests on the symmetry exchanging the inclusions, which needs "
+        f"rho1 == rho2 (rho1 = {cfg.rho1!r}, rho2 = {cfg.rho2!r})"
+    )
+    for name in _EXCHANGE_CHECKS & checks.keys():
+        checks[name] = {**checks[name], "passed": None, "reason": reason}
 
 
 # SweepConfig fields that reach no mesh and no solve.  A config that differs
@@ -649,6 +677,7 @@ def run_studies(cfg: SweepConfig, kinds: Sequence[str] | None = None) -> dict[st
     for kind in kinds:
         records = [recs[kind] for recs in per_eps]
         fits, checks = _STUDIES[kind][1](cfg.tol, records)
+        _mark_not_applicable(cfg, checks)
         reports[kind] = StudyReport(kind, cfg.study_id, cfg.to_json_obj(), records, fits, checks)
     return reports
 

@@ -263,18 +263,18 @@ def test_study_all_runs_every_study_from_one_pass(tmp_path, monkeypatch, capsys)
             ["study", kind, "--config", str(cfg),
              "--json", str(single / f"{kind}.json"), "--out", str(single / f"{kind}.csv")]
         ) == 0
-    # the calls share the kept cases, so each mesh is made once; a call
-    # drops the factors of each eps it read, so cancel factors the
-    # component pattern again: 4 factorizations more than study all
-    assert counts == {"generate_mesh": 7, "splu": 19}
+    # the calls share the kept cases, so each mesh is made once; rates
+    # solves all six component fields with the hard field on one factor per
+    # eps, so constants and cancel factor nothing: the same work as study all
+    assert counts == {"generate_mesh": 7, "splu": 11}
 
     counts.update(generate_mesh=0, splu=0)
     monkeypatch.setattr(studies, "_CASES", {})
     both = tmp_path / "all"
     assert main(["study", "all", "--config", str(cfg), "--json", str(both), "--out", str(both)]) == 0
     # 4 shared meshes plus the compare meshes below eps_max; per shared
-    # system one factor each for the components, hard and holes patterns
-    assert counts == {"generate_mesh": 7, "splu": 15}
+    # system one factor for the components and hard field, one for holes
+    assert counts == {"generate_mesh": 7, "splu": 11}
     names = sorted(p.name for p in single.iterdir())
     assert len(names) == 10 and sorted(p.name for p in both.iterdir()) == names
     for name in names:
@@ -301,3 +301,27 @@ def test_cli_import_leaves_out_the_process_pool():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_exchange_symmetry_checks_do_not_apply_to_unequal_radii(tmp_path, capsys):
+    # dc3 = 0 and the cancellation bounds rest on a symmetry that exchanges
+    # the inclusions; at rho2 = 0.75 dc3 is 0.41, far above its bound
+    cfg = tmp_path / "unequal.cfg"
+    cfg.write_text("geometry.rho2 = 0.75\nmesh.nr = 8\nmesh.arc_target = 0.24\n")
+    exempt = {"constants": ["dc3_zero"], "cancel": ["cancel_bounded", "rotation_pair_bound"]}
+    for kind, names in exempt.items():
+        out = tmp_path / f"{kind}.json"
+        assert main(["study", kind, "--config", str(cfg), "--json", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        for name in names:
+            check = obj["checks"][name]
+            assert check["passed"] is None
+            assert "rho1 == rho2 (rho1 = 1.0, rho2 = 0.75)" in check["reason"]
+        assert obj["passed"] is True
+        assert all(c["passed"] for n, c in obj["checks"].items() if n not in names)
+    dc3 = json.loads((tmp_path / "constants.json").read_text())["checks"]["dc3_zero"]
+    assert dc3["value"] > 1e6 * dc3["bound"]
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "constants.json"), str(tmp_path / "cancel.json")]) == 0
+    shown = capsys.readouterr().out
+    assert all(f"{name:<28} n/a" in shown for names in exempt.values() for name in names)

@@ -5,21 +5,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import lamegap.fem.solve as solve_mod
 from lamegap.fem.assembly import AssemblyError, QP, QW, assemble, shape_functions, shape_gradients
 from lamegap.fem.geometry import Geometry
 from lamegap.fem.mesh import REGIONS, MeshParams, add_inclusion_interiors, generate_mesh
 from lamegap.fem.solve import (
+    INCLUSION_BOUNDARIES,
     DisplacementField,
     SolverError,
-    _condensed_solve,
     NODE_REF,
-    _prescribe,
+    PSI,
+    _condensed_solve,
+    _dirichlet,
+    _rigid_system,
     gap_center_node,
     incident_gradients,
     sample,
     solve_component,
+    solve_components,
     solve_hard_inclusion,
     solve_holes,
     solve_large_contrast,
@@ -37,11 +42,8 @@ def setup05():
 
 
 def dirichlet_everywhere(mesh, system, fn):
-    prescribed = {}
-    for tag in ("outer", "incl1", "incl2"):
-        _prescribe(mesh, tag, fn, prescribed)
-    u, _ = _condensed_solve(system, prescribed)
-    return DisplacementField(system, u)
+    g = _dirichlet(mesh, {tag: fn for tag in INCLUSION_BOUNDARIES})
+    return DisplacementField(system, _condensed_solve(system, INCLUSION_BOUNDARIES, g))
 
 
 # -- element sanity ----------------------------------------------------------
@@ -309,10 +311,14 @@ def test_one_factorization_per_constraint_pattern(setup05, monkeypatch):
         for alpha in (1, 2, 3)
     }
     assert len(calls) == 1
+    # the hard solve prescribes the same boundaries: u = v_0 + sum C v_i^alpha
     phi = lambda x, y: (y, x + y)
     hard, c = solve_hard_inclusion(geom, LAM, MU, phi, system=system)
-    assert len(calls) == 2
-    # only the latest pattern is kept
+    assert len(calls) == 1
+    solve_component(geom, LAM, MU, 1, 1, system=system)
+    assert len(calls) == 1
+    # only the latest factor is kept
+    solve_holes(geom, LAM, MU, phi, system=system)
     solve_component(geom, LAM, MU, 1, 1, system=system)
     assert len(calls) == 3
 
@@ -324,14 +330,71 @@ def test_one_factorization_per_constraint_pattern(setup05, monkeypatch):
     assert np.array_equal(c, fresh_c)
 
 
-def test_prescribed_and_rigid_tied_node_rejected(setup05):
-    _, mesh, system = setup05
-    prescribed = {}
-    _prescribe(mesh, "outer", lambda x, y: (0.0, 0.0), prescribed)
-    _prescribe(mesh, "incl1", lambda x, y: (1.0, 0.0), prescribed)
-    groups = [mesh.boundary_nodes("incl1"), mesh.boundary_nodes("incl2")]
-    with pytest.raises(SolverError, match="both prescribed and rigid-tied"):
-        _condensed_solve(system, prescribed, rigid_groups=groups)
+def _rigid_tied_reference(system, phi):
+    """The hard-inclusion field from the rigid-tied condensation u = T y + g:
+    y stacks three rigid parameters per inclusion (u_x = c1 + c3 y,
+    u_y = c2 - c3 x on its boundary) and the interior DOFs, g holds phi on
+    the outer circle, and T'KT y = -T'K g is solved directly."""
+    mesh, n = system.mesh, system.n_dofs
+    g = _dirichlet(mesh, {"outer": phi})
+    fixed = np.zeros(n, dtype=bool)
+    rows, cols, vals = [], [], []
+    for k, tag in enumerate(INCLUSION_BOUNDARIES):
+        nodes = mesh.boundary_nodes(tag)
+        fixed[2 * nodes] = fixed[2 * nodes + 1] = True
+        if tag == "outer":
+            continue
+        x, y = mesh.nodes[nodes].T
+        base, ones = np.full(len(nodes), 3 * (k - 1)), np.ones(len(nodes))
+        rows += [2 * nodes, 2 * nodes + 1, 2 * nodes, 2 * nodes + 1]
+        cols += [base, base + 1, base + 2, base + 2]
+        vals += [ones, ones, y, -x]
+    free = np.nonzero(~fixed)[0]
+    rows.append(free)
+    cols.append(np.arange(6, 6 + len(free)))
+    vals.append(np.ones(len(free)))
+    T = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, 6 + len(free))
+    )
+    y = spsolve((T.T @ system.K @ T).tocsc(), -(T.T @ (system.K @ g)))
+    return T @ y + g, y[:6].reshape(2, 3)
+
+
+@pytest.mark.parametrize("eps, lam", [(0.1, 1.0), (1e-6, 1.0), (1e-3, 1e3)])
+def test_hard_inclusion_decomposition_matches_rigid_tied_reference(eps, lam):
+    # u = v_0 + sum C_i^alpha v_i^alpha with M C = -r reproduces the energy
+    # minimum over fields rigid on each inclusion
+    geom = Geometry(eps=eps)
+    system = assemble(generate_mesh(geom, MeshParams(nr=8, arc_target=0.24)), lam, MU)
+    phi = lambda x, y: (y, x + y)
+    fld, c = solve_hard_inclusion(geom, lam, MU, phi, system=system)
+    u_ref, c_ref = _rigid_tied_reference(system, phi)
+    assert np.abs(fld.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+    assert np.abs(c - c_ref).max() <= 1e-10 * np.abs(c_ref).max()
+    # a rigid inclusion is in equilibrium: the hard field exerts no force or
+    # torque on it, against the pairing of each v_i^alpha with its own psi
+    comps = solve_components(geom, lam, MU, system=system)
+    for (i, alpha), v in comps.items():
+        own = v.flux_pairing(f"incl{i}", alpha)
+        assert abs(fld.flux_pairing(f"incl{i}", alpha)) <= 1e-10 * abs(own)
+    V = np.column_stack([comps[ia].u for ia in sorted(comps)])
+    v0 = _condensed_solve(system, INCLUSION_BOUNDARIES, _dirichlet(system.mesh, {"outer": phi}))
+    M, r = _rigid_system(system.K, V, v0)
+    assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
+    assert np.allclose(fld.u, v0 + V @ np.linalg.solve(M, -r).ravel(), rtol=0, atol=1e-12)
+
+
+def test_component_block_columns_carry_their_boundary_data(setup05):
+    geom, mesh, system = setup05
+    block = solve_components(geom, LAM, MU, system=system)
+    assert list(block) == [(i, alpha) for i in (1, 2) for alpha in (1, 2, 3)]
+    for (i, alpha), fld in block.items():
+        u = fld.u.reshape(-1, 2)
+        nodes = mesh.boundary_nodes(f"incl{i}")
+        psi = np.array([PSI[alpha - 1](x, y) for x, y in mesh.nodes[nodes]])
+        assert np.array_equal(u[nodes], psi)
+        for tag in ("outer", f"incl{3 - i}"):
+            assert not u[mesh.boundary_nodes(tag)].any()
 
 
 def test_large_contrast_cross_check():

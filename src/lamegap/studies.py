@@ -380,15 +380,17 @@ def _record_rates(cfg: SweepConfig, case: _EpsCase) -> dict:
 
 
 def _record_constants(cfg: SweepConfig, case: _EpsCase) -> dict:
-    eps = case.eps
+    # the gap is eps + kappa x^2 near the origin (Geometry.gap_quadratic)
+    kappa = (1 / case.geom.rho1 + 1 / case.geom.rho2) / 2
+    root_gap = math.sqrt(kappa * case.eps)
     _, c = case.field(solve_hard_inclusion, BOUNDARY_DATA[cfg.phi])
     rec = {"c_norm": float(np.abs(c).max())}
     for alpha in (1, 2, 3):
         rec[f"dc{alpha}"] = float(abs(c[0, alpha - 1] - c[1, alpha - 1]))
         rec[f"c1_{alpha}"] = float(c[0, alpha - 1])
         rec[f"c2_{alpha}"] = float(c[1, alpha - 1])
-    rec["bstar11"] = math.pi * cfg.mu * rec["dc1"] / math.sqrt(eps)
-    rec["bstar12"] = math.pi * (cfg.lam + 2 * cfg.mu) * rec["dc2"] / math.sqrt(eps)
+    rec["bstar11"] = math.pi * cfg.mu * rec["dc1"] / root_gap
+    rec["bstar12"] = math.pi * (cfg.lam + 2 * cfg.mu) * rec["dc2"] / root_gap
     return rec
 
 

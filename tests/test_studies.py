@@ -237,6 +237,22 @@ def test_mid_gap_band_follows_the_mid_line(override):
         assert np.count_nonzero(y == 0.0) == 1
 
 
+@pytest.mark.parametrize("rho2", [1.0, 0.75])
+def test_bstar_divides_by_the_root_of_the_local_gap(rho2):
+    # near the origin the gap is eps + kappa x^2, kappa = (1/rho1 + 1/rho2)/2
+    from lamegap.studies import _EpsCase, _record_constants
+
+    cfg = SweepConfig(rho2=rho2, nr=8, arc_target=0.24)
+    eps = 0.05
+    rec = _record_constants(cfg, _EpsCase(cfg, eps))
+    kappa = (1 / cfg.rho1 + 1 / cfg.rho2) / 2
+    assert kappa == pytest.approx(1.0 if rho2 == 1.0 else 7 / 6, abs=1e-15)
+    assert rec["bstar11"] == math.pi * cfg.mu * rec["dc1"] / math.sqrt(kappa * eps)
+    assert rec["bstar12"] == math.pi * (cfg.lam + 2 * cfg.mu) * rec["dc2"] / math.sqrt(kappa * eps)
+    if rho2 == 1.0:  # unit radii keep the unit-disk formula bit for bit
+        assert rec["bstar11"] == math.pi * cfg.mu * rec["dc1"] / math.sqrt(eps)
+
+
 def test_rates_small_eps_u13_slope():
     # at eps 1e-5 .. 1.25e-6 the mid-gap nodes resolve the neck; the
     # rotation rate must sit within 0.04 of the theoretical -1/2 (41 fixed

@@ -6,11 +6,19 @@ stiffness from the bilinear form
 
     a(u, w) = int lam (div u)(div w) + 2 mu e(u):e(w).
 
-The element stiffness is written in strain-displacement form: at each
-quadrature point, B (3 x 12) maps the element DOFs to the engineering strain
-(e11, e22, 2 e12), D (3 x 3) is the plane-strain constitutive matrix of the
-element's (lam, mu), and the point adds w det(J) B' D B.  The quadrature
-points are looped over, so only per-point (nE, 12, 12) arrays exist.
+The element stiffness is written in 2x2 node blocks.  With g_a = grad N_a
+and the three 6 x 6 Gram matrices Sxx_ab = sum_q w_q det J g_a,x g_b,x, Syy
+(the same with y) and Sxy_ab = sum_q w_q det J g_a,x g_b,y, DOF 2a+i being
+component i of node a,
+
+    K_e[2a, 2b]         = (lam + 2 mu) Sxx_ab + mu Syy_ab
+    K_e[2a + 1, 2b + 1] = (lam + 2 mu) Syy_ab + mu Sxx_ab
+    K_e[2a, 2b + 1]     = lam Sxy_ab + mu Sxy_ba = K_e[2b + 1, 2a]
+
+for the element's (lam, mu).  One product (2 nE, 6) @ (6, 14) gives the
+Jacobians at all 7 points (`element.quadrature_jacobians`), and three
+batched (nE, 6, 7) @ (nE, 7, 6) products give the Gram matrices; the
+largest arrays are (nE, 12, 12) and the (nE, 7, 6) gradients.
 
 Assembly is numpy-vectorized over elements and deterministic: the COO
 triplets are emitted in a fixed element order, so repeated runs produce
@@ -24,66 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .element import QP_GRADIENTS, QW, quadrature_jacobians
 from .mesh import Mesh, REGIONS
 
 
 class AssemblyError(ValueError):
     pass
-
-
-# 7-point rule on the reference triangle {xi>=0, eta>=0, xi+eta<=1}, degree 5
-_A1 = 0.0597158717897698
-_B1 = 0.4701420641051151
-_A2 = 0.7974269853530873
-_B2 = 0.1012865073234563
-QP = np.array(
-    [
-        [1 / 3, 1 / 3],
-        [_A1, _B1],
-        [_B1, _A1],
-        [_B1, _B1],
-        [_A2, _B2],
-        [_B2, _A2],
-        [_B2, _B2],
-    ]
-)
-QW = np.array(
-    [
-        0.225,
-        0.1323941527885062,
-        0.1323941527885062,
-        0.1323941527885062,
-        0.1259391805448271,
-        0.1259391805448271,
-        0.1259391805448271,
-    ]
-) * 0.5  # reference triangle area factor
-
-
-def shape_functions(xi: float | np.ndarray, eta: float | np.ndarray) -> np.ndarray:
-    """N_a at (xi, eta); shape (..., 6) for array arguments."""
-    l0 = 1 - xi - eta
-    return np.stack(
-        [
-            l0 * (2 * l0 - 1),
-            xi * (2 * xi - 1),
-            eta * (2 * eta - 1),
-            4 * l0 * xi,
-            4 * xi * eta,
-            4 * eta * l0,
-        ],
-        axis=-1,
-    )
-
-
-def shape_gradients(xi: float | np.ndarray, eta: float | np.ndarray) -> np.ndarray:
-    """d N_a / d(xi, eta), shape (..., 6, 2)."""
-    l0 = 1 - xi - eta
-    zero = np.zeros(np.shape(l0))
-    corner = 1 - 4 * l0
-    d_xi = [corner, 4 * xi - 1, zero, 4 * (l0 - xi), 4 * eta, -4 * eta]
-    d_eta = [corner, zero, 4 * eta - 1, -4 * xi, 4 * xi, 4 * (l0 - eta)]
-    return np.stack([np.stack(d_xi, axis=-1), np.stack(d_eta, axis=-1)], axis=-1)
 
 
 def check_ellipticity(lam: float, mu: float) -> None:
@@ -154,35 +108,30 @@ def assemble(
         lam_e[sel] = la
         mu_e[sel] = m
 
-    coords = mesh.nodes[mesh.tris]  # (nE, 6, 2)
-    n_el = mesh.n_elements
-    D = np.zeros((n_el, 3, 3))
-    D[:, 0, 0] = D[:, 1, 1] = lam_e + 2 * mu_e
-    D[:, 0, 1] = D[:, 1, 0] = lam_e
-    D[:, 2, 2] = mu_e
-    B = np.zeros((n_el, 3, 12))
-    ke = np.zeros((n_el, 12, 12))
-    for (xi, eta), w in zip(QP, QW):
-        dn = shape_gradients(xi, eta)  # (6, 2)
-        jac = np.einsum("eai,aj->eij", coords, dn)  # (nE, 2, 2)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        if np.any(det <= 0):
-            raise AssemblyError("non-positive Jacobian in assembly")
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv /= det[:, None, None]
-        g = dn @ inv  # (nE, 6, 2): dN_a/dx_i
-        # strain-displacement matrix; DOF 2a+i is component i of node a
-        B[:, 0, 0::2] = B[:, 2, 1::2] = g[:, :, 0]
-        B[:, 1, 1::2] = B[:, 2, 0::2] = g[:, :, 1]
-        ke += B.transpose(0, 2, 1) @ ((w * det)[:, None, None] * D @ B)
+    J, det = quadrature_jacobians(mesh.nodes, mesh.tris)
+    if np.any(det <= 0):
+        raise AssemblyError("non-positive Jacobian in assembly")
+    # det(J) dN_a/dx and det(J) dN_a/dy at every point, (nE, 7, 6), from the
+    # adjugate of J; the weights w/det(J) restore w det(J) g'g
+    d_xi, d_eta = QP_GRADIENTS[..., 0], QP_GRADIENTS[..., 1]
+    gx = J[1, :, :, 1, None] * d_xi - J[1, :, :, 0, None] * d_eta
+    gy = J[0, :, :, 0, None] * d_eta - J[0, :, :, 1, None] * d_xi
+    w = (QW / det)[..., None]
+    gxt, wgy = gx.transpose(0, 2, 1), w * gy
+    sxx = gxt @ (w * gx)  # (nE, 6, 6): sum_q w det g_a,x g_b,x
+    syy = gy.transpose(0, 2, 1) @ wgy
+    sxy = gxt @ wgy
+    # 2x2 node blocks; DOF 2a+i is component i of node a
+    lam_e, mu_e = lam_e[:, None, None], mu_e[:, None, None]
+    ke = np.empty((mesh.n_elements, 6, 2, 6, 2))
+    ke[:, :, 0, :, 0] = (lam_e + 2 * mu_e) * sxx + mu_e * syy
+    ke[:, :, 1, :, 1] = (lam_e + 2 * mu_e) * syy + mu_e * sxx
+    xy = lam_e * sxy + mu_e * sxy.transpose(0, 2, 1)
+    ke[:, :, 0, :, 1] = xy
+    ke[:, :, 1, :, 0] = xy.transpose(0, 2, 1)
 
-    dofs = np.empty((n_el, 12), dtype=np.int64)
-    dofs[:, 0::2] = 2 * mesh.tris
-    dofs[:, 1::2] = 2 * mesh.tris + 1
+    tris = mesh.tris.astype(np.int32)
+    dofs = np.stack([2 * tris, 2 * tris + 1], axis=2).reshape(-1, 12)
     rows = np.repeat(dofs, 12, axis=1).ravel()
     cols = np.tile(dofs, (1, 12)).ravel()
     n = 2 * mesh.n_nodes

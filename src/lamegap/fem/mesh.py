@@ -8,6 +8,8 @@ and the outer circle, meshed by radial spokes from the origin.  Both
 blocks share nodes on the band edges, so the global mesh is conforming.
 Quadratic (6-node) triangles; midpoints of boundary edges are snapped to
 the circles, giving an isoparametric approximation of the curved arcs.
+A generated mesh whose isoparametric map folds over (a non-positive
+Jacobian at any quadrature point) is a MeshError.
 
 Everything is deterministic for fixed inputs.
 """
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .element import quadrature_jacobians
 from .geometry import Geometry
 
 REGIONS = ("bulk", "neck", "incl1", "incl2")
@@ -312,7 +315,24 @@ def generate_mesh(geom: Geometry, params: MeshParams | None = None) -> Mesh:
             bedges.append((ring[i2], ring[i]))
             btags.append(tag)
 
-    return _finalize(np.array(reg.coords), tris, region, bedges, btags, geom)
+    mesh = _finalize(np.array(reg.coords), tris, region, bedges, btags, geom)
+    _check_jacobians(mesh)
+    return mesh
+
+
+def _check_jacobians(mesh: Mesh) -> None:
+    """Reject a mesh whose isoparametric map has a non-positive Jacobian at
+    a quadrature point of some element (a curved element folded over), so
+    that it fails here and not in assembly."""
+    det = quadrature_jacobians(mesh.nodes, mesh.tris)[1].min(axis=1)
+    e = int(det.argmin())
+    if det[e] <= 0:
+        x, y = mesh.nodes[mesh.tris[e, :3]].mean(axis=0)
+        raise MeshError(
+            f"non-positive Jacobian in {int((det <= 0).sum())} element(s); the worst, a "
+            f"{REGIONS[mesh.region[e]]} element at centroid ({x:.6g}, {y:.6g}), has det "
+            f"{det[e]:.3e} at a quadrature point (geometry too extreme for the mesh parameters)"
+        )
 
 
 def add_inclusion_interiors(mesh: Mesh, n_rings: int = 8) -> Mesh:

@@ -2,14 +2,19 @@
 
 Boundary handling is by DOF condensation: every problem prescribes all DOFs
 on a set of boundaries, and the reduced system A is K restricted to the
-other DOFs (index slicing, with entries that cancelled in assembly
-dropped).  A is symmetric positive definite (SPD), so it is factorized by
-SuperLU in symmetric mode: a minimum-degree ordering of the pattern of
-A' + A, applied to rows and columns alike, and diagonal pivots.  Because A
-is SPD, every diagonal pivot is positive and the elimination is stable
-without row interchanges, and the symmetric ordering keeps the fill under
-half that of the default column ordering with partial pivoting.  A set of
-boundaries is factorized once per system and solved for a block of
+other DOFs (index slicing).  A keeps K's element pattern, entries that
+happen to cancel in assembly included, so the ordering depends on the mesh
+and not on roundoff; pruning such zeros gave a minimum-degree ordering with
+10-16% more fill on the default mesh at eps 0.0125.  A is symmetric
+positive definite (SPD), so it is factorized by SuperLU in symmetric mode:
+a minimum-degree ordering of the pattern of A' + A, applied to rows and
+columns alike, and diagonal pivots.  Because A is SPD, every diagonal pivot
+is positive and the elimination is stable without row interchanges, and the
+symmetric ordering keeps the fill under half that of the default column
+ordering with partial pivoting.  Supernodes are not relaxed: relaxation
+only pads them with stored zeros (7-10% more stored L+U on the coarse sweep
+mesh), and without it every factorization measured was 14-24% faster.  A
+set of boundaries is factorized once per system and solved for a block of
 right-hand sides; later solves on the same boundaries reuse the factor, and
 only the latest factor is kept.  A block is one triangular solve, and every
 column must pass a check of its relative backward error (no refinement).
@@ -34,7 +39,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import ElasticitySystem, assemble, shape_functions, shape_gradients
+from .assembly import ElasticitySystem, assemble
+from .element import shape_functions, shape_gradients
 from .geometry import Geometry
 from .mesh import Mesh, MeshParams, add_inclusion_interiors, generate_mesh
 
@@ -43,10 +49,17 @@ RESIDUAL_TOL = 1e-10
 # edges 01, 12, 20), in the node order of Mesh.tris
 NODE_REF = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)])
 # SuperLU arguments for the SPD reduced system: symmetric fill-reducing
-# ordering and diagonal pivots (stable because A is SPD)
+# ordering and diagonal pivots (stable because A is SPD), and no relaxed
+# supernodes (relax=1, panel_size=1).  Relaxation pads supernodes with
+# stored zeros: on the coarse sweep mesh at eps 0.0125 SuperLU's stored L+U
+# is 415,730 (components) and 458,370 (holes) entries with the defaults and
+# 377,818 and 429,282 without; relax/panel_size 2/2 and 1/4 store the same
+# as 1/1 and are no faster.
 SPD_SPLU = {
     "permc_spec": "MMD_AT_PLUS_A",
     "diag_pivot_thresh": 0.0,
+    "relax": 1,
+    "panel_size": 1,
     "options": {"SymmetricMode": True},
 }
 
@@ -132,7 +145,6 @@ def _reduced_system(system: ElasticitySystem, tags: tuple[str, ...]) -> _Reduced
         fixed[2 * nodes] = fixed[2 * nodes + 1] = True
     free = np.nonzero(~fixed)[0]
     A = system.K[free][:, free]
-    A.eliminate_zeros()  # entries that cancelled in assembly stay out of the ordering
     try:
         lu = spla.splu(A.tocsc(), **SPD_SPLU)
     except RuntimeError as exc:

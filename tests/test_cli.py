@@ -325,3 +325,11 @@ def test_exchange_symmetry_checks_do_not_apply_to_unequal_radii(tmp_path, capsys
     assert main(["report", str(tmp_path / "constants.json"), str(tmp_path / "cancel.json")]) == 0
     shown = capsys.readouterr().out
     assert all(f"{name:<28} n/a" in shown for names in exempt.values() for name in names)
+
+
+def test_unmeshable_radius_exits_2_with_the_mesh_error(tmp_path, capsys):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("geometry.rho2 = 0.6\n")
+    assert main(["study", "rates", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-positive Jacobian in 1 element(s); the worst, a neck element")

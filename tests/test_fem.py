@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 import lamegap.fem.solve as solve_mod
-from lamegap.fem.assembly import AssemblyError, QP, QW, assemble, shape_functions, shape_gradients
+from lamegap.fem.assembly import AssemblyError, assemble
+from lamegap.fem.element import QP, QW, shape_functions, shape_gradients
 from lamegap.fem.geometry import Geometry
 from lamegap.fem.mesh import REGIONS, MeshParams, add_inclusion_interiors, generate_mesh
 from lamegap.fem.solve import (
@@ -33,6 +34,7 @@ from lamegap.fem.solve import (
 )
 
 LAM, MU = 1.0, 1.0
+COARSE = MeshParams(nr=8, arc_target=0.24)
 
 
 @pytest.fixture(scope="module")
@@ -124,15 +126,37 @@ def reference_stiffness(mesh, lam, mu, materials=None):
 
 
 def test_assembly_matches_reference_stiffness(setup05):
+    # the Gram-matrix kernel against the index form, on the default mesh, the
+    # large-contrast mesh and the coarse mesh at eps 1e-6 (about 3e-15 relative
+    # there, at lam 1 and 1e3), with the reference's sparsity pattern
     _, mesh, system = setup05
     stiff = {"incl1": (1e6, 1e6), "incl2": (1e6, 1e6)}
     contrast = add_inclusion_interiors(generate_mesh(Geometry(eps=0.05)))
-    for mesh_, materials, K in (
-        (mesh, None, system.K),
-        (contrast, stiff, assemble(contrast, LAM, MU, materials=stiff).K),
+    thin = generate_mesh(Geometry(eps=1e-6), COARSE)
+    for mesh_, lam, materials, K in (
+        (mesh, LAM, None, system.K),
+        (contrast, LAM, stiff, assemble(contrast, LAM, MU, materials=stiff).K),
+        (thin, 1.0, None, assemble(thin, 1.0, MU).K),
+        (thin, 1e3, None, assemble(thin, 1e3, MU).K),
     ):
-        ref = reference_stiffness(mesh_, LAM, MU, materials)
+        ref = reference_stiffness(mesh_, lam, MU, materials)
+        assert K.indptr.dtype == K.indices.dtype == np.int32
+        assert K.has_canonical_format and ref.has_canonical_format
+        assert np.array_equal(K.indptr, ref.indptr) and np.array_equal(K.indices, ref.indices)
         assert abs(K - ref).max() <= 1e-12 * abs(ref).max()
+
+
+def test_assembly_rejects_a_folded_element(setup05):
+    # generate_mesh rejects folded curved elements itself; assembly keeps the
+    # check for meshes read from files or extended with inclusion interiors
+    _, mesh, _ = setup05
+    nodes = mesh.nodes.copy()
+    a, b, c, mid01 = mesh.tris[0, :4]
+    nodes[mid01] = nodes[c] + 2 * (nodes[c] - (nodes[a] + nodes[b]) / 2)  # across the far corner
+    folded = replace(mesh, nodes=nodes)
+    folded.validate()  # the corner triangles are untouched
+    with pytest.raises(AssemblyError, match="non-positive Jacobian"):
+        assemble(folded, LAM, MU)
 
 
 def test_linear_patch_reproduced(setup05):
@@ -264,6 +288,16 @@ def test_hard_inclusion_lu_fill_bounded(setup05):
     solve_hard_inclusion(geom, LAM, MU, lambda x, y: (y, x + y), system=system)
     red = system._reduced
     assert (red.lu.L.nnz + red.lu.U.nnz) / red.A.nnz <= 8
+
+
+def test_factor_stores_no_relaxed_supernodes():
+    # SuperLU's stored L+U (lu.nnz, which counts the zeros that relaxed
+    # supernodes are padded with; L.nnz + U.nnz does not) on the coarse mesh
+    # at eps 0.0125; SuperLU's default relax/panel_size store 415,730 and 458,370
+    system = assemble(generate_mesh(Geometry(eps=0.0125), COARSE), LAM, MU)
+    for tags, stored in ((INCLUSION_BOUNDARIES, 377_818), (("outer",), 429_282)):
+        red = solve_mod._reduced_system(system, tags)
+        assert red.lu.nnz <= stored, tags
 
 
 def test_hard_inclusion_odd_symmetry(setup05):
@@ -410,7 +444,6 @@ def raw_backward_errors(monkeypatch):
     return seen
 
 
-COARSE = MeshParams(nr=8, arc_target=0.24)
 ODD_PHI = lambda x, y: (y, x + y)
 HEADROOM_PROBLEMS = {
     "components": lambda geom, lam: solve_components(geom, lam, MU, COARSE),

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lamegap.fem.assembly import assemble
 from lamegap.fem.geometry import Geometry, GeometryError
 from lamegap.fem.mesh import (
     MeshError,
@@ -144,3 +145,21 @@ def test_validate_rejects_broken_meshes():
     tris[0, [1, 2]] = tris[0, [2, 1]]
     with pytest.raises(MeshError, match="non-positive element area"):
         replace(m, tris=tris).validate()
+
+
+@pytest.mark.parametrize("rho2", [0.7, 0.6, 0.5])
+def test_folded_curved_elements_fail_at_meshing(rho2):
+    # with the default band half-width a curved neck element next to the
+    # smaller inclusion folds over; that is a MeshError from generate_mesh,
+    # naming the element, not an AssemblyError later
+    with pytest.raises(
+        MeshError,
+        match=r"non-positive Jacobian in \d+ element\(s\); the worst, a neck element at "
+        r"centroid \(-0\.\d+, -0\.\d+\), has det -\d\.\d+e-\d+ at a quadrature point",
+    ):
+        generate_mesh(Geometry(eps=0.0125, rho2=rho2))
+
+
+def test_unequal_radii_that_mesh_also_assemble():
+    mesh = generate_mesh(Geometry(eps=0.0125, rho2=0.75))
+    assert assemble(mesh, 1.0, 1.0).K.shape == (2 * mesh.n_nodes, 2 * mesh.n_nodes)

@@ -1,49 +1,42 @@
-"""Exact arithmetic in the field of rational functions of the Lame parameters.
+"""Exact arithmetic in the ring of the auxiliary families' coefficients.
 
-Coefficients throughout the symbolic layer are elements of Q(lam, mu): ratios
-of integer-coefficient polynomials in the two formal Lame parameters.  All
-arithmetic is exact (Python integers), every value is kept in a canonical
-reduced form, and equality is representation-independent.
+Every coefficient of the auxiliary neck families lies in the ring
 
-Canonical form of a ratio num/den:
+    R = Q[lam, mu][1/mu, 1/(lam+2mu)]:
 
-* gcd(num, den) over Z[lam, mu] is a unit,
-* the pair carries no common integer content,
-* den has a positive leading coefficient under graded lexicographic order
-  with lam > mu.
+the families divide only by integers and by the two Lame moduli mu and
+lam+2mu.  With s = lam + 2mu, R is the ring of Laurent polynomials in mu
+and s over Q, and a coefficient is stored as
 
-The denominator is stored factored, as (c, a, b, rest) standing for
-c * mu^a * (lam+2mu)^b * rest: c is a positive integer, and rest is
-primitive, positive-leading and divisible by neither mu nor lam+2mu.  Every
-denominator of the auxiliary families is built from the two Lame moduli mu
-and lam+2mu, so there rest is 1; a general rest comes only from parsed or
-otherwise general inputs.  ``num`` is a ParamPoly, and ``den`` expands the
-factors on first use.
+    x = (1/c) * sum n_ij mu^i s^j,        i, j in Z,
 
-mu and lam+2mu are primitive and irreducible, so by Gauss's lemma the
-factorization is unique and, for any numerator t,
+a map (i, j) -> n_ij of nonzero integers over one positive integer c, with
+gcd(c, n_ij, ...) = 1.  mu and s are algebraically independent, so this
+form is canonical: exact equality of representations is equality in R, and
+no polynomial gcd is ever needed.
 
-    gcd(t, den) = gcd(c, content t) * mu^min(a, ord_mu t)
-                  * (lam+2mu)^min(b, ord_l t) * gcd(t, rest),
+* ``+`` merges the maps over lcm(c1, c2), ``*`` convolves them over c1 c2,
+  and ``_scaled`` by an integer or a Fraction touches only integers; each
+  ends with one integer gcd that restores gcd(c, content) = 1.
+* Multiplying by a one-term coefficient such as ``MU`` or ``LAM_P_2MU``
+  shifts exponents.
+* An operation whose result leaves R raises :class:`CoeffError` where it
+  happens: a constructor or :func:`parse` input whose denominator is not
+  +-c mu^a (lam+2mu)^b, and ``inv`` of a coefficient with more than one term.
 
-where ord_mu t is the smallest mu exponent in t, and ord_l t, the order of
-lam+2mu in t, comes from the test t(-2mu, mu) = 0 (one integer sum per
-total degree) and an exact synthetic division for each factor found.  Only gcd(t, rest) needs the
-primitive PRS (``poly_gcd``), and only when rest is not 1.  Each operation
-computes only the gcds whose answer is not already known from its reduced
-operands:
+The (lam, mu) form of x is P / (c mu^a (lam+2mu)^b): a and b are the
+smallest shifts that make every exponent of mu^a s^b x nonnegative, and P
+is the polynomial c mu^a s^b x expanded in lam and mu.  It is in lowest
+terms over Z[lam, mu] (mu does not divide P when a > 0, nor lam+2mu when
+b > 0, and s = lam + 2mu is an integer change of variables, so the content
+of P is that of the n_ij), and its denominator has a positive leading
+coefficient.  ``num`` (cached per instance), ``den`` and ``render`` give
+that form, so every rendering is the one of the ratio num/den in lowest
+terms.
 
-* ``scale`` by an integer or a Fraction a/b changes only the integer
-  contents: it cancels gcd(a, c) and gcd(b, content(num)).
-* ``+`` is Henrici's sum: with g = gcd(d1, d2), t = n1 (d2/g) + n2 (d1/g) is
-  coprime to (d1/g)(d2/g), so only h = gcd(t, g) is left to cancel.
-  gcd(d1, d2), d1/g and the product of denominators are integer and
-  exponent arithmetic on the factors.
-* ``*`` cross-reduces, gcd(n1, d2) and gcd(n2, d1); the product of the
-  cross-reduced parts is already reduced.
-
-Results of ParamPoly arithmetic are built by a trusted internal constructor
-that skips the per-term checks the public constructor applies to its input.
+``ParamPoly`` is the integer polynomial in (lam, mu) that ``num`` and
+``den`` return, with its own exact division and a primitive-PRS gcd
+(:func:`poly_gcd`).
 
 Text rendering uses ``l`` for lam and ``m`` for mu, e.g.
 ``((2*l + 3*m)) / (3*(l + 2*m))``; :func:`parse` accepts the same grammar.
@@ -86,6 +79,10 @@ class CoeffPoleError(CoeffError, ZeroDivisionError):
 def _grlex_key(expo: tuple[int, int]) -> tuple[int, int, int]:
     i, j = expo
     return (i + j, i, j)
+
+
+def _is_one(p: "ParamPoly") -> bool:
+    return p.terms == {(0, 0): 1}
 
 
 class ParamPoly:
@@ -203,10 +200,6 @@ class ParamPoly:
             return ParamPoly()
         return ParamPoly._clean({k: c * v for k, v in self._terms.items()})
 
-    def _ratio(self, a: int, b: int) -> "ParamPoly":
-        """self * a / b for a nonzero a and a b that divides every coefficient."""
-        return ParamPoly._clean({k: v // b * a for k, v in self._terms.items()})
-
     # -- structure -----------------------------------------------------
 
     def leading(self) -> tuple[tuple[int, int], int]:
@@ -280,8 +273,8 @@ class ParamPoly:
 # recursing at v + 1, and pseudo-division uses ParamPoly's own arithmetic.
 # A single-term argument (every integer is one) ends the recursion.
 # Polynomials are small (degrees rarely exceed ~10), so no factorization
-# is attempted.  The field operations reach it only through the `rest`
-# factor of a denominator, which is 1 for every family coefficient.
+# is attempted.  RationalCoeff needs no gcd of polynomials (see the module
+# docstring); this is a ParamPoly utility.
 # ---------------------------------------------------------------------------
 
 
@@ -348,74 +341,12 @@ def _pseudo_rem(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
 
 
 # ---------------------------------------------------------------------------
-# Factored denominators (c, a, b, rest) = c * mu^a * (lam+2mu)^b * rest; see
-# the module docstring.
+# Laurent polynomials in (mu, s = lam + 2mu); see the module docstring.
 # ---------------------------------------------------------------------------
 
-Den = tuple[int, int, int, ParamPoly]
+Terms = dict[tuple[int, int], int]  # (mu exponent, s exponent) -> integer
 
-# The shared 1 that every `rest` free of other factors is (tested by identity).
-_ONE = ParamPoly._clean({(0, 0): 1})
-_UNIT: Den = (1, 0, 0, _ONE)
 _L2M = ParamPoly._clean({(1, 0): 1, (0, 1): 2})
-
-
-def _one_or(p: ParamPoly) -> ParamPoly:
-    return _ONE if _is_one(p) else p
-
-
-def _l2m_divides(p: ParamPoly) -> bool:
-    """Whether lam + 2mu divides p: p(-2mu, mu) = 0, which is one integer
-    sum per total degree."""
-    sums: dict[int, int] = {}
-    for (i, j), c in p._terms.items():
-        v = c << i
-        sums[i + j] = sums.get(i + j, 0) + (-v if i & 1 else v)
-    return not any(sums.values())
-
-
-def _div_l2m(p: ParamPoly) -> ParamPoly:
-    """p / (lam + 2mu) for a p that lam + 2mu divides: synthetic division in
-    lam, quotient rows q_{i-1} = p_i - 2 mu q_i from the top lam degree down."""
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), c in p._terms.items():
-        rows.setdefault(i, {})[j] = c
-    out: dict[tuple[int, int], int] = {}
-    carry: dict[int, int] = {}
-    for i in range(max(rows), 0, -1):
-        row = dict(rows.get(i, ()))
-        for j, q in carry.items():
-            v = row.get(j + 1, 0) - 2 * q
-            if v:
-                row[j + 1] = v
-            else:
-                row.pop(j + 1, None)
-        for j, q in row.items():
-            out[(i - 1, j)] = q
-        carry = row
-    return ParamPoly._clean(out)
-
-
-def _strip(p: ParamPoly, a: int, b: int) -> tuple[int, int, ParamPoly]:
-    """(i, k, p / (mu^i (lam+2mu)^k)) for a nonzero p, with i = min(a, the
-    mu order of p) and k = min(b, the lam+2mu order of p)."""
-    i = min(a, min(j for _, j in p._terms)) if a else 0
-    if i:
-        p = ParamPoly._clean({(x, y - i): c for (x, y), c in p._terms.items()})
-    k = 0
-    while k < b and _l2m_divides(p):
-        p = _div_l2m(p)
-        k += 1
-    return i, k, p
-
-
-def _factor(p: ParamPoly) -> tuple[int, Den]:
-    """(sign, den) with p = sign * den, for a nonzero p."""
-    deg = max(i + j for i, j in p._terms)
-    a, b, q = _strip(p, deg, deg)
-    sign = 1 if q.leading()[1] > 0 else -1
-    c = math.gcd(*q._terms.values())
-    return sign, (c, a, b, _one_or(q._ratio(sign, c)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,131 +355,123 @@ def _modulus_power(a: int, b: int) -> ParamPoly:
     return ParamPoly._clean({(0, a): 1}) * _L2M**b
 
 
-def _times(n: ParamPoly, d: Den) -> ParamPoly:
-    """n times the expanded d."""
-    c, a, b, rest = d
-    if a or b:
-        n = n * _modulus_power(a, b)
-    if rest is not _ONE:
-        n = n * rest
-    return n.scale(c) if c != 1 else n
+def _from_lam_mu(p: ParamPoly) -> Terms:
+    """p in the (mu, s) basis: lam^i mu^j = sum_k C(i, k) (-2)^k mu^(j+k) s^(i-k)."""
+    out: Terms = {}
+    for (i, j), v in p.terms.items():
+        for k in range(i + 1):
+            key = (j + k, i - k)
+            out[key] = out.get(key, 0) + v * math.comb(i, k) * (-2) ** k
+    return {k: v for k, v in out.items() if v}
 
 
-def _expand(d: Den) -> ParamPoly:
-    return _times(_ONE, d)
+def _shifts(t: Terms) -> tuple[int, int]:
+    """(a, b): the smallest mu and s powers whose product with t is a polynomial."""
+    return max(0, -min(i for i, _ in t)), max(0, -min(j for _, j in t))
 
 
-def _den_mul(d1: Den, d2: Den) -> Den:
-    c1, a1, b1, r1 = d1
-    c2, a2, b2, r2 = d2
-    return (c1 * c2, a1 + a2, b1 + b2, r2 if r1 is _ONE else r1 if r2 is _ONE else r1 * r2)
-
-
-def _den_div(d: Den, g: Den) -> Den:
-    """d / g for a g that divides d."""
-    c, a, b, r = d
-    gc, ga, gb, gr = g
-    return (c // gc, a - ga, b - gb, r if gr is _ONE else _one_or(r.exact_div(gr)))
-
-
-def _den_gcd(d1: Den, d2: Den) -> Den:
-    c1, a1, b1, r1 = d1
-    c2, a2, b2, r2 = d2
-    if r1 is _ONE or r2 is _ONE:
-        r = _ONE
-    else:
-        r = r1 if r1 == r2 else _one_or(poly_gcd(r1, r2))
-    return (math.gcd(c1, c2), min(a1, a2), min(b1, b2), r)
-
-
-def _cancel(n: ParamPoly, d: Den) -> tuple[ParamPoly, Den]:
-    """n / d in lowest terms, (n/h, d/h) with h = gcd(n, d), for a nonzero n."""
-    c, a, b, rest = d
-    i, k, n = _strip(n, a, b)
-    g = math.gcd(c, *n._terms.values()) if c != 1 else 1
-    if g != 1:
-        n = n._ratio(1, g)
-    if rest is not _ONE:
-        h = poly_gcd(n, rest)
-        if not _is_one(h):
-            n, rest = n.exact_div(h), _one_or(rest.exact_div(h))
-    return n, (c // g, a - i, b - k, rest)
-
-
-def _make(num: ParamPoly, d: Den) -> "RationalCoeff":
-    """A RationalCoeff from a numerator and denominator already in canonical
-    form."""
+def _make(t: Terms, c: int) -> "RationalCoeff":
+    """A RationalCoeff from a map and a denominator already in canonical form."""
     x = object.__new__(RationalCoeff)
-    x.num = num
-    x._d = d
-    x._den = None
-    x._hash = None
+    x._t = t
+    x._c = c
     return x
 
 
-class RationalCoeff:
-    """Reduced ratio of ParamPoly's; the scalar field of the term algebra.
+def _canonical(t: Terms, c: int) -> "RationalCoeff":
+    """t / c for a nonzero map t and c > 0, with gcd(c, content t) cancelled."""
+    if c != 1:
+        g = math.gcd(c, *t.values())
+        if g != 1:
+            t = {k: v // g for k, v in t.items()}
+            c //= g
+    return _make(t, c)
 
-    Immutable; arithmetic returns new values in canonical form, so exact
-    equality of representations coincides with mathematical equality.
-    ``num`` is a ParamPoly; the denominator is kept factored (see the module
-    docstring), and ``den`` expands it on first use.
+
+class RationalCoeff:
+    """Element of Q[lam, mu][1/mu, 1/(lam+2mu)]; the scalar ring of the term algebra.
+
+    Immutable; arithmetic returns new values in canonical form (see the
+    module docstring), so exact equality of representations coincides with
+    mathematical equality.  ``num`` and ``den`` are the (lam, mu) form,
+    computed on first use.
     """
 
-    __slots__ = ("num", "_d", "_den", "_hash")
+    __slots__ = ("_t", "_c", "_num")
 
     def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
-        if den is None:
-            den = _ONE
-        if den.is_zero():
-            raise CoeffDivisionError("zero denominator")
-        if num.is_zero():
-            num, d = ParamPoly(), _UNIT
-        else:
-            sign, d = _factor(den)
-            num, d = _cancel(-num if sign < 0 else num, d)
-        self.num = num
-        self._d = d
-        self._den: ParamPoly | None = None
-        self._hash: int | None = None
+        c = 1
+        t = _from_lam_mu(num)
+        if den is not None:
+            if den.is_zero():
+                raise CoeffDivisionError("zero denominator")
+            d = _from_lam_mu(den)
+            if len(d) != 1:
+                raise CoeffError(
+                    f"denominator {den.render()} is not of the form +-c mu^a (lam+2mu)^b"
+                )
+            ((a, b), dv), = d.items()
+            sign = 1 if dv > 0 else -1
+            t = {(i - a, j - b): sign * v for (i, j), v in t.items()}
+            c = abs(dv)
+        x = _canonical(t, c) if t else ZERO
+        self._t, self._c = x._t, x._c
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_int(cls, c: int) -> "RationalCoeff":
-        return _make(ParamPoly.const(c), _UNIT)
+        return _make({(0, 0): int(c)} if c else {}, 1)
 
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> "RationalCoeff":
         q = Fraction(q)
-        return _make(ParamPoly.const(q.numerator), (q.denominator, 0, 0, _ONE))
+        return _make({(0, 0): q.numerator} if q else {}, q.denominator)
 
-    # -- protocol -------------------------------------------------------
+    # -- the (lam, mu) form ---------------------------------------------
+
+    @property
+    def num(self) -> ParamPoly:
+        """The numerator P(lam, mu) of the lowest-terms ratio (cached)."""
+        try:
+            return self._num
+        except AttributeError:
+            out: dict[tuple[int, int], int] = {}
+            if self._t:
+                a, b = _shifts(self._t)
+                # mu^i s^j = sum_r C(j, r) 2^(j-r) lam^r mu^(i+j-r)
+                for (i, j), v in self._t.items():
+                    i, j = i + a, j + b
+                    for r in range(j + 1):
+                        key = (r, i + j - r)
+                        out[key] = out.get(key, 0) + v * math.comb(j, r) * 2 ** (j - r)
+            self._num = ParamPoly._clean({k: v for k, v in out.items() if v})
+            return self._num
 
     @property
     def den(self) -> ParamPoly:
-        """The denominator, expanded (and cached)."""
-        if self._den is None:
-            self._den = _expand(self._d)
-        return self._den
+        """The denominator c mu^a (lam+2mu)^b, expanded."""
+        if not self._t:
+            return ParamPoly.const(1)
+        return _modulus_power(*_shifts(self._t)).scale(self._c)
+
+    # -- protocol -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._t
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._t)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = RationalCoeff.from_int(other)
         if not isinstance(other, RationalCoeff):
             return NotImplemented
-        return self.num == other.num and self._d == other._d
+        return self._c == other._c and self._t == other._t
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((frozenset(self._t.items()), self._c))
 
     def __repr__(self) -> str:
         return f"RationalCoeff({self.render()})"
@@ -556,39 +479,53 @@ class RationalCoeff:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "RationalCoeff") -> "RationalCoeff":
-        if self.is_zero():
+        t1, t2 = self._t, other._t
+        if not t1:
             return other
-        if other.is_zero():
+        if not t2:
             return self
-        # Henrici: with g = gcd(d1, d2), t = n1 (d2/g) + n2 (d1/g) is coprime
-        # to (d1/g)(d2/g), so t/h over (d1/g)(d2/g)(g/h) with h = gcd(t, g)
-        # is reduced.
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            g, d12, t = d1, _UNIT, self.num + other.num
-        else:
-            g = _den_gcd(d1, d2)
-            d1g, d2g = _den_div(d1, g), _den_div(d2, g)
-            d12, t = _den_mul(d1g, d2g), _times(self.num, d2g) + _times(other.num, d1g)
-        if t.is_zero():
+        c1, c2 = self._c, other._c
+        if len(t1) < len(t2):
+            t1, t2, c1, c2 = t2, t1, c2, c1
+        # copy the larger map over the common denominator, merge the smaller one
+        g = math.gcd(c1, c2)
+        m1, m2 = c2 // g, c1 // g
+        out = t1.copy() if m1 == 1 else {k: v * m1 for k, v in t1.items()}
+        c1 *= m1
+        for k, v in t2.items():
+            v = v * m2 + out.get(k, 0)
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        if not out:
             return ZERO
-        t, gh = _cancel(t, g)
-        return _make(t, _den_mul(d12, gh))
+        return _canonical(out, c1)
 
     def __neg__(self) -> "RationalCoeff":
-        return _make(-self.num, self._d)
+        return _make({k: -v for k, v in self._t.items()}, self._c)
 
     def __sub__(self, other: "RationalCoeff") -> "RationalCoeff":
         return self + (-other)
 
     def __mul__(self, other: "RationalCoeff") -> "RationalCoeff":
-        if self.is_zero() or other.is_zero():
+        t1, t2 = self._t, other._t
+        if not t1 or not t2:
             return ZERO
-        # Cross-reduce: n1/d1 and n2/d2 stay reduced, n1/d2 and n2/d1 become
-        # coprime, so the product is reduced.
-        n1, d2 = _cancel(self.num, other._d)
-        n2, d1 = _cancel(other.num, self._d)
-        return _make(n1 * n2, _den_mul(d1, d2))
+        if len(t1) < len(t2):
+            t1, t2 = t2, t1
+        if len(t2) == 1:
+            ((i2, j2), v2), = t2.items()
+            out = {(i + i2, j + j2): v * v2 for (i, j), v in t1.items()}
+        else:
+            out = {}
+            for (i2, j2), v2 in t2.items():
+                for (i, j), v in t1.items():
+                    k = (i + i2, j + j2)
+                    out[k] = out.get(k, 0) + v * v2
+            # R is an integral domain: the product of nonzero factors is nonzero
+            out = {k: v for k, v in out.items() if v}
+        return _canonical(out, self._c * other._c)
 
     def __truediv__(self, other: "RationalCoeff") -> "RationalCoeff":
         if other.is_zero():
@@ -596,57 +533,66 @@ class RationalCoeff:
         return self * other.inv()
 
     def inv(self) -> "RationalCoeff":
-        if self.is_zero():
+        """1/self; the units of R are the one-term coefficients."""
+        if not self._t:
             raise CoeffDivisionError("inverse of zero coefficient")
-        # den/num is already reduced; only the sign may need moving
-        sign, d = _factor(self.num)
-        return _make(-self.den if sign < 0 else self.den, d)
+        if len(self._t) != 1:
+            raise CoeffError(
+                f"1/({self.render()}) is not in Q[lam, mu][1/mu, 1/(lam+2mu)]"
+            )
+        ((i, j), v), = self._t.items()
+        return _make({(-i, -j): self._c if v > 0 else -self._c}, abs(v))
 
     def scale(self, q: Fraction | int) -> "RationalCoeff":
         q = Fraction(q)
         return self._scaled(q.numerator, q.denominator)
 
     def _scaled(self, n: int, m: int) -> "RationalCoeff":
-        """self * n/m for coprime integers n and m > 0.  Only the integer
-        contents change: with g1 = gcd(n, c) and g2 = gcd(m, content(num)),
-        num (n/g1) / g2 over the denominator with c (m/g2) / g1 is
-        canonical."""
+        """self * n/m for coprime integers n and m > 0.  With g1 = gcd(n, c)
+        and g2 = gcd(m, content), the map times (n/g1)/g2 over c (m/g2)/g1
+        is canonical."""
         if not n:
             return ZERO
-        if n == m == 1:
+        t, c = self._t, self._c
+        if not t or n == m == 1:
             return self
-        c, a, b, rest = self._d
-        g1 = math.gcd(n, c)
-        g2 = math.gcd(m, *self.num._terms.values())
-        return _make(self.num._ratio(n // g1, g2), (c // g1 * (m // g2), a, b, rest))
+        g1 = math.gcd(n, c) if c != 1 else 1
+        g2 = math.gcd(m, *t.values()) if m != 1 else 1
+        n //= g1
+        if g2 == 1:
+            out = {k: v * n for k, v in t.items()}
+        else:
+            out = {k: v // g2 * n for k, v in t.items()}
+        return _make(out, c // g1 * (m // g2))
 
     # -- evaluation / rendering ------------------------------------------
 
     def evaluate(self, lam: Fraction | int, mu: Fraction | int) -> Fraction:
         lam, mu = Fraction(lam), Fraction(mu)
-        c, a, b, rest = self._d
-        d = c * mu**a * (lam + 2 * mu) ** b * rest.evaluate(lam, mu)
+        if not self._t:
+            return Fraction(0)
+        a, b = _shifts(self._t)
+        d = self._c * mu**a * (lam + 2 * mu) ** b
         if d == 0:
             raise CoeffPoleError(f"denominator vanishes at (lam={lam}, mu={mu})")
         return self.num.evaluate(lam, mu) / d
 
     def render(self) -> str:
         num = self.num.render()
-        c, a, b, rest = self._d
-        if self._d == _UNIT:
+        if not self._t:
             return num
-        prim = _expand((1, a, b, rest))
-        if c != 1 and not _is_one(prim):
-            den = f"{c}*({prim.render()})"
+        c = self._c
+        a, b = _shifts(self._t)
+        if c == 1 and not (a or b):
+            return num
+        prim = _modulus_power(a, b).render()
+        if c != 1 and (a or b):
+            den = f"{c}*({prim})"
         elif c != 1:
             den = str(c)
         else:
-            den = f"({prim.render()})" if len(prim.terms) > 1 else prim.render()
+            den = f"({prim})" if b else prim
         return f"(({num})) / ({den})"
-
-
-def _is_one(p: ParamPoly) -> bool:
-    return p.terms == {(0, 0): 1}
 
 
 # Shared constants for the formal parameters.

@@ -35,9 +35,10 @@ def test_add_to_one():
 
 
 def test_reciprocal_pair():
-    a = C("(l + m) / m")
-    b = C("m / (l + m)")
+    a = C("(l + 2*m) / m")
+    b = C("m / (l + 2*m)")
     assert a * b == ONE
+    assert a.inv() == b and b.inv() == a
 
 
 def test_cancellation_to_zero():
@@ -70,7 +71,7 @@ def test_division_by_zero_errors():
 def test_canonical_across_paths():
     # same rational function assembled two different ways
     a = (LAM + MU) / (LAM + MU + MU)
-    b = ((LAM + MU) * (LAM + MU)) / ((LAM + MU + MU) * (LAM + MU))
+    b = ((LAM + MU) * MU) / ((LAM + MU + MU) * MU)
     assert a.num == b.num and a.den == b.den
     assert hash(a) == hash(b)
 
@@ -157,10 +158,37 @@ small_polys = st.dictionaries(
 
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
 
+L2M = ParamPoly({(1, 0): 1, (0, 1): 2})
+
+
+@st.composite
+def ring_dens(draw):
+    """+-c mu^a (lam+2mu)^b, expanded: every denominator the ring allows."""
+    c = draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1)))
+    return (ParamPoly.mu() ** draw(st.integers(0, 2)) * L2M ** draw(st.integers(0, 2))).scale(c)
+
+
+@st.composite
+def ring_products(draw):
+    """Sums of products of the ring's generators: integers, Fractions, l, m,
+    l + 2m, and the inverses of m and l + 2m."""
+    gens = (LAM, MU, LAM + MU + MU, MU.inv(), (LAM + MU + MU).inv())
+    acc = ZERO
+    for _ in range(draw(st.integers(0, 3))):
+        term = RationalCoeff.from_fraction(draw(st.fractions(-6, 6, max_denominator=6)))
+        for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
+            term = term * g
+        acc = acc + term
+    return acc
+
 
 @st.composite
 def rationals(draw):
-    return RationalCoeff(draw(small_polys), draw(nonzero_polys))
+    # half through the constructor from (lam, mu) polynomials, half through
+    # the ring operations on the generators
+    if draw(st.booleans()):
+        return draw(ring_products())
+    return RationalCoeff(draw(small_polys), draw(ring_dens()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +199,14 @@ def test_field_axioms(a, b, c):
     assert a + b == b + a
     assert a * b == b * a
     if not a.is_zero():
-        assert a * a.inv() == ONE
+        try:
+            inv = a.inv()
+        except CoeffError:
+            # only +-c mu^i (lam+2mu)^j is a unit: the numerator is no denominator
+            with pytest.raises(CoeffError):
+                RationalCoeff(a.den, a.num)
+        else:
+            assert a * inv == ONE
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,7 +265,7 @@ scalars = st.one_of(
 def contented_rationals(draw):
     # integer contents on both sides, so scaling has content to cancel
     num = draw(small_polys).scale(draw(st.integers(1, 6)))
-    return RationalCoeff(num, draw(nonzero_polys).scale(draw(st.integers(1, 6))))
+    return RationalCoeff(num, draw(ring_dens()).scale(draw(st.integers(1, 6))))
 
 
 @pytest.mark.parametrize(
@@ -298,3 +333,46 @@ def test_field_operations_match_sympy(a, b, q):
         assert sympy.cancel(S(got) - expected) == 0
         # the result is in lowest terms over Z[l, m]
         assert sympy.gcd(S(got.num), S(got.den)) == 1
+
+
+# -- the ring Q[lam, mu][1/mu, 1/(lam+2mu)] -----------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals())
+def test_render_and_lam_mu_form_round_trip(x):
+    assert parse(x.render()) == x
+    assert RationalCoeff(x.num, x.den) == x
+    # the denominator is c mu^a (lam+2mu)^b with a positive c, a unit of the ring
+    den = RationalCoeff(x.den)
+    assert x * den == RationalCoeff(x.num)
+    assert den * den.inv() == ONE and x.den.leading()[1] > 0
+
+
+@pytest.mark.parametrize(
+    "text", ["1/(l + m)", "m/l", "1/(l - 2*m)", "(l + 2*m)/(l*m + m**2)", "1/(2*m*(l + 2*m)*(l - m))"]
+)
+def test_parse_out_of_the_ring_raises(text):
+    with pytest.raises(CoeffError, match="not in Q"):
+        parse(text)
+
+
+@pytest.mark.parametrize("text", ["l", "l + m", "m + 1", "2*l + 4*m + 1"])
+def test_inverse_of_a_non_monomial_raises(text):
+    x = C(text)
+    with pytest.raises(CoeffError, match="not in Q"):
+        x.inv()
+    with pytest.raises(CoeffError, match="not in Q"):
+        ONE / x
+
+
+@pytest.mark.parametrize(
+    "den", ["l", "l + m", "m*(l + m)", "l**2 + 4*m**2", "2*l + 3*m", "2*m*(l + 2*m)*(l + m)"]
+)
+def test_constructor_rejects_a_denominator_outside_the_ring(den):
+    # a factor other than mu and lam + 2mu is rejected where it enters, never
+    # reduced: the numerator does not matter, even one that the denominator divides
+    with pytest.raises(CoeffError, match="not of the form"):
+        RationalCoeff(P(den), P(den))
+    with pytest.raises(CoeffError, match="not of the form"):
+        RationalCoeff(ParamPoly.const(1), P(den))

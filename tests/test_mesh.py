@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamegap.fem.assembly import assemble
 from lamegap.fem.geometry import Geometry, GeometryError
@@ -16,6 +18,9 @@ from lamegap.fem.mesh import (
     read_mesh,
     write_mesh,
 )
+
+# the benchmark's coarse sweep mesh
+COARSE = MeshParams(nr=8, arc_target=0.24)
 
 
 def test_geometry_validation():
@@ -163,3 +168,16 @@ def test_folded_curved_elements_fail_at_meshing(rho2):
 def test_unequal_radii_that_mesh_also_assemble():
     mesh = generate_mesh(Geometry(eps=0.0125, rho2=0.75))
     assert assemble(mesh, 1.0, 1.0).K.shape == (2 * mesh.n_nodes, 2 * mesh.n_nodes)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rho2=st.floats(0.25, 1.0), eps=st.floats(1e-4, 0.1))
+def test_radius_ratios_mesh_and_assemble_or_fail_at_meshing(rho2, eps):
+    # on the coarse sweep mesh every radius ratio either meshes and
+    # assembles, or fails in generate_mesh with a MeshError; an
+    # AssemblyError (or anything else) after meshing is a bug
+    try:
+        mesh = generate_mesh(Geometry(eps=eps, rho2=rho2), COARSE)
+    except MeshError:
+        return
+    assert assemble(mesh, 1.0, 1.0).K.nnz > 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .coeffs import MU
+from .coeffs import MU, ONE
 from .families import (
     LAM_P_2MU,
     LAM_P_MU,
@@ -25,7 +25,7 @@ from .families import (
     rigid_basis,
     uses_level2_split,
 )
-from .neck import DimConfig, NeckField, NeckScalar, term_order
+from .neck import DimConfig, NeckField, NeckScalar, lincomb, term_order
 
 __all__ = [
     "CheckReport",
@@ -126,26 +126,20 @@ def _identity_residuals(fam: AuxFamily, l: int) -> list[tuple[str, NeckScalar]]:
     if order == "tangential_first":
         targets = level2_split_targets(fam) if split else [f_prev[i] for i in range(d - 1)]
         for i in range(d - 1):
-            res = vl[i].diff2("z", "z").scale(MU) + targets[i]
+            res = lincomb(dim, [(vl[i], ("z", "z"), MU), (targets[i], None, ONE)])
             out.append((f"tangential ODE comp {i + 1}", res))
-        slave = NeckScalar.zero(dim)
-        for i in range(d - 1):
-            slave = slave + vl[i].diff2("z", axes[i])
-        res = (
-            vl[d - 1].diff2("z", "z").scale(LAM_P_2MU)
-            + f_prev[d - 1]
-            + slave.scale(LAM_P_MU)
-        )
-        out.append(("normal ODE", res))
+        parts = [(vl[d - 1], ("z", "z"), LAM_P_2MU), (f_prev[d - 1], None, ONE)]
+        parts += [(vl[i], ("z", axes[i]), LAM_P_MU) for i in range(d - 1)]
+        out.append(("normal ODE", lincomb(dim, parts)))
     else:
-        res = vl[d - 1].diff2("z", "z").scale(LAM_P_2MU) + f_prev[d - 1]
+        res = lincomb(dim, [(vl[d - 1], ("z", "z"), LAM_P_2MU), (f_prev[d - 1], None, ONE)])
         out.append(("normal ODE", res))
         for i in range(d - 1):
-            res = (
-                vl[i].diff2("z", "z").scale(MU)
-                + f_prev[i]
-                + vl[d - 1].diff2("z", axes[i]).scale(LAM_P_MU)
-            )
+            res = lincomb(dim, [
+                (vl[i], ("z", "z"), MU),
+                (f_prev[i], None, ONE),
+                (vl[d - 1], ("z", axes[i]), LAM_P_MU),
+            ])
             out.append((f"tangential ODE comp {i + 1}", res))
     return out
 
@@ -163,20 +157,13 @@ def _structure_residuals(fam: AuxFamily, l: int) -> list[tuple[str, NeckScalar]]
     if l == 1 and rotation:
         return out
     if order == "tangential_first":
-        lap = NeckScalar.zero(dim)
-        for ax in axes[:-1]:
-            lap = lap + vl[d - 1].diff2(ax, ax)
-        out.append((f"residual structure comp {d}", fl[d - 1] - lap.scale(MU)))
+        parts = [(fl[d - 1], None, ONE)] + [(vl[d - 1], (ax, ax), -MU) for ax in axes[:-1]]
+        out.append((f"residual structure comp {d}", lincomb(dim, parts)))
     else:
-        div_t = NeckScalar.zero(dim)
-        for j in range(d - 1):
-            div_t = div_t + vl[j].diff(axes[j])
         for i in range(d - 1):
-            lap = NeckScalar.zero(dim)
-            for ax in axes[:-1]:
-                lap = lap + vl[i].diff2(ax, ax)
-            expect = lap.scale(MU) + div_t.diff(axes[i]).scale(LAM_P_MU)
-            out.append((f"residual structure comp {i + 1}", fl[i] - expect))
+            parts = [(fl[i], None, ONE)] + [(vl[i], (ax, ax), -MU) for ax in axes[:-1]]
+            parts += [(vl[j], (axes[i], axes[j]), -LAM_P_MU) for j in range(d - 1)]
+            out.append((f"residual structure comp {i + 1}", lincomb(dim, parts)))
     return out
 
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping
 
@@ -118,15 +119,16 @@ class ParamPoly:
 
     @classmethod
     def const(cls, c: int) -> "ParamPoly":
-        return cls({(0, 0): int(c)})
+        c = int(c)
+        return cls._clean({(0, 0): c} if c else {})
 
     @classmethod
     def lam(cls) -> "ParamPoly":
-        return cls({(1, 0): 1})
+        return cls._clean({(1, 0): 1})
 
     @classmethod
     def mu(cls) -> "ParamPoly":
-        return cls({(0, 1): 1})
+        return cls._clean({(0, 1): 1})
 
     # -- basic protocol -----------------------------------------------
 
@@ -172,6 +174,13 @@ class ParamPoly:
         return self + (-other)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
+        t1, t2 = self._terms, other._terms
+        if len(t1) < len(t2):
+            t1, t2 = t2, t1
+        if len(t2) == 1:
+            # a monomial factor shifts exponents; Z has no zero divisors
+            ((i2, j2), c2), = t2.items()
+            return ParamPoly._clean({(i + i2, j + j2): c * c2 for (i, j), c in t1.items()})
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
@@ -186,13 +195,17 @@ class ParamPoly:
     def __pow__(self, n: int) -> "ParamPoly":
         if n < 0:
             raise CoeffError("negative power of ParamPoly")
+        if len(self._terms) == 1:
+            ((i, j), c), = self._terms.items()
+            return ParamPoly._clean({(i * n, j * n): c**n})
         result = ParamPoly.const(1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c: int) -> "ParamPoly":
@@ -568,14 +581,28 @@ class RationalCoeff:
     # -- evaluation / rendering ------------------------------------------
 
     def evaluate(self, lam: Fraction | int, mu: Fraction | int) -> Fraction:
+        """The value at (lam, mu), summed in integers.
+
+        With mu = p/q, s = lam + 2mu = r/w, the shifts (a, b) and A, B the
+        largest shifted exponents i + a and j + b, the integer
+        N = sum n_ij p^(i+a) q^(A-i-a) r^(j+b) w^(B-j-b) gives
+        x = N q^a w^b / (c q^A w^B p^a r^b).
+        """
         lam, mu = Fraction(lam), Fraction(mu)
         if not self._t:
             return Fraction(0)
         a, b = _shifts(self._t)
-        d = self._c * mu**a * (lam + 2 * mu) ** b
-        if d == 0:
+        s = lam + 2 * mu
+        p, q, r, w = mu.numerator, mu.denominator, s.numerator, s.denominator
+        if (a and not p) or (b and not r):
             raise CoeffPoleError(f"denominator vanishes at (lam={lam}, mu={mu})")
-        return self.num.evaluate(lam, mu) / d
+        big_a = max(i for i, _ in self._t) + a
+        big_b = max(j for _, j in self._t) + b
+        total = 0
+        for (i, j), v in self._t.items():
+            i, j = i + a, j + b
+            total += v * p**i * q ** (big_a - i) * r**j * w ** (big_b - j)
+        return Fraction(total * q**a * w**b, self._c * q**big_a * w**big_b * p**a * r**b)
 
     def render(self) -> str:
         num = self.num.render()
@@ -613,21 +640,26 @@ def parse(text: str) -> RationalCoeff:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise CoeffError(f"cannot parse coefficient {text!r}: {exc}") from exc
-    return _from_ast(tree.body)
+    return _in_ring(_from_ast(tree.body))
 
 
-def _from_ast(node: ast.AST) -> RationalCoeff:
-    if isinstance(node, ast.BinOp):
+def _in_ring(x: "ParamPoly | RationalCoeff") -> RationalCoeff:
+    return x if isinstance(x, RationalCoeff) else RationalCoeff(x)
+
+
+_RING_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+             ast.Div: operator.truediv}
+_SYMBOLS = {"l": ParamPoly.lam(), "m": ParamPoly.mu()}
+
+
+def _from_ast(node: ast.AST) -> "ParamPoly | RationalCoeff":
+    """A division-free subtree as a ParamPoly, converted to the ring only
+    where it meets a division; any other subtree as a RationalCoeff."""
+    kind = type(node)
+    if kind is ast.BinOp:
         left, right = _from_ast(node.left), _from_ast(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            return left / right
-        if isinstance(node.op, ast.Pow):
+        op = type(node.op)
+        if op is ast.Pow:
             if not (
                 isinstance(node.right, ast.Constant)
                 and _is_int_literal(node.right.value)
@@ -635,27 +667,33 @@ def _from_ast(node: ast.AST) -> RationalCoeff:
             ):
                 raise CoeffError("only nonnegative integer powers are allowed")
             n = node.right.value
+            if type(left) is ParamPoly:
+                return left**n
             out = ONE
             for _ in range(n):
                 out = out * left
             return out
-        raise CoeffError(f"unsupported operator {ast.dump(node.op)}")
-    if isinstance(node, ast.UnaryOp):
+        fn = _RING_OPS.get(op)
+        if fn is None:
+            raise CoeffError(f"unsupported operator {ast.dump(node.op)}")
+        if op is not ast.Div and type(left) is ParamPoly and type(right) is ParamPoly:
+            return fn(left, right)
+        return fn(_in_ring(left), _in_ring(right))
+    if kind is ast.Constant:
+        if _is_int_literal(node.value):
+            return ParamPoly.const(node.value)
+        raise CoeffError("only integer literals are allowed")
+    if kind is ast.Name:
+        poly = _SYMBOLS.get(node.id)
+        if poly is None:
+            raise CoeffError(f"unknown symbol {node.id!r} (expected l or m)")
+        return poly
+    if kind is ast.UnaryOp:
         if isinstance(node.op, ast.USub):
             return -_from_ast(node.operand)
         if isinstance(node.op, ast.UAdd):
             return _from_ast(node.operand)
         raise CoeffError("unsupported unary operator")
-    if isinstance(node, ast.Constant):
-        if _is_int_literal(node.value):
-            return RationalCoeff.from_int(node.value)
-        raise CoeffError("only integer literals are allowed")
-    if isinstance(node, ast.Name):
-        if node.id == "l":
-            return LAM
-        if node.id == "m":
-            return MU
-        raise CoeffError(f"unknown symbol {node.id!r} (expected l or m)")
     raise CoeffError(f"unsupported syntax node {type(node).__name__}")
 
 

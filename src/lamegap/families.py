@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import LAM, MU, ONE, RationalCoeff, parse
-from .neck import DimConfig, NeckField, NeckScalar, green_solve
+from .neck import DimConfig, NeckField, NeckScalar, green_solve, lincomb
 
 __all__ = [
     "AuxFamily",
@@ -92,18 +92,17 @@ def rigid_basis(dim: DimConfig) -> list[NeckField]:
 
 
 def lame_apply(u: NeckField) -> NeckField:
-    """Exact symbolic Lame operator: (Lu)^(i) = mu Lap u^(i) + (lam+mu) d_i(div u)."""
+    """Exact symbolic Lame operator: (Lu)^(i) = mu Lap u^(i) + (lam+mu) d_i(div u).
+
+    div u is one :func:`lincomb` of first derivatives, and each component
+    one :func:`lincomb` of the Laplacian's terms and d_i div u."""
     dim = u.dim
     axes = dim.axes
-    div = NeckScalar.zero(dim)
-    for j, comp in enumerate(u.components):
-        div = div + comp.diff(axes[j])
+    div = lincomb(dim, [(uj, (axes[j],), ONE) for j, uj in enumerate(u.components)])
     out = []
     for i, comp in enumerate(u.components):
-        lap = NeckScalar.zero(dim)
-        for ax in axes:
-            lap = lap + comp.diff2(ax, ax)
-        out.append(lap.scale(MU) + div.diff(axes[i]).scale(LAM_P_MU))
+        parts = [(comp, (ax, ax), MU) for ax in axes] + [(div, (axes[i],), LAM_P_MU)]
+        out.append(lincomb(dim, parts))
     return NeckField(out)
 
 
@@ -259,12 +258,10 @@ def level2_split_targets(fam: AuxFamily) -> list[NeckScalar]:
     """
     dim = fam.dim
     v1 = fam.v(1)
-    axes = dim.axes
-    out = []
-    for i in range(dim.n_tangential):
-        t = v1[i].diff2("z", "z").scale(MU) + v1[dim.d - 1].diff2("z", axes[i]).scale(LAM_P_MU)
-        out.append(t)
-    return out
+    return [
+        lincomb(dim, [(v1[i], ("z", "z"), MU), (v1[dim.d - 1], ("z", dim.axes[i]), LAM_P_MU)])
+        for i in range(dim.n_tangential)
+    ]
 
 
 def extend_integral(fam: AuxFamily) -> AuxFamily:
@@ -284,16 +281,17 @@ def extend_integral(fam: AuxFamily) -> AuxFamily:
         for i in range(dim.n_tangential):
             target = split_targets[i] if split_targets is not None else f_prev[i]
             comps[i] = green_solve(target.scale(-(ONE / MU)))
-        slave = NeckScalar.zero(dim)
-        for i in range(dim.n_tangential):
-            slave = slave + comps[i].diff2("z", axes[i])
-        target_d = f_prev[d - 1] + slave.scale(LAM_P_MU)
-        comps[d - 1] = green_solve(target_d.scale(-(ONE / LAM_P_2MU)))
+        # (lam+2mu) w_zz = -(f^(d) + (lam+mu) sum_i d_z d_i v^(i))
+        parts = [(f_prev[d - 1], None, -(ONE / LAM_P_2MU))]
+        parts += [(comps[i], ("z", axes[i]), -(LAM_P_MU / LAM_P_2MU)) for i in range(d - 1)]
+        comps[d - 1] = green_solve(lincomb(dim, parts))
     else:
         comps[d - 1] = green_solve(f_prev[d - 1].scale(-(ONE / LAM_P_2MU)))
         for i in range(dim.n_tangential):
-            target = f_prev[i] + comps[d - 1].diff2("z", axes[i]).scale(LAM_P_MU)
-            comps[i] = green_solve(target.scale(-(ONE / MU)))
+            # mu w_zz = -(f^(i) + (lam+mu) d_z d_i v^(d))
+            parts = [(f_prev[i], None, -(ONE / MU)),
+                     (comps[d - 1], ("z", axes[i]), -(LAM_P_MU / MU))]
+            comps[i] = green_solve(lincomb(dim, parts))
     return fam._with_level(NeckField(comps))
 
 

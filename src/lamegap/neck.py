@@ -10,7 +10,8 @@ with ``coeff`` in the exact field Q(lam, mu), tangential exponents ``p``
 semantic equality rewrites eps = delta - |x'|^2, which leaves a unique
 Laurent polynomial in x', z and delta, and compares it to zero.
 
-Supported calculus: exact first and second derivatives, boundary
+Supported calculus: exact first and second derivatives, exact linear
+combinations of derivatives summed once per term (:func:`lincomb`), boundary
 substitution z -> +-delta/2 (the symmetric quadratic geometry) split by the
 parity of the normal exponent, the two-point normal ODE solve
 d^2w/dz^2 = g with w(+-delta/2) = 0, certified growth orders on the neck,
@@ -20,12 +21,13 @@ and exact/float evaluation.  All values are immutable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .coeffs import ONE, RationalCoeff
+from .coeffs import ONE, RationalCoeff, _canonical
 
 __all__ = [
     "DimConfig",
@@ -33,6 +35,7 @@ __all__ = [
     "NeckField",
     "NeckError",
     "green_solve",
+    "lincomb",
     "term_order",
     "DIM2",
     "DIM3",
@@ -258,13 +261,8 @@ class NeckScalar:
         i, j, nt = self._axis(a), self._axis(b), self.dim.n_tangential
         out: dict[Key, RationalCoeff] = {}
         for key, c in self._terms.items():
-            mults: dict[Key, int] = {}
-            for k1, m1 in _monomial_diff(key, j, nt):
-                for k2, m2 in _monomial_diff(k1, i, nt):
-                    mults[k2] = mults.get(k2, 0) + m1 * m2
-            for k, m in mults.items():
-                if m:
-                    _accumulate(out, k, c._scaled(m, 1))
+            for k, m in _monomial_diff2(key, i, j, nt):
+                _accumulate(out, k, c._scaled(m, 1))
         return NeckScalar._clean(self.dim, out)
 
     def boundary_parts(self) -> tuple["NeckScalar", "NeckScalar"]:
@@ -303,7 +301,8 @@ class NeckScalar:
         """
         if not self._terms:
             raise NeckError("neck order of the zero scalar is undefined (+infinity)")
-        return min(map(term_order, self._terms))
+        # in half-units: 2 * term_order = sum(p) + 2 (q + s - r)
+        return Fraction(min(sum(p) + 2 * (q + s - r) for p, q, s, r in self._terms), 2)
 
     def expanded_order(self) -> Fraction:
         """Certified growth order of the function itself.
@@ -318,7 +317,7 @@ class NeckScalar:
         basis = self._delta_basis()
         if not basis:
             raise NeckError("order of the zero function is undefined (+infinity)")
-        return min(Fraction(sum(p), 2) + q + e for (p, q, e) in basis)
+        return Fraction(min(sum(p) + 2 * (q + e) for (p, q, e) in basis), 2)
 
     # -- equality / evaluation -------------------------------------------------
 
@@ -405,13 +404,15 @@ class NeckScalar:
                 acc += c.evaluate(lam_f, mu_f) * mono * z**q * eps**s / delta**r
             return acc
         if mode == "float":
+            xpf = [float(v) for v in xp]
+            zf, ef = float(z), float(eps)
+            delta = ef + sum(v * v for v in xpf)
+            if delta == 0:
+                raise NeckError("evaluation requires eps + |x'|^2 > 0")
             if self._floats is None or self._floats[0] != (lam, mu):
                 lam_q, mu_q = Fraction(lam), Fraction(mu)
                 coeffs = [float(c.evaluate(lam_q, mu_q)) for c in self._terms.values()]
                 self._floats = ((lam, mu), coeffs)
-            xpf = [float(v) for v in xp]
-            zf, ef = float(z), float(eps)
-            delta = ef + sum(v * v for v in xpf)
             acc = 0.0
             for (p, q, s, r), cf in zip(self._terms, self._floats[1]):
                 mono = 1.0
@@ -470,6 +471,88 @@ def _monomial_diff(key: Key, i: int, nt: int) -> list[tuple[Key, int]]:
     if r:
         # d(delta^-r)/dx_i = -r * 2 x_i * delta^-(r+1)
         out.append(((p[:i] + (p[i] + 1,) + p[i + 1 :], q, s, r + 1), -2 * r))
+    return out
+
+
+def _monomial_diff2(key: Key, i: int, j: int, nt: int) -> list[tuple[Key, int]]:
+    """d/dx_i d/dx_j of one monomial as (key, nonzero multiplier) pairs,
+    the multipliers of both steps summed per key."""
+    mults: dict[Key, int] = {}
+    for k1, m1 in _monomial_diff(key, j, nt):
+        for k2, m2 in _monomial_diff(k1, i, nt):
+            mults[k2] = mults.get(k2, 0) + m1 * m2
+    return [(k, m) for k, m in mults.items() if m]
+
+
+Part = tuple["NeckScalar", Sequence[str] | None, RationalCoeff]
+
+
+def lincomb(dim: DimConfig, parts: Iterable[Part]) -> NeckScalar:
+    """The exact sum of ``factor * d_axes scalar`` over parts, summed once per term.
+
+    Each part is (scalar, axes, factor): axes is None (the scalar itself),
+    one axis (``diff``) or a pair (a, b) (``diff2(a, b)``).  The result
+    equals the chain ``scalar.diff2(a, b).scale(factor) + ...`` built from
+    ``diff``, ``diff2``, ``scale`` and ``+``, with the same term order when
+    no partial sum of that chain cancels a term.
+
+    Each output term is summed in integers: a contribution is the integer
+    Laurent map of its coefficient times the factor's, weighted by
+    mult * L / (c_coeff c_factor) with L the lcm of all those denominators,
+    and each term's sum over L is reduced by one gcd.
+    """
+    nt = dim.n_tangential
+    rows = []  # (coefficient times factor as an integer map, its denominator, [(key, mult)])
+    for scal, axes, f in parts:
+        if scal.dim != dim:
+            raise NeckError("dimension mismatch between neck scalars")
+        tf, cf = f._t, f._c
+        if not tf:
+            continue
+        idx = [scal._axis(a) for a in axes] if axes else []
+        for key, c in scal._terms.items():
+            if not idx:
+                mults = ((key, 1),)
+            elif len(idx) == 1:
+                mults = _monomial_diff(key, idx[0], nt)
+            else:
+                mults = _monomial_diff2(key, idx[0], idx[1], nt)
+            if mults:
+                rows.append((_times(c._t, tf), c._c * cf, mults))
+    big_l = math.lcm(*{den for _, den, _ in rows})
+    acc: dict[Key, dict[tuple[int, int], int]] = {}
+    for conv, den, mults in rows:
+        scale = big_l // den
+        for k, m in mults:
+            w = m * scale
+            t = acc.get(k)
+            if t is None:
+                acc[k] = {e: w * v for e, v in conv.items()}
+            else:
+                for e, v in conv.items():
+                    t[e] = t.get(e, 0) + w * v
+    out: dict[Key, RationalCoeff] = {}
+    for k, t in acc.items():
+        if 0 in t.values():
+            t = {e: v for e, v in t.items() if v}
+            if not t:
+                continue
+        out[k] = _canonical(t, big_l)
+    return NeckScalar._clean(dim, out)
+
+
+def _times(t: dict[tuple[int, int], int], tf: dict[tuple[int, int], int]) -> dict:
+    """The product of two integer Laurent maps; entries may cancel to zero."""
+    if len(tf) == 1:
+        ((i2, j2), v2), = tf.items()
+        if i2 == j2 == 0 and v2 == 1:
+            return t
+        return {(i + i2, j + j2): v * v2 for (i, j), v in t.items()}
+    out: dict[tuple[int, int], int] = {}
+    for (i2, j2), v2 in tf.items():
+        for (i, j), v in t.items():
+            e = (i + i2, j + j2)
+            out[e] = out.get(e, 0) + v * v2
     return out
 
 

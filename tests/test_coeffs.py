@@ -96,6 +96,21 @@ def test_render_parse_roundtrip():
         assert parse(v.render()) == v
 
 
+@pytest.mark.parametrize(
+    "power, product",
+    [
+        ("(2*l)**3", "8*l**3"),
+        ("(-3*l*m**2)**2", "9*l**2*m**4"),
+        ("(l + 2*m)**3 / m**2", "(l + 2*m)*(l + 2*m)*(l + 2*m) / (m*m)"),
+        ("((l + m) / m)**2", "(l + m)*(l + m) / m**2"),
+        ("(2*m)**0", "1"),
+        ("0**2", "0"),
+    ],
+)
+def test_parse_powers_match_products(power, product):
+    assert parse(power) == parse(product)
+
+
 def test_render_matches_reference_style():
     v = C("(2*l + 3*m) / (3*l + 6*m)")
     assert v.render() == "((2*l + 3*m)) / (3*(l + 2*m))"

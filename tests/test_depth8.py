@@ -1,10 +1,14 @@
 """The certificate at the depth cap: every check at depth 8 on both routes,
-and the two routes agree at every level.  Slow (under a minute); deselected
-by default, run with ``pytest -m slow``."""
+its report pinned byte for byte (``verify_depth8`` in
+``tests/data/exact_digests.json``), and the two routes agree at every
+level.  Slow (under a minute); deselected by default, run with
+``pytest -m slow``."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from lamegap.families import build_family
 from lamegap.neck import DIM2, DIM3
 
 pytestmark = pytest.mark.slow
+
+DIGESTS = json.loads((Path(__file__).parent / "data" / "exact_digests.json").read_text())
 
 
 # the lower-bound probe runs for m = 1..8 on both alpha = 1 families, at two radii
@@ -23,6 +29,7 @@ def test_aux_verify_depth8_passes(tmp_path, capsys, route, n_checks):
     assert f"{n_checks}/{n_checks} checks passed" in capsys.readouterr().out
     rows = json.loads(out.read_text())
     assert len(rows) == n_checks and all(r["status"] == "pass" for r in rows)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["verify_depth8"][route]
 
 
 @pytest.mark.parametrize("d,alpha", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])

@@ -1,10 +1,13 @@
 """The one-pass kernels of the neck algebra against the formulas they replace.
 
-``boundary_parts`` (the parity split of z -> +-delta/2), ``green_solve`` and
-``diff2`` must give the same term maps (representation equality ``==``, not
-``.equal``) as a termwise boundary substitution, the two-substitution Green
-correction and a chain of first derivatives.  The zero test and the order
-read in the delta basis must agree with the expansion over delta^R.
+``boundary_parts`` (the parity split of z -> +-delta/2), ``green_solve``,
+``diff2`` and ``lincomb`` must give the same term maps (representation
+equality ``==``, not ``.equal``) as a termwise boundary substitution, the
+two-substitution Green correction, a chain of first derivatives and a
+pairwise chain of ``diff``/``diff2``/``scale``/``+``.  The zero test and the
+order read in the delta basis must agree with the expansion over delta^R,
+the integer growth orders with the Fractions of ``term_order``, and the
+integer evaluation of a coefficient with its (lam, mu) form num/den.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from itertools import product
 
 import pytest
 
-from lamegap.coeffs import RationalCoeff
-from lamegap.families import alpha_range, build_family
-from lamegap.neck import DIM2, DIM3, NeckScalar, green_solve, term_order
+from lamegap.coeffs import (
+    LAM, MU, ONE, ZERO, CoeffError, CoeffPoleError, ParamPoly, RationalCoeff,
+)
+from lamegap.families import LAM_P_2MU, LAM_P_MU, alpha_range, build_family, lame_apply
+from lamegap.neck import DIM2, DIM3, NeckError, NeckScalar, green_solve, lincomb, term_order
 
 
 def substitute_reference(w: NeckScalar, side: str) -> NeckScalar:
@@ -46,6 +51,31 @@ def order_reference(scal: NeckScalar) -> Fraction:
     """Lowest weighted degree of the delta^R numerator, minus R."""
     big_r = max(r for (_, _, _, r) in scal.terms)
     return min(term_order((p, q, s, big_r)) for (p, q, s) in scal.expand_polynomial())
+
+
+def lame_reference(u) -> list[NeckScalar]:
+    """The Lame operator as the pairwise chain mu Lap u_i + (lam+mu) d_i div u."""
+    axes = u.dim.axes
+    div = NeckScalar.zero(u.dim)
+    for j, comp in enumerate(u.components):
+        div = div + comp.diff(axes[j])
+    out = []
+    for i, comp in enumerate(u.components):
+        lap = NeckScalar.zero(u.dim)
+        for ax in axes:
+            lap = lap + comp.diff2(ax, ax)
+        out.append(lap.scale(MU) + div.diff(axes[i]).scale(LAM_P_MU))
+    return out
+
+
+def chain_reference(dim, parts) -> NeckScalar:
+    """sum of factor * d_axes scalar, one pairwise diff/diff2/scale/+ at a time."""
+    acc = NeckScalar.zero(dim)
+    for scal, axes, f in parts:
+        if axes is not None:
+            scal = scal.diff(axes[0]) if len(axes) == 1 else scal.diff2(*axes)
+        acc = acc + scal.scale(f)
+    return acc
 
 
 def assert_zero_test_matches(scal: NeckScalar) -> None:
@@ -88,6 +118,16 @@ def test_kernels_match_on_every_family_component(all_families_depth3):
     assert checked == 2 * 3 * (3 * 2 + 6 * 3 + 2 * 2 + 3 * 3)
 
 
+def test_lame_apply_keeps_the_chain_and_its_term_order(all_families_depth3):
+    # float evaluation sums in term order, so the fused operator must keep it
+    for fam in all_families_depth3:
+        for fld in fam.levels:
+            got = lame_apply(fld).components
+            ref = lame_reference(fld)
+            assert list(got) == ref
+            assert [list(c.terms) for c in got] == [list(c.terms) for c in ref]
+
+
 def test_parts_of_mixed_parity_terms():
     # z^2 x1 / delta^3 + z eps / delta: E = x1/(4 delta), O = eps/2
     scal = NeckScalar(
@@ -105,25 +145,8 @@ def test_kernels_match_on_drawn_scalars():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    @st.composite
-    def scalars(draw):
-        dim = draw(st.sampled_from((DIM2, DIM3)))
-        terms = {}
-        for _ in range(draw(st.integers(1, 5))):
-            key = (
-                tuple(draw(st.integers(0, 3)) for _ in range(dim.n_tangential)),
-                draw(st.integers(0, 5)),
-                draw(st.integers(0, 2)),
-                draw(st.integers(0, 4)),
-            )
-            num = draw(st.integers(-6, 6))
-            if num:
-                den = draw(st.integers(1, 5))
-                terms[key] = RationalCoeff.from_fraction(Fraction(num, den))
-        return NeckScalar(dim, terms)
-
     @settings(max_examples=60, deadline=None)
-    @given(scalars(), scalars())
+    @given(scalar_strategy(st), scalar_strategy(st))
     def check(scal, other):
         assert_kernels_match(scal)
         # the same function over another delta power, and a sum that cancels
@@ -133,5 +156,145 @@ def test_kernels_match_on_drawn_scalars():
         assert_zero_test_matches(same - scal)
         if other.dim == scal.dim:
             assert_zero_test_matches(scal.mul_delta(1) - other)
+
+    check()
+
+
+def scalar_strategy(st, dim=None, ring=False):
+    """Neck scalars over DIM2 or DIM3 (or the given dim) with Fraction
+    coefficients, or with ring elements when ring is set."""
+    gens = (ONE, MU, LAM, LAM_P_MU, LAM_P_2MU, ONE / MU, LAM_P_MU / LAM_P_2MU)
+
+    @st.composite
+    def scalars(draw):
+        d = dim if dim is not None else draw(st.sampled_from((DIM2, DIM3)))
+        terms = {}
+        for _ in range(draw(st.integers(1, 5))):
+            key = (
+                tuple(draw(st.integers(0, 3)) for _ in range(d.n_tangential)),
+                draw(st.integers(0, 5)),
+                draw(st.integers(0, 2)),
+                draw(st.integers(0, 4)),
+            )
+            num = draw(st.integers(-6, 6))
+            if num:
+                c = RationalCoeff.from_fraction(Fraction(num, draw(st.integers(1, 5))))
+                terms[key] = c * draw(st.sampled_from(gens)) if ring else c
+        return NeckScalar(d, terms)
+
+    return scalars()
+
+
+def test_lincomb_matches_the_pairwise_chain():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    factors = (ONE, ZERO, MU, LAM_P_MU, LAM_P_2MU, -(ONE / MU), -(LAM_P_MU / LAM_P_2MU),
+               RationalCoeff.from_fraction(Fraction(-3, 7)), (LAM + MU.scale(5)) / MU.scale(6))
+
+    @st.composite
+    def combinations(draw):
+        dim = draw(st.sampled_from((DIM2, DIM3)))
+        axes = st.one_of(
+            st.none(),
+            st.tuples(st.sampled_from(dim.axes)),
+            st.tuples(st.sampled_from(dim.axes), st.sampled_from(dim.axes)),
+        )
+        parts = [
+            (draw(scalar_strategy(st, dim, ring=True)), draw(axes), draw(st.sampled_from(factors)))
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+        return dim, parts
+
+    @settings(max_examples=80, deadline=None)
+    @given(combinations(), st.booleans())
+    def check(comb, cancel):
+        dim, parts = comb
+        got = lincomb(dim, parts)
+        assert got == chain_reference(dim, parts)
+        # the same parts again with negated factors cancel every term
+        negated = [(scal, axes, -f) for scal, axes, f in parts]
+        assert lincomb(dim, parts + negated).is_zero()
+        if cancel:
+            # a part and its negation around another part leave that part
+            scal, axes, f = parts[0]
+            rest = [(scal, axes, f), parts[-1], (scal, axes, -f)]
+            assert lincomb(dim, rest) == chain_reference(dim, [parts[-1]])
+
+    check()
+
+
+def test_lincomb_rejects_mixed_dimensions():
+    with pytest.raises(NeckError):
+        lincomb(DIM2, [(NeckScalar.one(DIM3), None, ONE)])
+
+
+def test_integer_orders_match_term_order():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=80, deadline=None)
+    @given(scalar_strategy(st), scalar_strategy(st))
+    def check(scal, other):
+        if other.dim == scal.dim:
+            scal = scal + other.mul_delta(1) - other.mul_z(1)
+        if scal.is_zero():
+            with pytest.raises(NeckError):
+                scal.neck_order()
+            return
+        assert scal.neck_order() == min(map(term_order, scal.terms))
+        basis = scal._delta_basis()
+        if not basis:
+            with pytest.raises(NeckError):
+                scal.expanded_order()
+            return
+        want = min(Fraction(sum(p), 2) + q + e for (p, q, e) in basis)
+        assert scal.expanded_order() == want
+
+    check()
+
+
+def test_coefficient_evaluation_matches_its_lam_mu_form():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    l2m = ParamPoly({(1, 0): 1, (0, 1): 2})
+
+    @st.composite
+    def coeffs(draw):
+        num = ParamPoly({
+            (draw(st.integers(0, 3)), draw(st.integers(0, 3))): draw(st.integers(-9, 9))
+            for _ in range(draw(st.integers(0, 4)))
+        })
+        c = draw(st.integers(1, 12)) * draw(st.sampled_from((1, -1)))
+        den = (ParamPoly.mu() ** draw(st.integers(0, 3)) * l2m ** draw(st.integers(0, 3))).scale(c)
+        return RationalCoeff(num, den)
+
+    def divides(factor: ParamPoly, p: ParamPoly) -> bool:
+        try:
+            p.exact_div(factor)
+        except CoeffError:
+            return False
+        return True
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs(), st.fractions(-5, 5, max_denominator=7), st.fractions(-5, 5, max_denominator=7))
+    def check(x, lam, mu):
+        num, den = x.num, x.den
+        if mu != 0 and lam + 2 * mu != 0:
+            assert x.evaluate(lam, mu) == num.evaluate(lam, mu) / den.evaluate(lam, mu)
+        # at mu = 0 (lam != 0) and at lam = -2mu (mu != 0) the value is a
+        # pole exactly when the lowest-terms denominator has that factor
+        for at, factor in (((lam or 1, Fraction(0)), ParamPoly.mu()), ((-2 * mu, mu), l2m)):
+            if factor is l2m and mu == 0:
+                continue
+            if divides(factor, den):
+                with pytest.raises(CoeffPoleError):
+                    x.evaluate(*at)
+            else:
+                assert x.evaluate(*at) == num.evaluate(*at) / den.evaluate(*at)
 
     check()

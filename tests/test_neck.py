@@ -93,6 +93,16 @@ def test_eval_direct():
     assert v == Fraction(1, 4)
 
 
+def test_eval_at_zero_delta_raises_in_both_modes():
+    # delta = eps + |x'|^2 = 0: z/delta has a pole, and so does every term
+    # with r > 0; float mode must not reach a ZeroDivisionError in its loop
+    for mode in ("exact", "float"):
+        with pytest.raises(NeckError, match="requires eps"):
+            z_over_delta.evaluate([0], 0, 0, 1, 1, mode=mode)
+        with pytest.raises(NeckError, match="requires eps"):
+            T(DIM3).evaluate([0.0, 0.0], 0.5, 0.0, 1, 1, mode=mode)
+
+
 def test_eval_float_close_to_exact():
     pt = ([Fraction(1, 3)], Fraction(1, 7), Fraction(1, 10))
     a = profile.evaluate(*pt, 2, 3, mode="exact")

@@ -420,10 +420,7 @@ def lower_bound_probe(
 # ---------------------------------------------------------------------------
 
 
-def run_suite(
-    families: Iterable[AuxFamily],
-    with_lower_bound: bool = True,
-) -> list[CheckReport]:
+def run_suite(families: Iterable[AuxFamily]) -> list[CheckReport]:
     """All symbolic checks for the given families, merged deterministically."""
     reports: list[CheckReport] = []
     for fam in families:
@@ -431,7 +428,7 @@ def run_suite(
         reports.append(check_cancel_identity(fam))
         reports.append(check_residual_order(fam))
         reports.append(check_z_degree(fam))
-        if with_lower_bound and fam.alpha == 1:
+        if fam.alpha == 1:
             for m in range(1, fam.depth + 1):
                 for r in (Fraction(1, 10), Fraction(1, 20)):
                     reports.append(lower_bound_probe(fam, m, r=r))

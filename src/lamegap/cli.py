@@ -67,7 +67,7 @@ def _cmd_aux_verify(args) -> int:
         alphas = alpha_range(_dim(d), args.route) if args.alpha == 0 else [args.alpha]
         for alpha in alphas:
             fams.append(build_family(_dim(d), alpha, args.depth, route=args.route))
-    reports = checks_mod.run_suite(fams, with_lower_bound=not args.no_lower_bound)
+    reports = checks_mod.run_suite(fams)
     rows = [r.to_json_obj() for r in reports]
     if args.json:
         with open(args.json, "w") as fh:
@@ -176,7 +176,6 @@ def _cmd_report(args) -> int:
         for name, c in sorted(rep.checks.items()):
             rows.append((rep.study_id, rep.study, name, c["passed"], c.get("value")))
             ok = ok and c["passed"] is not False
-    width = max((len(r[0]) + len(r[2]) for r in rows), default=20) + 4
     print(f"{'study':<16} {'kind':<10} {'check':<28} {'status':<7} value")
     for sid, kind, name, passed, value in rows:
         shown = f"{value:.6g}" if isinstance(value, float) else str(value)
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--alpha", type=int, default=0, help="0 = all in the route's scope")
     v.add_argument("--depth", type=int, default=4, help="family depth to check")
     v.add_argument("--route", choices=("integral", "recursion"), default="integral", help="construction route")
-    v.add_argument("--no-lower-bound", action="store_true", help="skip the exponent probes")
     v.add_argument("--json", help="write the report array to this path")
     v.set_defaults(func=_cmd_aux_verify)
 

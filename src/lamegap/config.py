@@ -1,8 +1,9 @@
 """Flat key=value study configuration files.
 
 Grammar: one `key = value` pair per line; `#` starts a comment; blank lines
-ignored.  Unknown keys are hard errors so tolerance-name typos cannot pass
-silently.  `sweep.eps` is a comma-separated list.
+ignored.  Unknown and repeated keys are hard errors so tolerance-name typos
+and leftover edits cannot pass silently.  `sweep.eps` is a comma-separated
+list.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ def _coerce(raw: str, typ: type):
 def parse_config_text(text: str) -> SweepConfig:
     kwargs: dict = {}
     tolerances = dict(DEFAULT_TOLERANCES)
+    seen: dict[str, int] = {}  # key -> line of its first occurrence
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -52,6 +54,9 @@ def parse_config_text(text: str) -> SweepConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         if key == "sweep.eps":
             try:
                 kwargs["eps_grid"] = tuple(float(v) for v in raw.split(","))

@@ -115,31 +115,6 @@ class Mesh:
             raise MeshError("boundary edge not on the mesh boundary")
 
 
-# ---------------------------------------------------------------------------
-# Node registry
-# ---------------------------------------------------------------------------
-
-
-class _Registry:
-    """Node list keyed by exact coordinates: a point is an existing node only
-    if it is recomputed bit for bit.  `_merge_nodes` applies the same rule
-    to a batch of points; `add_inclusion_interiors` relies on it to reuse
-    the snapped arc midpoints."""
-
-    def __init__(self) -> None:
-        self.coords: list[tuple[float, float]] = []
-        self._index: dict[tuple[float, float], int] = {}
-
-    def add(self, x: float, y: float) -> int:
-        key = (x, y)
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self.coords)
-            self._index[key] = idx
-            self.coords.append(key)
-        return idx
-
-
 def _tangential_stations(geom: Geometry, params: MeshParams) -> list[float]:
     """Graded stations on [-R, R] with dx ~ ct * sqrt(gap)."""
     R = params.neck_halfwidth
@@ -153,7 +128,17 @@ def _tangential_stations(geom: Geometry, params: MeshParams) -> list[float]:
     return left + xs
 
 
+def _quad_tris(a, b, c, d) -> np.ndarray:
+    """The triangles (a, b, c), (a, c, d) of each quadrilateral cell, cells in
+    the order of the corner index arrays."""
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+
+
 def generate_mesh(geom: Geometry, params: MeshParams | None = None) -> Mesh:
+    """Mesh the domain block by block.  Each block is built as a coordinate
+    array and its nodes are numbered by position: band grid, interior points
+    of the top arc, of the bottom arc, collar, then the annulus layers
+    outward."""
     params = params or MeshParams()
     if params.nz < 2:
         raise MeshError("nz must be >= 2")
@@ -164,75 +149,48 @@ def generate_mesh(geom: Geometry, params: MeshParams | None = None) -> Mesh:
         )
     if params.neck_halfwidth >= min(geom.rho1, geom.rho2) * 0.95:
         raise MeshError("neck_halfwidth must stay well inside the inclusion radii")
-
-    reg = _Registry()
-    tris: list[tuple[int, int, int]] = []
-    region: list[int] = []
-    bedges: list[tuple[int, int]] = []
-    btags: list[int] = []
-
-    # ---- structured neck band ------------------------------------------
-    xs = _tangential_stations(geom, params)
-    nz = params.nz
-    grid: list[list[int]] = []
-    for x in xs:
-        lo, hi = geom.gamma2(x), geom.gamma1(x)
-        col = [reg.add(x, lo + (hi - lo) * j / nz) for j in range(nz + 1)]
-        grid.append(col)
-    for k in range(len(xs) - 1):
-        for j in range(nz):
-            a, b = grid[k][j], grid[k + 1][j]
-            c, d = grid[k + 1][j + 1], grid[k][j + 1]
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-            region.extend([REGIONS.index("neck")] * 2)
-        bedges.append((grid[k][0], grid[k + 1][0]))
-        btags.append(BOUNDARIES.index("incl2"))
-        bedges.append((grid[k + 1][nz], grid[k][nz]))
-        btags.append(BOUNDARIES.index("incl1"))
-
-    # ---- snowman ring ----------------------------------------------------
-    R = params.neck_halfwidth
-    ring: list[int] = []
-    ring_arc_tag: list[int | None] = []  # tag of the edge starting at ring[i]
-
-    def arc_points(center, rho, a0, a1, tag):
-        """Append interior points of the ccw arc from angle a0 to a1."""
-        length = (a1 - a0) * rho
-        n = max(2, int(math.ceil(length / params.arc_target)))
-        for t in range(1, n):
-            ang = a0 + (a1 - a0) * t / n
-            ring.append(reg.add(center[0] + rho * math.cos(ang), center[1] + rho * math.sin(ang)))
-            ring_arc_tag.append(tag)
-
+    R, nz, nr = params.neck_halfwidth, params.nz, params.nr
     c1, c2 = geom.center1, geom.center2
     tag1, tag2 = BOUNDARIES.index("incl1"), BOUNDARIES.index("incl2")
 
-    # start at the bottom-right band corner, go ccw
-    right_col = grid[-1]
-    left_col = grid[0]
-    for j, node in enumerate(right_col):
-        ring.append(node)
-        ring_arc_tag.append(None)  # band edge: interior interface
+    # ---- structured neck band: nz + 1 levels at each station ------------
+    xs = np.array(_tangential_stations(geom, params))
+    lo = np.array([geom.gamma2(x) for x in xs.tolist()])[:, None]
+    hi = np.array([geom.gamma1(x) for x in xs.tolist()])[:, None]
+    y = lo + (hi - lo) * np.arange(nz + 1) / nz
+    band = np.stack([np.broadcast_to(xs[:, None], y.shape), y], axis=-1).reshape(-1, 2)
+    grid = np.arange(len(band)).reshape(len(xs), nz + 1)  # (station, level)
+    band_tris = _quad_tris(grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:])
+    # per station interval: the bottom-arc edge, then the top-arc edge
+    band_edges = np.stack([grid[:-1, 0], grid[1:, 0], grid[1:, nz], grid[:-1, nz]],
+                          axis=-1).reshape(-1, 2)
+    band_tags = np.tile([tag2, tag1], len(xs) - 1)
+
+    # ---- snowman ring ----------------------------------------------------
+    def arc_points(center, rho, a0, a1):
+        """Interior points of the ccw arc from angle a0 to a1."""
+        n = max(2, int(math.ceil((a1 - a0) * rho / params.arc_target)))
+        angs = [a0 + (a1 - a0) * t / n for t in range(1, n)]
+        return np.array([(center[0] + rho * math.cos(a), center[1] + rho * math.sin(a))
+                         for a in angs])
+
     # top arc of circle 1 from (R, gamma1(R)) ccw to (-R, gamma1(-R))
     a0 = math.atan2(geom.gamma1(R) - c1[1], R)
     a1 = math.atan2(geom.gamma1(-R) - c1[1], -R)
-    if a1 < a0:
-        a1 += 2 * math.pi
-    ring_arc_tag[-1] = tag1  # edge from the corner onto the circle
-    arc_points(c1, geom.rho1, a0, a1, tag1)
-    ring_arc_tag[-1] = tag1  # edge from the last arc point to the left corner
-    for j in range(nz, -1, -1):
-        ring.append(left_col[j])
-        ring_arc_tag.append(None)
+    top = arc_points(c1, geom.rho1, a0, a1 + 2 * math.pi if a1 < a0 else a1)
     # bottom arc of circle 2 from (-R, gamma2(-R)) ccw to (R, gamma2(R))
     b0 = math.atan2(geom.gamma2(-R) - c2[1], -R)
     b1 = math.atan2(geom.gamma2(R) - c2[1], R)
-    if b1 < b0:
-        b1 += 2 * math.pi
-    ring_arc_tag[-1] = tag2
-    arc_points(c2, geom.rho2, b0, b1, tag2)
-    ring_arc_tag[-1] = tag2
+    bottom = arc_points(c2, geom.rho2, b0, b1 + 2 * math.pi if b1 < b0 else b1)
+    # ccw from the bottom-right band corner: right band edge, top arc, left
+    # band edge downward, bottom arc
+    n_top, n_bot = len(top), len(bottom)
+    ring = np.concatenate([grid[-1], len(band) + np.arange(n_top), grid[0, ::-1],
+                           len(band) + n_top + np.arange(n_bot)])
+    # boundary tag of the edge from ring[i] to ring[i + 1]; -1 on the band edges
+    edge_tag = np.concatenate([np.full(nz, -1), np.full(n_top + 1, tag1),
+                               np.full(nz, -1), np.full(n_bot + 1, tag2)])
+    coords = np.concatenate([band, top, bottom])
 
     # ---- collar: one thin normal-offset layer around the snowman --------
     # Spokes from the origin graze the inclusion circles near the waist
@@ -240,8 +198,7 @@ def generate_mesh(geom: Geometry, params: MeshParams | None = None) -> Mesh:
     # keeps every cell there well-shaped.
     n_ring = len(ring)
     normals: list[tuple[float, float]] = []
-    for i, idx in enumerate(ring):
-        x, y = reg.coords[idx]
+    for x, y in coords[ring].tolist():
         if abs(abs(x) - R) < 1e-12 and geom.gamma2(R) - 1e-9 <= y <= geom.gamma1(R) + 1e-9:
             n = (1.0, 0.0) if x > 0 else (-1.0, 0.0)
             on_segment = abs(y - geom.gamma1(R)) > 1e-9 and abs(y - geom.gamma2(R)) > 1e-9
@@ -266,13 +223,10 @@ def generate_mesh(geom: Geometry, params: MeshParams | None = None) -> Mesh:
     # cap the width so the corner nodes' tilted normals cannot leapfrog the
     # band-edge node spacing (which would fold the collar)
     w_c = min(params.collar_width, geom.gap(R) / params.nz)
-    collar_pts = [
-        (reg.coords[idx][0] + w_c * n[0], reg.coords[idx][1] + w_c * n[1])
-        for idx, n in zip(ring, normals)
-    ]
+    collar = coords[ring] + w_c * np.array(normals)
 
     # collar angles from the origin must be strictly increasing (mod 2 pi)
-    angles = [math.atan2(y, x) for x, y in collar_pts]
+    angles = [math.atan2(y, x) for x, y in collar.tolist()]
     base = angles[0]
     unwrapped = []
     for a in angles:
@@ -283,39 +237,30 @@ def generate_mesh(geom: Geometry, params: MeshParams | None = None) -> Mesh:
     if unwrapped[-1] - unwrapped[0] >= 2 * math.pi:
         raise MeshError("collar ring is not star-shaped (geometry too extreme)")
 
-    # ---- annulus ----------------------------------------------------------
-    nr = params.nr
+    # ---- annulus: nr - 1 graded layers from the collar to the outer circle
     g = params.radial_growth
     weights = np.array([g**k for k in range(nr - 1)])
     s = np.concatenate([[0.0], np.cumsum(weights)])
     s /= s[-1]
-    layers: list[list[int]] = [list(ring)]
-    layers.append([reg.add(x, y) for x, y in collar_pts])
-    for k in range(2, nr + 1):
-        row = []
-        for i, (x, y) in enumerate(collar_pts):
-            ox, oy = geom.R0 * math.cos(unwrapped[i]), geom.R0 * math.sin(unwrapped[i])
-            t = s[k - 1]
-            row.append(reg.add(x + (ox - x) * t, y + (oy - y) * t))
-        layers.append(row)
-    for k in range(nr):
-        for i in range(n_ring):
-            i2 = (i + 1) % n_ring
-            a, b = layers[k][i], layers[k][i2]
-            c, d = layers[k + 1][i2], layers[k + 1][i]
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-            region.extend([REGIONS.index("bulk")] * 2)
-    for i in range(n_ring):
-        i2 = (i + 1) % n_ring
-        bedges.append((layers[nr][i2], layers[nr][i]))
-        btags.append(BOUNDARIES.index("outer"))
-        tag = ring_arc_tag[i]
-        if tag is not None:
-            bedges.append((ring[i2], ring[i]))
-            btags.append(tag)
+    outer = np.array([(geom.R0 * math.cos(a), geom.R0 * math.sin(a)) for a in unwrapped])
+    layers = collar + (outer - collar) * s[1:, None, None]  # (nr - 1, n_ring, 2)
+    # node index (layer, ring position), the first position repeated at the end
+    annulus = np.vstack([ring, len(coords) + np.arange(nr * n_ring).reshape(nr, n_ring)])
+    annulus = np.column_stack([annulus, annulus[:, 0]])
+    coords = np.concatenate([coords, collar, layers.reshape(-1, 2)])
+    bulk_tris = _quad_tris(annulus[:-1, :-1], annulus[:-1, 1:], annulus[1:, 1:], annulus[1:, :-1])
+    # per ring position: the outer-circle edge, then the inclusion-arc edge
+    edges = np.stack([annulus[nr, 1:], annulus[nr, :-1], annulus[0, 1:], annulus[0, :-1]],
+                     axis=-1).reshape(-1, 2, 2)
+    tags = np.column_stack([np.full(n_ring, BOUNDARIES.index("outer")), edge_tag])
+    keep = tags >= 0
 
-    mesh = _finalize(np.array(reg.coords), tris, region, bedges, btags, geom)
+    tris = np.concatenate([band_tris, bulk_tris])
+    region = np.repeat([REGIONS.index("neck"), REGIONS.index("bulk")],
+                       [len(band_tris), len(bulk_tris)])
+    bedges = np.concatenate([band_edges, edges[keep]])
+    btags = np.concatenate([band_tags, tags[keep]])
+    mesh = _finalize(coords, tris, region, bedges, btags, geom)
     _check_jacobians(mesh)
     return mesh
 
@@ -389,10 +334,10 @@ def add_inclusion_interiors(mesh: Mesh, n_rings: int = 8) -> Mesh:
 
 
 def _merge_nodes(coords: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Append the rows of `new` to the node list `coords` by the rule of
-    `_Registry.add`: a row equal to an earlier node (old or new) is that
-    node, and the others become new nodes in row order.  Returns the
-    extended node list and the node index of each row."""
+    """Append the rows of `new` to the node list `coords`: a row equal bit
+    for bit to an earlier node (old or new) is that node, and the others
+    become new nodes in row order.  Returns the extended node list and the
+    node index of each row."""
     n0 = len(coords)
     pts = np.concatenate([coords, new])
     order = np.lexsort((pts[:, 1], pts[:, 0]))  # stable: equal rows stay in index order

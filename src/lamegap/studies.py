@@ -41,6 +41,7 @@ from .fem.assembly import ElasticitySystem, assemble
 from .fem.geometry import Geometry
 from .fem.mesh import Mesh, MeshParams, generate_mesh
 from .fem.solve import (
+    PSI,
     DisplacementField,
     gap_center_node,
     incident_gradients,
@@ -62,6 +63,10 @@ class SweepConfigError(StudyError, ValueError):
     """A sweep configuration the studies cannot run."""
 
 
+class ReportFormatError(ValueError):
+    """A JSON file that is not a study report."""
+
+
 # ---------------------------------------------------------------------------
 # Boundary data registry (outer Dirichlet data phi)
 # ---------------------------------------------------------------------------
@@ -71,9 +76,8 @@ BOUNDARY_DATA = {
     "default_odd": lambda x, y: (y, x + y),
     # odd cubic alternative for the sensitivity report
     "odd_cubic": lambda x, y: ((x * x + y * y) * y, (x * x + y * y) * (x + y)),
-    "rigid_psi1": lambda x, y: (1.0, 0.0),
-    "rigid_psi2": lambda x, y: (0.0, 1.0),
-    "rigid_psi3": lambda x, y: (y, -x),
+    # the rigid motions psi_1..3 of the inclusion problems
+    **{f"rigid_psi{a}": psi for a, psi in enumerate(PSI, start=1)},
 }
 
 
@@ -205,6 +209,9 @@ def rate_fit(series: list[tuple[float, float]]) -> RateFit:
     return RateFit(slope, intercept, r2, resid, sign_change=len(signs) > 1)
 
 
+_REPORT_KEYS = ("study", "study_id", "config", "records", "fits", "checks")
+
+
 @dataclass
 class StudyReport:
     study: str
@@ -237,15 +244,12 @@ class StudyReport:
     @classmethod
     def from_json(cls, text: str) -> "StudyReport":
         obj = json.loads(text)
-        return cls(
-            study=obj["study"],
-            study_id=obj["study_id"],
-            config=obj["config"],
-            records=obj["records"],
-            fits=obj["fits"],
-            checks=obj["checks"],
-            schema=obj["schema"],
-        )
+        if not isinstance(obj, dict) or obj.get("schema") != SCHEMA:
+            raise ReportFormatError(f"not a study report (expected schema {SCHEMA!r})")
+        missing = [k for k in _REPORT_KEYS if k not in obj]
+        if missing:
+            raise ReportFormatError(f"study report lacks {', '.join(missing)}")
+        return cls(**{k: obj[k] for k in _REPORT_KEYS}, schema=SCHEMA)
 
     def to_csv(self) -> str:
         """Row per (quantity, eps): eps, value, fit data and pass flag."""

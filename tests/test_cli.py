@@ -333,3 +333,20 @@ def test_unmeshable_radius_exits_2_with_the_mesh_error(tmp_path, capsys):
     assert main(["study", "rates", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: non-positive Jacobian in 1 element(s); the worst, a neck element")
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{}", "not a study report"),
+        ("[1, 2]", "not a study report"),
+        ('{"schema": "lamegap-study/2", "study": "rates"}', "not a study report"),
+        ('{"schema": "lamegap-study/1", "study": "rates"}', "lacks study_id, config"),
+    ],
+)
+def test_report_rejects_json_that_is_not_a_study_report(tmp_path, capsys, text, reason):
+    path = tmp_path / "other.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err

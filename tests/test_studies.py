@@ -95,6 +95,19 @@ def test_config_unknown_key_rejected():
         parse_config_text("study.tolerance.u11_slope_low = -1.2")
 
 
+def test_config_repeated_key_rejected():
+    for text, key in [
+        ("mesh.nz = 8\nmesh.nr = 8\n\nmesh.nz = 4\n", "mesh.nz"),
+        ("study.tolerance.u11_slope_lo = -1.2\nstudy.tolerance.u11_slope_lo = -1.0",
+         "study.tolerance.u11_slope_lo"),
+        ("sweep.eps = 0.1, 0.05, 0.025, 0.0125\nsweep.eps = 0.2, 0.1, 0.05, 0.025", "sweep.eps"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        lines = [n for n, line in enumerate(text.splitlines(), start=1) if line.startswith(key)]
+        assert str(exc.value) == f"line {lines[1]}: key {key!r} repeats line {lines[0]}"
+
+
 def test_config_grid_too_small():
     with pytest.raises(StudyError):
         parse_config_text("sweep.eps = 0.1, 0.05, 0.025")

@@ -180,12 +180,12 @@ def _condensed_solve(system: ElasticitySystem, tags: tuple[str, ...], g: np.ndar
 
 def _dirichlet(mesh: Mesh, data: dict[str, Callable[[float, float], tuple[float, float]]]) -> np.ndarray:
     """The nodal DOF vector holding data[tag](x, y) at the nodes of each
-    boundary tag and zero elsewhere."""
+    boundary tag and zero elsewhere.  Each datum is called once, on the
+    coordinate arrays of its tag's nodes."""
     g = np.zeros(2 * mesh.n_nodes)
     for tag, fn in data.items():
-        for node in mesh.boundary_nodes(tag):
-            x, y = mesh.nodes[node]
-            g[2 * node], g[2 * node + 1] = fn(x, y)
+        nodes = mesh.boundary_nodes(tag)
+        g[2 * nodes], g[2 * nodes + 1] = fn(*mesh.nodes[nodes].T)
     return g
 
 

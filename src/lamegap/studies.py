@@ -249,6 +249,23 @@ class StudyReport:
         missing = [k for k in _REPORT_KEYS if k not in obj]
         if missing:
             raise ReportFormatError(f"study report lacks {', '.join(missing)}")
+        records, fits, checks = obj["records"], obj["fits"], obj["checks"]
+        if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+            raise ReportFormatError("study report 'records' is not a list of objects")
+        if not (isinstance(fits, dict) and all(isinstance(f, dict) for f in fits.values())):
+            raise ReportFormatError("study report 'fits' is not an object of objects")
+        if not (
+            isinstance(checks, dict)
+            and all(
+                isinstance(c, dict)
+                and "passed" in c
+                and (c["passed"] is None or isinstance(c["passed"], bool))
+                for c in checks.values()
+            )
+        ):
+            raise ReportFormatError(
+                "study report 'checks' does not map names to objects whose 'passed' is true, false or null"
+            )
         return cls(**{k: obj[k] for k in _REPORT_KEYS}, schema=SCHEMA)
 
     def to_csv(self) -> str:
@@ -341,11 +358,11 @@ class _EpsCase:
         sqrt(gap), so these nodes resolve the neck at every eps."""
         nodes = _neck_nodes(mesh, 0.65 * self.cfg.neck_halfwidth)
         geom = self.geom
-        on_line = [
-            abs(y - (geom.gamma1(x) + geom.gamma2(x)) / 2) <= 1e-9 * geom.gap(x)
-            for x, y in mesh.nodes[nodes].tolist()
-        ]
-        return nodes[on_line]
+        x, y = mesh.nodes[nodes].T
+        # Geometry.gamma1/gamma2 on the arrays (both square roots are correctly rounded)
+        g1 = geom.center1[1] - np.sqrt(geom.rho1**2 - x * x)
+        g2 = geom.center2[1] + np.sqrt(geom.rho2**2 - x * x)
+        return nodes[np.abs(y - (g1 + g2) / 2) <= 1e-9 * (g1 - g2)]
 
 
 def _neck_nodes(mesh: Mesh, half_extent: float) -> np.ndarray:

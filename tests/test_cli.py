@@ -350,3 +350,39 @@ def test_report_rejects_json_that_is_not_a_study_report(tmp_path, capsys, text, 
     assert main(["report", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err
+
+
+def _study_report_text(**values) -> str:
+    obj = {"schema": "lamegap-study/1", "study": "rates", "study_id": "s", "config": {},
+           "records": [], "fits": {}, "checks": {}}
+    return json.dumps({**obj, **values})
+
+
+@pytest.mark.parametrize(
+    "values, reason",
+    [
+        ({"checks": {"a": 1}}, "'checks' does not map names"),
+        ({"checks": []}, "'checks' does not map names"),
+        ({"checks": {"a": {"value": 1.0}}}, "'checks' does not map names"),
+        ({"checks": {"a": {"passed": 1}}}, "'checks' does not map names"),
+        ({"records": {"eps": 0.1}}, "'records' is not a list of objects"),
+        ({"records": [1]}, "'records' is not a list of objects"),
+        ({"fits": []}, "'fits' is not an object of objects"),
+        ({"fits": {"u11": 2}}, "'fits' is not an object of objects"),
+    ],
+)
+def test_report_rejects_malformed_study_report_values(tmp_path, capsys, values, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(_study_report_text(**values))
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+
+
+def test_report_accepts_every_passed_state(tmp_path, capsys):
+    checks = {"a": {"passed": True}, "b": {"passed": None, "reason": "r"}, "c": {"passed": False}}
+    path = tmp_path / "ok.json"
+    path.write_text(_study_report_text(checks=checks, records=[{"eps": 0.1}], fits={"u": {}}))
+    assert main(["report", str(path)]) == 1
+    shown = capsys.readouterr().out
+    assert all(f"{name:<28} {status}" in shown for name, status in zip("abc", ("pass", "n/a", "FAIL")))

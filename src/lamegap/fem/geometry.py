@@ -25,6 +25,9 @@ class Geometry:
     rho2: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("eps", "R0", "rho1", "rho2"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.eps <= 0:
             raise GeometryError("gap eps must be positive")
         if min(self.R0, self.rho1, self.rho2) <= 0:

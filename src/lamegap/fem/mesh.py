@@ -42,6 +42,10 @@ class MeshParams:
     arc_target: target arc spacing on the inclusion circles outside the band.
     nr: radial element layers in the annulus.
     radial_growth: geometric grading ratio of the radial layers.
+    collar_width: width of the normal-offset layer around the inclusions.
+
+    Values that cannot mesh (nz < 2, nr < 1, a real knob that is not finite
+    and positive) are a MeshError here, before any mesh is built.
     """
 
     nz: int = 8
@@ -51,6 +55,18 @@ class MeshParams:
     nr: int = 16
     radial_growth: float = 1.25
     collar_width: float = 0.03
+
+    def __post_init__(self) -> None:
+        # each of these would hang the station loop, divide by zero or
+        # mesh silently into garbage
+        for name in ("ct", "neck_halfwidth", "arc_target", "radial_growth", "collar_width"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise MeshError(f"{name} must be finite and positive, got {value!r}")
+        if self.nz < 2:
+            raise MeshError("nz must be >= 2")
+        if self.nr < 1:
+            raise MeshError(f"nr must be >= 1, got {self.nr!r}")
 
     def refined(self, factor: float = 2.0) -> "MeshParams":
         return MeshParams(
@@ -140,8 +156,6 @@ def generate_mesh(geom: Geometry, params: MeshParams | None = None) -> Mesh:
     of the top arc, of the bottom arc, collar, then the annulus layers
     outward."""
     params = params or MeshParams()
-    if params.nz < 2:
-        raise MeshError("nz must be >= 2")
     if geom.eps / params.nz < 1e-12:
         raise MeshError(
             "gap eps too small for the requested layer count; "

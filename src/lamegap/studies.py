@@ -147,6 +147,12 @@ class SweepConfig:
             )
         if self.workers < 1:
             raise SweepConfigError(f"workers must be at least 1, got {self.workers}")
+        if not math.isfinite(self.ct_eps_power):
+            raise SweepConfigError(f"ct_eps_power must be finite, got {self.ct_eps_power!r}")
+        # a GeometryError or MeshError here, not after the first solves
+        for eps in self.eps_grid:
+            self.geometry(eps)
+        self.mesh_params(max(self.eps_grid))
 
     @property
     def tol(self) -> dict[str, float]:
@@ -313,8 +319,9 @@ class _EpsCase:
     One assembled system is kept per `MeshParams`, and each field is solved
     at most once, keyed by (solver, arguments, mesh params).  The six
     component fields of a mesh are solved together, on its first component
-    request, and the hard-inclusion solve reuses their factor.  The compare
-    mesh has grading factor 1 at eps_max, so there it is the shared mesh.
+    request, and the hard-inclusion solve (`hard`) reuses them and their
+    factor, solving only v_0.  The compare mesh has grading factor 1 at
+    eps_max, so there it is the shared mesh.
     A case serves every config with the same `_solve_key`; `cfg` is the one
     it was made for, read only for what reaches a mesh or a solve.  The
     stored field arrays are read-only.
@@ -326,14 +333,17 @@ class _EpsCase:
         self._systems: dict[MeshParams, ElasticitySystem] = {}
         self._fields: dict[tuple, object] = {}
 
-    def field(self, solver: Callable, *args, params: MeshParams | None = None):
+    def field(self, solver: Callable, *args, params: MeshParams | None = None, **solved):
+        """The kept result of `solver` on the mesh of `params`.  `solved`
+        passes fields already solved on that mesh; they follow from the key,
+        so they are not part of it."""
         cfg, params = self.cfg, params or self.cfg.mesh_params(self.eps)
         key = (solver, args, params)
         if key not in self._fields:
             if params not in self._systems:
                 self._systems[params] = assemble(generate_mesh(self.geom, params), cfg.lam, cfg.mu)
             system = self._systems[params]
-            result = solver(self.geom, cfg.lam, cfg.mu, *args, system=system)
+            result = solver(self.geom, cfg.lam, cfg.mu, *args, system=system, **solved)
             for fld in result.values() if isinstance(result, dict) else [result]:
                 fld = fld[0] if isinstance(fld, tuple) else fld
                 for arr in (fld.u, fld.rigid):
@@ -345,6 +355,12 @@ class _EpsCase:
     def component(self, i: int, alpha: int, params: MeshParams | None = None) -> DisplacementField:
         """v_i^alpha on the mesh of `params` (default: the shared mesh)."""
         return self.field(solve_components, params=params)[i, alpha]
+
+    def hard(self) -> tuple[DisplacementField, np.ndarray]:
+        """The hard-inclusion field and C on the shared mesh, from its kept
+        component fields."""
+        phi = BOUNDARY_DATA[self.cfg.phi]
+        return self.field(solve_hard_inclusion, phi, components=self.field(solve_components))
 
     def release(self) -> None:
         """Drop every system's stiffness and factor; meshes and fields stay."""
@@ -395,7 +411,7 @@ def _record_rates(cfg: SweepConfig, case: _EpsCase) -> dict:
         # a translation's shear entry du_alpha/dz; every entry for the rotation
         rec[f"u1{alpha}_gap_max"] = float((grads[:, alpha - 1, 1] if alpha < 3 else grads).max())
         rec[f"u1{alpha}_origin"] = _origin_grad(case, fld)
-    fld, _ = case.field(solve_hard_inclusion, BOUNDARY_DATA[cfg.phi])
+    fld, _ = case.hard()
     rec["full_gap_max"] = _gap_max(case, fld)
     return rec
 
@@ -404,7 +420,7 @@ def _record_constants(cfg: SweepConfig, case: _EpsCase) -> dict:
     # the gap is eps + kappa x^2 near the origin (Geometry.gap_quadratic)
     kappa = (1 / case.geom.rho1 + 1 / case.geom.rho2) / 2
     root_gap = math.sqrt(kappa * case.eps)
-    _, c = case.field(solve_hard_inclusion, BOUNDARY_DATA[cfg.phi])
+    _, c = case.hard()
     rec = {"c_norm": float(np.abs(c).max())}
     for alpha in (1, 2, 3):
         rec[f"dc{alpha}"] = float(abs(c[0, alpha - 1] - c[1, alpha - 1]))

@@ -59,11 +59,12 @@ def test_tracer_records_the_solver_spans_and_uninstalls(tmp_path, monkeypatch, c
 
     # one factor per mesh: a hard solve factors its boundaries once, and the
     # constants study solves one hard field per eps of the grid; each hard
-    # solve is one triangular solve of its 7-column block
+    # solve with no component fields given is two triangular solves, the
+    # 6-column component block and the v_0 column
     for counts, solves in ((hard_solve, 1), (both, 1 + 4)):
         assert counts["fem.solve.factor"] == solves
         assert counts["fem.solve.solve_hard_inclusion"] == solves
-        assert counts["fem.solve.trisolve"] == solves
+        assert counts["fem.solve.trisolve"] == 2 * solves
     assert both["studies.constants"] == 1
 
     after = _bindings()

@@ -386,3 +386,19 @@ def test_report_accepts_every_passed_state(tmp_path, capsys):
     assert main(["report", str(path)]) == 1
     shown = capsys.readouterr().out
     assert all(f"{name:<28} {status}" in shown for name, status in zip("abc", ("pass", "n/a", "FAIL")))
+
+
+def test_zero_grading_exits_2_instead_of_hanging():
+    # ct = 0 gave a zero station step, and the station loop never ended; run
+    # in a subprocess with a timeout so that a hang fails this test
+    import lamegap
+
+    src = str(Path(lamegap.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-m", "lamegap.cli", "fem", "solve", "--eps", "0.01", "--grading", "0"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == 2
+    assert out.stderr == "error: ct must be finite and positive, got 0.0\n"

@@ -377,25 +377,33 @@ class _CountingLU:
         return self.lu.solve(b)
 
 
-def test_one_triangular_solve_per_block(setup05, monkeypatch):
-    geom, mesh, _ = setup05
-    factors = []
+@pytest.fixture
+def counted_factors(monkeypatch):
+    """Every factor made while the test runs, as a _CountingLU."""
+    made = []
     raw_splu = solve_mod.spla.splu
 
     def counting_splu(a, *args, **kwargs):
-        factors.append(_CountingLU(raw_splu(a, *args, **kwargs)))
-        return factors[-1]
+        made.append(_CountingLU(raw_splu(a, *args, **kwargs)))
+        return made[-1]
 
     monkeypatch.setattr(solve_mod.spla, "splu", counting_splu)
+    return made
+
+
+def test_one_triangular_solve_per_block(setup05, counted_factors):
+    geom, mesh, _ = setup05
+    factors = counted_factors
     system = assemble(mesh, LAM, MU)
     phi = lambda x, y: (y, x + y)
     solve_hard_inclusion(geom, LAM, MU, phi, system=system)
     solve_components(geom, LAM, MU, system=system)
     solve_holes(geom, LAM, MU, phi, system=system)
     n_comp, n_holes = factors[0].lu.shape[0], factors[1].lu.shape[0]
-    # no refinement: one solve of the 7-column hard block, one of the
-    # 6-column component block on the same factor, one holes column
-    assert factors[0].rhs == [(n_comp, 7), (n_comp, 6)]
+    # no refinement: the hard solve is the 6-column component block and the
+    # v_0 column, then the component block again on the same factor; one
+    # holes column
+    assert factors[0].rhs == [(n_comp, 6), (n_comp,), (n_comp, 6)]
     assert factors[1].rhs == [(n_holes,)]
 
 
@@ -411,6 +419,55 @@ def test_backward_error_gate_rejects_a_column_above_the_tolerance():
     residual[:, 1] *= 4
     with pytest.raises(SolverError, match="residual 2.000e-10 exceeds 1e-10"):
         _check_backward_error(1.0, residual, x, b)
+
+
+def test_hard_solve_reuses_given_component_fields(counted_factors):
+    geom = Geometry(eps=0.05)
+    mesh = generate_mesh(geom, COARSE)
+    phi = lambda x, y: (y, x + y)
+    fresh, c_fresh = solve_hard_inclusion(geom, LAM, MU, phi, system=assemble(mesh, LAM, MU))
+    system = assemble(mesh, LAM, MU)
+    comps = solve_components(geom, LAM, MU, system=system)
+    fld, c = solve_hard_inclusion(geom, LAM, MU, phi, system=system, components=comps)
+    n = counted_factors[0].lu.shape[0]
+    # without fields: the component block, then v_0; with them: v_0 only
+    assert counted_factors[0].rhs == [(n, 6), (n,)]
+    assert counted_factors[1].rhs == [(n, 6), (n,)]
+    assert np.array_equal(fld.u, fresh.u) and np.array_equal(c, c_fresh)
+    other = solve_components(geom, LAM, MU, system=assemble(mesh, LAM, MU))
+    with pytest.raises(ValueError, match="another system"):
+        solve_hard_inclusion(geom, LAM, MU, phi, system=system, components=other)
+
+
+def test_hard_solve_matches_the_seven_column_block():
+    # [V | v_0] solved as one 7-column block, in its (n, 7) layout, gives the
+    # same bits: each column's solve is independent of its block, and V'KV
+    # is computed on the same memory layout
+    geom = Geometry(eps=0.05)
+    system = assemble(generate_mesh(geom, COARSE), LAM, MU)
+    phi = lambda x, y: (y, x + y)
+    fld, c = solve_hard_inclusion(geom, LAM, MU, phi, system=system)
+    g = np.column_stack([solve_mod._component_data(system.mesh), _dirichlet(system.mesh, {"outer": phi})])
+    sol = _condensed_solve(system, INCLUSION_BOUNDARIES, g)
+    V, v0 = sol[:, :6], sol[:, 6]
+    M, r = _rigid_system(system.K, V, v0)
+    c_block = np.linalg.solve(M, -r)
+    assert np.array_equal(c.ravel(), c_block)
+    assert np.array_equal(fld.u, v0 + V @ c_block)
+
+
+def test_study_case_solves_only_v0_for_the_hard_field(counted_factors):
+    from lamegap.studies import BOUNDARY_DATA, SweepConfig, _EpsCase
+
+    cfg = SweepConfig(nr=8, arc_target=0.24)
+    case = _EpsCase(cfg, 0.05)
+    case.component(1, 1)
+    fld, c = case.hard()
+    assert case.hard()[0] is fld
+    n = counted_factors[0].lu.shape[0]
+    assert len(counted_factors) == 1 and counted_factors[0].rhs == [(n, 6), (n,)]
+    ref, c_ref = solve_hard_inclusion(case.geom, cfg.lam, cfg.mu, BOUNDARY_DATA[cfg.phi], COARSE)
+    assert np.array_equal(fld.u, ref.u) and np.array_equal(c, c_ref)
 
 
 def test_condensed_solve_rejects_a_factor_that_does_not_solve_a(setup05, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lamegap import studies
 from lamegap.fem.assembly import assemble
 from lamegap.fem.geometry import Geometry, GeometryError
 from lamegap.fem.mesh import (
@@ -18,6 +19,7 @@ from lamegap.fem.mesh import (
     read_mesh,
     write_mesh,
 )
+from lamegap.studies import SweepConfig, SweepConfigError
 
 # the benchmark's coarse sweep mesh
 COARSE = MeshParams(nr=8, arc_target=0.24)
@@ -81,6 +83,44 @@ def test_degenerate_requests_error():
         generate_mesh(Geometry(eps=0.05), MeshParams(nz=1))
     with pytest.raises(MeshError):
         generate_mesh(Geometry(eps=0.05), MeshParams(neck_halfwidth=0.99))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+UNMESHABLE = [
+    (lambda: MeshParams(ct=0.0), MeshError, "ct must be finite and positive"),
+    (lambda: MeshParams(ct=NAN), MeshError, "ct must be finite and positive"),
+    (lambda: MeshParams(arc_target=-0.1), MeshError, "arc_target"),
+    (lambda: MeshParams(arc_target=INF), MeshError, "arc_target"),
+    (lambda: MeshParams(neck_halfwidth=0.0), MeshError, "neck_halfwidth"),
+    (lambda: MeshParams(collar_width=-0.01), MeshError, "collar_width"),
+    (lambda: MeshParams(collar_width=0.0), MeshError, "collar_width"),
+    (lambda: MeshParams(radial_growth=NAN), MeshError, "radial_growth"),
+    (lambda: MeshParams(radial_growth=-1.25), MeshError, "radial_growth"),
+    (lambda: MeshParams(nr=0), MeshError, "nr must be >= 1"),
+    (lambda: MeshParams(nz=1), MeshError, "nz must be >= 2"),
+    (lambda: Geometry(eps=NAN), GeometryError, "eps must be finite"),
+    (lambda: Geometry(eps=INF), GeometryError, "eps must be finite"),
+    (lambda: Geometry(eps=0.1, R0=INF), GeometryError, "R0 must be finite"),
+    (lambda: Geometry(eps=0.1, rho1=NAN), GeometryError, "rho1 must be finite"),
+    (lambda: Geometry(eps=0.1, rho2=INF), GeometryError, "rho2 must be finite"),
+    (lambda: SweepConfig(ct=0.0), MeshError, "ct must be finite"),
+    (lambda: SweepConfig(neck_halfwidth=0.0), MeshError, "neck_halfwidth"),
+    (lambda: SweepConfig(collar_width=-0.01), MeshError, "collar_width"),
+    (lambda: SweepConfig(nr=0), MeshError, "nr must be >= 1"),
+    (lambda: SweepConfig(R0=INF), GeometryError, "R0 must be finite"),
+    (lambda: SweepConfig(rho1=NAN), GeometryError, "rho1 must be finite"),
+    (lambda: SweepConfig(ct_eps_power=NAN), SweepConfigError, "ct_eps_power must be finite"),
+]
+
+
+@pytest.mark.parametrize("make, error, match", UNMESHABLE, ids=range(len(UNMESHABLE)))
+def test_parameters_that_cannot_mesh_fail_at_construction(make, error, match, monkeypatch):
+    # before any mesh is built: generate_mesh is never reached
+    monkeypatch.setattr(studies, "generate_mesh", None)
+    with pytest.raises(error, match=match):
+        make()
 
 
 def test_refined_params():

@@ -106,16 +106,14 @@ def _cmd_fem_solve(args) -> int:
     system = assemble(mesh, args.lam, args.mu)
     if args.problem.startswith("component"):
         alpha = int(args.problem[-1])
-        fld = solve_component(geom, args.lam, args.mu, 1, alpha, system=system)
+        fld = solve_component(system, 1, alpha)
     elif args.problem == "hard":
-        fld, c = solve_hard_inclusion(
-            geom, args.lam, args.mu, BOUNDARY_DATA[args.phi], system=system
-        )
+        fld, c = solve_hard_inclusion(system, BOUNDARY_DATA[args.phi])
         print("rigid parameters C_i^alpha:")
         for i, row in enumerate(c, start=1):
             print(f"  inclusion {i}: " + " ".join(f"{v:+.8e}" for v in row))
     elif args.problem == "holes":
-        fld = solve_holes(geom, args.lam, args.mu, BOUNDARY_DATA[args.phi], system=system)
+        fld = solve_holes(system, BOUNDARY_DATA[args.phi])
     else:
         raise ValueError(f"unknown problem {args.problem!r}")
     if args.mesh_out:

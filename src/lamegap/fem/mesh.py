@@ -62,7 +62,9 @@ class MeshParams:
         for name in ("ct", "neck_halfwidth", "arc_target", "radial_growth", "collar_width"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise MeshError(f"{name} must be finite and positive, got {value!r}")
+                # ct is set as --grading or mesh.grading
+                label = "grading (ct)" if name == "ct" else name
+                raise MeshError(f"{label} must be finite and positive, got {value!r}")
         if self.nz < 2:
             raise MeshError("nz must be >= 2")
         if self.nr < 1:
@@ -210,29 +212,24 @@ def generate_mesh(geom: Geometry, params: MeshParams | None = None) -> Mesh:
     # Spokes from the origin graze the inclusion circles near the waist
     # corners; extruding one thin layer along the boundary normal first
     # keeps every cell there well-shaped.
+    # A point's normal follows from its ring position: (+-1, 0) inside a
+    # band edge, its circle's outward normal on an arc, and at a band corner
+    # (on both) the normalized sum of the two.
     n_ring = len(ring)
-    normals: list[tuple[float, float]] = []
-    for x, y in coords[ring].tolist():
-        if abs(abs(x) - R) < 1e-12 and geom.gamma2(R) - 1e-9 <= y <= geom.gamma1(R) + 1e-9:
-            n = (1.0, 0.0) if x > 0 else (-1.0, 0.0)
-            on_segment = abs(y - geom.gamma1(R)) > 1e-9 and abs(y - geom.gamma2(R)) > 1e-9
-        else:
-            on_segment = False
-            n = None
-        if not on_segment:
-            # distance to both circle centers decides the arc
-            d1 = math.hypot(x - c1[0], y - c1[1])
-            d2 = math.hypot(x - c2[0], y - c2[1])
-            if abs(d1 - geom.rho1) < abs(d2 - geom.rho2):
-                nc = ((x - c1[0]) / d1, (y - c1[1]) / d1)
+    edge = [*[(1.0, 0.0)] * (nz + 1), *[None] * n_top, *[(-1.0, 0.0)] * (nz + 1), *[None] * n_bot]
+    circle = [c2, *[None] * (nz - 1), *[c1] * (n_top + 2), *[None] * (nz - 1),
+              *[c2] * (n_bot + 1)]
+    normals = []
+    for (x, y), n, c in zip(coords[ring].tolist(), edge, circle):
+        if c is not None:
+            d = math.hypot(x - c[0], y - c[1])
+            nc = ((x - c[0]) / d, (y - c[1]) / d)
+            if n is None:
+                n = nc
             else:
-                nc = ((x - c2[0]) / d2, (y - c2[1]) / d2)
-            if n is not None:  # band corner: average segment and arc normals
                 sx, sy = n[0] + nc[0], n[1] + nc[1]
                 h = math.hypot(sx, sy)
                 n = (sx / h, sy / h)
-            else:
-                n = nc
         normals.append(n)
     # cap the width so the corner nodes' tilted normals cannot leapfrog the
     # band-edge node spacing (which would fold the collar)

@@ -22,6 +22,12 @@ A factor keeps the free DOF indices, one copy of A (the CSC matrix that
 SuperLU factors, also used for the residual A y - b), ||A||_inf (row sums
 of |A| read from its CSC arrays) and the SuperLU object with its L and U.
 
+The component, hard-inclusion and holes solvers take the assembled
+`ElasticitySystem`, which carries the mesh (with its `Geometry`), lam and
+mu; they take nothing else that fixes the problem.  Only
+`solve_large_contrast` meshes and assembles for itself, since it needs the
+inclusion interiors and their own materials.
+
 The component problems v_i^alpha and the hard-inclusion problem prescribe
 the same boundaries (outer, incl1, incl2), so one factor per mesh serves
 all of them.  A hard inclusion is solved as in Bao, Li & Li (2015): u =
@@ -223,44 +229,25 @@ def _rigid_system(K: sp.csr_matrix, V: np.ndarray, v0: np.ndarray) -> tuple[np.n
 # ---------------------------------------------------------------------------
 
 
-def solve_component(
-    geom: Geometry,
-    lam: float,
-    mu: float,
-    i: int,
-    alpha: int,
-    params: MeshParams | None = None,
-    system: ElasticitySystem | None = None,
-) -> DisplacementField:
+def solve_component(system: ElasticitySystem, i: int, alpha: int) -> DisplacementField:
     """v_i^alpha: u = psi_alpha on inclusion i, u = 0 on the other inclusion
     and outer (solved in the block of all six)."""
     if i not in (1, 2):
         raise ValueError("inclusion index must be 1 or 2")
     if alpha not in (1, 2, 3):
         raise ValueError("alpha must be 1, 2 or 3")
-    return solve_components(geom, lam, mu, params, system)[i, alpha]
+    return solve_components(system)[i, alpha]
 
 
-def solve_components(
-    geom: Geometry,
-    lam: float,
-    mu: float,
-    params: MeshParams | None = None,
-    system: ElasticitySystem | None = None,
-) -> dict[tuple[int, int], DisplacementField]:
+def solve_components(system: ElasticitySystem) -> dict[tuple[int, int], DisplacementField]:
     """All six v_i^alpha by (i, alpha), solved as one block on one factor."""
-    system = system or assemble(generate_mesh(geom, params), lam, mu)
     V = _condensed_solve(system, INCLUSION_BOUNDARIES, _component_data(system.mesh))
     return {ia: DisplacementField(system, v) for ia, v in zip(COMPONENTS, V.T.copy())}
 
 
 def solve_hard_inclusion(
-    geom: Geometry,
-    lam: float,
-    mu: float,
+    system: ElasticitySystem,
     phi: Callable[[float, float], tuple[float, float]],
-    params: MeshParams | None = None,
-    system: ElasticitySystem | None = None,
     components: dict[tuple[int, int], DisplacementField] | None = None,
 ) -> tuple[DisplacementField, np.ndarray]:
     """Energy minimum over fields rigid on each inclusion with u = phi on the
@@ -268,9 +255,8 @@ def solve_hard_inclusion(
     and C (2x3).  `components` are the six v_i^alpha on `system` as
     `solve_components` returns them (solved here when not given); v_0 is
     solved on their factor."""
-    system = system or assemble(generate_mesh(geom, params), lam, mu)
     if components is None:
-        components = solve_components(geom, lam, mu, system=system)
+        components = solve_components(system)
     if any(components[ia].system is not system for ia in COMPONENTS):
         raise ValueError("the component fields belong to another system")
     # v_0: phi on outer, zero on both inclusions
@@ -290,15 +276,9 @@ def solve_hard_inclusion(
 
 
 def solve_holes(
-    geom: Geometry,
-    lam: float,
-    mu: float,
-    phi: Callable[[float, float], tuple[float, float]],
-    params: MeshParams | None = None,
-    system: ElasticitySystem | None = None,
+    system: ElasticitySystem, phi: Callable[[float, float], tuple[float, float]]
 ) -> DisplacementField:
     """Traction-free inclusion boundaries, Dirichlet phi on the outer circle."""
-    system = system or assemble(generate_mesh(geom, params), lam, mu)
     g = _dirichlet(system.mesh, {"outer": phi})
     return DisplacementField(system, _condensed_solve(system, ("outer",), g))
 

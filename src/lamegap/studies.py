@@ -30,7 +30,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Callable, Sequence
 
@@ -316,12 +316,14 @@ def emit_report(report: StudyReport, fmt: str, path: str) -> None:
 class _EpsCase:
     """The geometry and the solved fields at one eps.
 
-    One assembled system is kept per `MeshParams`, and each field is solved
-    at most once, keyed by (solver, arguments, mesh params).  The six
-    component fields of a mesh are solved together, on its first component
-    request, and the hard-inclusion solve (`hard`) reuses them and their
-    factor, solving only v_0.  The compare mesh has grading factor 1 at
-    eps_max, so there it is the shared mesh.
+    One assembled system is kept per `MeshParams`: the case's geometry
+    meshed with those params, with cfg.lam and cfg.mu.  A solver is called
+    as `solver(system, *args)`, and each field is solved at most once,
+    keyed by (solver, arguments, mesh params).  The six component fields
+    of a mesh are solved together, on its first component request, and the
+    hard-inclusion solve (`hard`) reuses them and their factor, solving
+    only v_0.  The compare mesh has grading factor 1 at eps_max, so there
+    it is the shared mesh.
     A case serves every config with the same `_solve_key`; `cfg` is the one
     it was made for, read only for what reaches a mesh or a solve.  The
     stored field arrays are read-only.
@@ -342,8 +344,7 @@ class _EpsCase:
         if key not in self._fields:
             if params not in self._systems:
                 self._systems[params] = assemble(generate_mesh(self.geom, params), cfg.lam, cfg.mu)
-            system = self._systems[params]
-            result = solver(self.geom, cfg.lam, cfg.mu, *args, system=system, **solved)
+            result = solver(self._systems[params], *args, **solved)
             for fld in result.values() if isinstance(result, dict) else [result]:
                 fld = fld[0] if isinstance(fld, tuple) else fld
                 for arr in (fld.u, fld.rigid):
@@ -721,32 +722,9 @@ def run_studies(cfg: SweepConfig, kinds: Sequence[str] | None = None) -> dict[st
     return reports
 
 
-def run_blowup_study(cfg: SweepConfig) -> StudyReport:
-    return run_studies(cfg, ["rates"])["rates"]
-
-
-def run_constant_study(cfg: SweepConfig) -> StudyReport:
-    return run_studies(cfg, ["constants"])["constants"]
-
-
-def run_neck_comparison(cfg: SweepConfig, depth: int | None = None) -> StudyReport:
-    if depth is not None:
-        cfg = replace(cfg, compare_depth=depth)
-    return run_studies(cfg, ["compare"])["compare"]
-
-
-def run_symmetric_cancellation(cfg: SweepConfig) -> StudyReport:
-    return run_studies(cfg, ["cancel"])["cancel"]
-
-
-def run_holes_study(cfg: SweepConfig) -> StudyReport:
-    return run_studies(cfg, ["holes"])["holes"]
-
-
+# kind -> its report from a pass of its own; `run_studies` runs every kind,
+# in this order, by default
 RUNNERS = {
-    "rates": run_blowup_study,
-    "constants": run_constant_study,
-    "compare": run_neck_comparison,
-    "cancel": run_symmetric_cancellation,
-    "holes": run_holes_study,
+    kind: lambda cfg, kind=kind: run_studies(cfg, [kind])[kind]
+    for kind in ("rates", "constants", "compare", "cancel", "holes")
 }

@@ -13,7 +13,18 @@ import pytest
 
 from lamegap.cli import main
 from lamegap.families import MAX_DEPTH
-from lamegap.fem.solve import SolverError, gap_center_node
+from lamegap.fem.assembly import assemble
+from lamegap.fem.geometry import Geometry
+from lamegap.fem.mesh import MeshParams, generate_mesh
+from lamegap.fem.solve import (
+    SolverError,
+    gap_center_node,
+    sample,
+    solve_component,
+    solve_hard_inclusion,
+    solve_holes,
+)
+from lamegap.studies import BOUNDARY_DATA
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -90,6 +101,29 @@ def test_fem_solve_cli(tmp_path, capsys):
     header = field_out.read_text().splitlines()[0]
     assert header == "x,y,u1,u2,g11,g12,g21,g22"
     assert mesh_out.read_text().startswith("lamegap-mesh 1 ")
+
+
+@pytest.mark.parametrize(
+    "problem, solve",
+    [
+        *((f"component{a}", lambda system, a=a: solve_component(system, 1, a)) for a in (1, 2, 3)),
+        ("hard", lambda system: solve_hard_inclusion(system, BOUNDARY_DATA["default_odd"])[0]),
+        ("holes", lambda system: solve_holes(system, BOUNDARY_DATA["default_odd"])),
+    ],
+)
+def test_fem_solve_export_equals_the_library_solve(tmp_path, capsys, problem, solve):
+    field_out = tmp_path / "field.csv"
+    argv = ["fem", "solve", "--eps", "0.1", "--nz", "4", "--grading", "0.5", "--problem", problem]
+    assert main([*argv, "--stride", "7", "--out", str(field_out)]) == 0
+    mesh = generate_mesh(Geometry(eps=0.1), MeshParams(nz=4, ct=0.5))
+    fld = solve(assemble(mesh, 1.0, 1.0))
+    idx = np.arange(0, mesh.n_nodes, 7)
+    rows = np.column_stack(
+        (mesh.nodes[idx], fld.u.reshape(-1, 2)[idx], sample(fld, idx, "gradient").reshape(-1, 4))
+    )
+    expected = ["x,y,u1,u2,g11,g12,g21,g22\n", *(",".join(map(repr, row)) + "\n" for row in rows.tolist())]
+    # compared as lists of lines: a failure names the first row that differs
+    assert field_out.read_text().splitlines(keepends=True) == expected
 
 
 def test_fem_solve_hard_csv_cells_parse(tmp_path, capsys):
@@ -401,4 +435,15 @@ def test_zero_grading_exits_2_instead_of_hanging():
         env=env, capture_output=True, text=True, timeout=30,
     )
     assert out.returncode == 2
-    assert out.stderr == "error: ct must be finite and positive, got 0.0\n"
+    assert out.stderr == "error: grading (ct) must be finite and positive, got 0.0\n"
+
+
+def test_zero_grading_in_a_config_file_exits_2(tmp_path, monkeypatch, capsys):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed before the grading was checked")
+
+    monkeypatch.setattr("lamegap.studies.generate_mesh", no_mesh)
+    cfg = tmp_path / "grading.cfg"
+    cfg.write_text("mesh.grading = 0\n")
+    assert main(["study", "rates", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: grading (ct) must be finite and positive, got 0.0\n"

@@ -231,7 +231,7 @@ def _mirror_pairs(mesh, half_extent=0.3):
 
 def test_component_symmetry(setup05):
     geom, mesh, system = setup05
-    fld = solve_component(geom, LAM, MU, 1, 1, system=system)
+    fld = solve_component(system, 1, 1)
     pairs = _mirror_pairs(mesh)
     assert len(pairs) >= 5
     right = sample(fld, pairs[:, 0], "value")
@@ -244,22 +244,22 @@ def test_component_symmetry(setup05):
 def test_component_requires_valid_args(setup05):
     geom, _, system = setup05
     with pytest.raises(ValueError):
-        solve_component(geom, LAM, MU, 3, 1, system=system)
+        solve_component(system, 3, 1)
     with pytest.raises(ValueError):
-        solve_component(geom, LAM, MU, 1, 5, system=system)
+        solve_component(system, 1, 5)
 
 
 def test_gap_gradient_matches_leading_term(setup05):
     # d_z u^(1)(0,0) ~ 1/delta(0) = 1/eps for the leading profile z/delta
     geom, _, system = setup05
-    fld = solve_component(geom, LAM, MU, 1, 1, system=system)
+    fld = solve_component(system, 1, 1)
     g0 = sample(fld, [gap_center_node(system.mesh, geom.eps)], "gradient")[0]
     assert g0[0, 1] == pytest.approx(1 / geom.eps, rel=0.02)
 
 
 def test_hard_inclusion_rigid_data_exact(setup05):
     geom, _, system = setup05
-    fld, c = solve_hard_inclusion(geom, LAM, MU, lambda x, y: (1.0, 0.0), system=system)
+    fld, c = solve_hard_inclusion(system, lambda x, y: (1.0, 0.0))
     # exact solution is the global translation
     assert np.allclose(c, [[1, 0, 0], [1, 0, 0]], atol=1e-9)
     assert abs(fld.energy()) < 1e-9
@@ -272,7 +272,7 @@ def test_hard_inclusion_constraint_consistency(setup05):
     large_lam = assemble(generate_mesh(thin), 1e3, MU)
     for geom, lam, system in ((geom, LAM, system), (thin, 1e3, large_lam)):
         mesh = system.mesh
-        fld, c = solve_hard_inclusion(geom, lam, MU, lambda x, y: (y, x + y), system=system)
+        fld, c = solve_hard_inclusion(system, lambda x, y: (y, x + y))
         nodes = mesh.boundary_nodes("incl1")
         x, y = mesh.nodes[nodes, 0], mesh.nodes[nodes, 1]
         expect_x = c[0, 0] + c[0, 2] * y
@@ -285,7 +285,7 @@ def test_hard_inclusion_lu_fill_bounded(setup05):
     # the symmetric minimum-degree ordering keeps the factor sparse; the
     # default column ordering with partial pivoting gave about 14
     geom, _, system = setup05
-    solve_hard_inclusion(geom, LAM, MU, lambda x, y: (y, x + y), system=system)
+    solve_hard_inclusion(system, lambda x, y: (y, x + y))
     red = system._reduced
     assert (red.lu.L.nnz + red.lu.U.nnz) / red.A.nnz <= 8
 
@@ -302,7 +302,7 @@ def test_factor_stores_no_relaxed_supernodes():
 
 def test_hard_inclusion_odd_symmetry(setup05):
     geom, _, system = setup05
-    _, c = solve_hard_inclusion(geom, LAM, MU, lambda x, y: (y, x + y), system=system)
+    _, c = solve_hard_inclusion(system, lambda x, y: (y, x + y))
     assert c[0, 2] == pytest.approx(c[1, 2], abs=1e-10)  # rotations equal
     assert c[0, 0] == pytest.approx(-c[1, 0], rel=1e-8)
 
@@ -310,7 +310,7 @@ def test_hard_inclusion_odd_symmetry(setup05):
 def test_reciprocity(setup05):
     geom, _, system = setup05
     for alpha in (1, 3):
-        fld = solve_component(geom, LAM, MU, 1, alpha, system=system)
+        fld = solve_component(system, 1, alpha)
         energy = fld.energy()
         pairing = 0.5 * fld.flux_pairing("incl1", alpha)
         assert energy == pytest.approx(pairing, rel=1e-8)
@@ -318,7 +318,7 @@ def test_reciprocity(setup05):
 
 def test_holes_rigid_exact(setup05):
     geom, _, system = setup05
-    fld = solve_holes(geom, LAM, MU, lambda x, y: (y, -x), system=system)
+    fld = solve_holes(system, lambda x, y: (y, -x))
     assert abs(fld.energy()) < 1e-9
     g0 = sample(fld, [gap_center_node(system.mesh, geom.eps)], "gradient")[0]
     assert np.abs(g0 - [[0, 1], [-1, 0]]).max() < 1e-6
@@ -326,7 +326,7 @@ def test_holes_rigid_exact(setup05):
 
 def test_energy_balance(setup05):
     geom, _, system = setup05
-    fld = solve_holes(geom, LAM, MU, lambda x, y: (y, x + y), system=system)
+    fld = solve_holes(system, lambda x, y: (y, x + y))
     assert 2 * fld.energy() == pytest.approx(fld.boundary_work(), rel=1e-8)
 
 
@@ -342,26 +342,26 @@ def test_one_factorization_per_constraint_pattern(setup05, monkeypatch):
     monkeypatch.setattr(solve_mod.spla, "splu", counting_splu)
     system = assemble(mesh, LAM, MU)
     shared = {
-        (i, alpha): solve_component(geom, LAM, MU, i, alpha, system=system)
+        (i, alpha): solve_component(system, i, alpha)
         for i in (1, 2)
         for alpha in (1, 2, 3)
     }
     assert len(calls) == 1
     # the hard solve prescribes the same boundaries: u = v_0 + sum C v_i^alpha
     phi = lambda x, y: (y, x + y)
-    hard, c = solve_hard_inclusion(geom, LAM, MU, phi, system=system)
+    hard, c = solve_hard_inclusion(system, phi)
     assert len(calls) == 1
-    solve_component(geom, LAM, MU, 1, 1, system=system)
+    solve_component(system, 1, 1)
     assert len(calls) == 1
     # only the latest factor is kept
-    solve_holes(geom, LAM, MU, phi, system=system)
-    solve_component(geom, LAM, MU, 1, 1, system=system)
+    solve_holes(system, phi)
+    solve_component(system, 1, 1)
     assert len(calls) == 3
 
     for (i, alpha), fld in shared.items():
-        fresh = solve_component(geom, LAM, MU, i, alpha, system=assemble(mesh, LAM, MU))
+        fresh = solve_component(assemble(mesh, LAM, MU), i, alpha)
         assert np.array_equal(fld.u, fresh.u)
-    fresh_hard, fresh_c = solve_hard_inclusion(geom, LAM, MU, phi, system=assemble(mesh, LAM, MU))
+    fresh_hard, fresh_c = solve_hard_inclusion(assemble(mesh, LAM, MU), phi)
     assert np.array_equal(hard.u, fresh_hard.u)
     assert np.array_equal(c, fresh_c)
 
@@ -396,9 +396,9 @@ def test_one_triangular_solve_per_block(setup05, counted_factors):
     factors = counted_factors
     system = assemble(mesh, LAM, MU)
     phi = lambda x, y: (y, x + y)
-    solve_hard_inclusion(geom, LAM, MU, phi, system=system)
-    solve_components(geom, LAM, MU, system=system)
-    solve_holes(geom, LAM, MU, phi, system=system)
+    solve_hard_inclusion(system, phi)
+    solve_components(system)
+    solve_holes(system, phi)
     n_comp, n_holes = factors[0].lu.shape[0], factors[1].lu.shape[0]
     # no refinement: the hard solve is the 6-column component block and the
     # v_0 column, then the component block again on the same factor; one
@@ -425,18 +425,18 @@ def test_hard_solve_reuses_given_component_fields(counted_factors):
     geom = Geometry(eps=0.05)
     mesh = generate_mesh(geom, COARSE)
     phi = lambda x, y: (y, x + y)
-    fresh, c_fresh = solve_hard_inclusion(geom, LAM, MU, phi, system=assemble(mesh, LAM, MU))
+    fresh, c_fresh = solve_hard_inclusion(assemble(mesh, LAM, MU), phi)
     system = assemble(mesh, LAM, MU)
-    comps = solve_components(geom, LAM, MU, system=system)
-    fld, c = solve_hard_inclusion(geom, LAM, MU, phi, system=system, components=comps)
+    comps = solve_components(system)
+    fld, c = solve_hard_inclusion(system, phi, components=comps)
     n = counted_factors[0].lu.shape[0]
     # without fields: the component block, then v_0; with them: v_0 only
     assert counted_factors[0].rhs == [(n, 6), (n,)]
     assert counted_factors[1].rhs == [(n, 6), (n,)]
     assert np.array_equal(fld.u, fresh.u) and np.array_equal(c, c_fresh)
-    other = solve_components(geom, LAM, MU, system=assemble(mesh, LAM, MU))
+    other = solve_components(assemble(mesh, LAM, MU))
     with pytest.raises(ValueError, match="another system"):
-        solve_hard_inclusion(geom, LAM, MU, phi, system=system, components=other)
+        solve_hard_inclusion(system, phi, components=other)
 
 
 def test_hard_solve_matches_the_seven_column_block():
@@ -446,7 +446,7 @@ def test_hard_solve_matches_the_seven_column_block():
     geom = Geometry(eps=0.05)
     system = assemble(generate_mesh(geom, COARSE), LAM, MU)
     phi = lambda x, y: (y, x + y)
-    fld, c = solve_hard_inclusion(geom, LAM, MU, phi, system=system)
+    fld, c = solve_hard_inclusion(system, phi)
     g = np.column_stack([solve_mod._component_data(system.mesh), _dirichlet(system.mesh, {"outer": phi})])
     sol = _condensed_solve(system, INCLUSION_BOUNDARIES, g)
     V, v0 = sol[:, :6], sol[:, 6]
@@ -466,7 +466,8 @@ def test_study_case_solves_only_v0_for_the_hard_field(counted_factors):
     assert case.hard()[0] is fld
     n = counted_factors[0].lu.shape[0]
     assert len(counted_factors) == 1 and counted_factors[0].rhs == [(n, 6), (n,)]
-    ref, c_ref = solve_hard_inclusion(case.geom, cfg.lam, cfg.mu, BOUNDARY_DATA[cfg.phi], COARSE)
+    system = assemble(generate_mesh(case.geom, COARSE), cfg.lam, cfg.mu)
+    ref, c_ref = solve_hard_inclusion(system, BOUNDARY_DATA[cfg.phi])
     assert np.array_equal(fld.u, ref.u) and np.array_equal(c, c_ref)
 
 
@@ -503,9 +504,9 @@ def raw_backward_errors(monkeypatch):
 
 ODD_PHI = lambda x, y: (y, x + y)
 HEADROOM_PROBLEMS = {
-    "components": lambda geom, lam: solve_components(geom, lam, MU, COARSE),
-    "hard": lambda geom, lam: solve_hard_inclusion(geom, lam, MU, ODD_PHI, COARSE),
-    "holes": lambda geom, lam: solve_holes(geom, lam, MU, ODD_PHI, COARSE),
+    "components": lambda geom, lam: solve_components(assemble(generate_mesh(geom, COARSE), lam, MU)),
+    "hard": lambda geom, lam: solve_hard_inclusion(assemble(generate_mesh(geom, COARSE), lam, MU), ODD_PHI),
+    "holes": lambda geom, lam: solve_holes(assemble(generate_mesh(geom, COARSE), lam, MU), ODD_PHI),
     "large_contrast": lambda geom, lam: solve_large_contrast(geom, lam, MU, ODD_PHI, params=COARSE),
 }
 
@@ -560,13 +561,13 @@ def test_hard_inclusion_decomposition_matches_rigid_tied_reference(eps, lam):
     geom = Geometry(eps=eps)
     system = assemble(generate_mesh(geom, MeshParams(nr=8, arc_target=0.24)), lam, MU)
     phi = lambda x, y: (y, x + y)
-    fld, c = solve_hard_inclusion(geom, lam, MU, phi, system=system)
+    fld, c = solve_hard_inclusion(system, phi)
     u_ref, c_ref = _rigid_tied_reference(system, phi)
     assert np.abs(fld.u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
     assert np.abs(c - c_ref).max() <= 1e-10 * np.abs(c_ref).max()
     # a rigid inclusion is in equilibrium: the hard field exerts no force or
     # torque on it, against the pairing of each v_i^alpha with its own psi
-    comps = solve_components(geom, lam, MU, system=system)
+    comps = solve_components(system)
     for (i, alpha), v in comps.items():
         own = v.flux_pairing(f"incl{i}", alpha)
         assert abs(fld.flux_pairing(f"incl{i}", alpha)) <= 1e-10 * abs(own)
@@ -579,7 +580,7 @@ def test_hard_inclusion_decomposition_matches_rigid_tied_reference(eps, lam):
 
 def test_component_block_columns_carry_their_boundary_data(setup05):
     geom, mesh, system = setup05
-    block = solve_components(geom, LAM, MU, system=system)
+    block = solve_components(system)
     assert list(block) == [(i, alpha) for i in (1, 2) for alpha in (1, 2, 3)]
     for (i, alpha), fld in block.items():
         u = fld.u.reshape(-1, 2)
@@ -592,11 +593,12 @@ def test_component_block_columns_carry_their_boundary_data(setup05):
 
 def test_large_contrast_cross_check():
     geom = Geometry(eps=0.05)
-    hard = solve_component(geom, LAM, MU, 1, 1)
+    system = assemble(generate_mesh(geom), LAM, MU)
+    hard = solve_component(system, 1, 1)
     # large-contrast approximation of the hard-inclusion component problem is
     # not directly comparable; compare the full problems instead
     phi = lambda x, y: (y, x + y)
-    rigid, _ = solve_hard_inclusion(geom, LAM, MU, phi)
+    rigid, _ = solve_hard_inclusion(system, phi)
     contrast = solve_large_contrast(geom, LAM, MU, phi, lam1=1e6, mu1=1e6)
     g1 = sample(rigid, [gap_center_node(rigid.mesh, geom.eps)], "gradient")[0]
     g2 = sample(contrast, [gap_center_node(contrast.mesh, geom.eps)], "gradient")[0]
@@ -607,7 +609,7 @@ def test_sample_outside_errors(setup05):
     # numpy would wrap -1 to the last node and raise a bare IndexError for
     # n_nodes; both are rejected as solver errors
     geom, mesh, system = setup05
-    fld = solve_component(geom, LAM, MU, 1, 1, system=system)
+    fld = solve_component(system, 1, 1)
     for bad in (-1, mesh.n_nodes):
         for order in ("value", "gradient"):
             with pytest.raises(SolverError, match="outside"):
@@ -618,7 +620,7 @@ def test_sample_outside_errors(setup05):
 
 def test_sample_batch_matches_single_points(setup05):
     geom, mesh, system = setup05
-    fld = solve_component(geom, LAM, MU, 1, 1, system=system)
+    fld = solve_component(system, 1, 1)
     origin = gap_center_node(mesh, geom.eps)
     arc = mesh.boundary_nodes("incl1")
     arc = arc[np.abs(mesh.nodes[arc, 0]) <= 0.3][::3]  # curved elements
@@ -639,7 +641,7 @@ def test_sample_nodes_matches_sample(setup05):
     # values are the nodal coefficients; gradients are the isoparametric
     # gradient, computed here independently, in the lowest incident element
     geom, mesh, system = setup05
-    fld = solve_component(geom, LAM, MU, 1, 1, system=system)
+    fld = solve_component(system, 1, 1)
     nodes = np.arange(mesh.n_nodes)
     assert np.array_equal(sample(fld, nodes, "value"), fld.u.reshape(-1, 2))
     held, at = np.unique(mesh.tris.ravel(), return_index=True)
@@ -702,7 +704,7 @@ def test_sample_at_every_node_matches_sample_nodes(sweep01):
     # every incidence of every node, in element order, is one row of
     # incident_gradients; sample reads the first incidence of each node
     geom, mesh = sweep01
-    fld = solve_component(geom, LAM, MU, 1, 1, system=assemble(mesh, LAM, MU))
+    fld = solve_component(assemble(mesh, LAM, MU), 1, 1)
     nodes = np.arange(mesh.n_nodes)
     every = incident_gradients(fld, nodes)
     assert every.shape == (6 * mesh.n_elements, 2, 2)
@@ -717,7 +719,7 @@ def test_sample_at_every_node_matches_sample_nodes(sweep01):
 
 def test_sample_batch_with_outside_point_errors(setup05):
     geom, mesh, system = setup05
-    fld = solve_component(geom, LAM, MU, 1, 1, system=system)
+    fld = solve_component(system, 1, 1)
     with pytest.raises(SolverError, match="outside"):
         sample(fld, [0, 1, mesh.n_nodes + 5, 2], "gradient")
     with pytest.raises(SolverError, match="outside"):
@@ -729,7 +731,7 @@ def test_mesh_independence():
         geom = Geometry(eps=eps)
         vals = []
         for params in (MeshParams(), MeshParams(nz=16, ct=0.175)):
-            fld = solve_component(geom, LAM, MU, 1, 1, params=params)
+            fld = solve_component(assemble(generate_mesh(geom, params), LAM, MU), 1, 1)
             vals.append(sample(fld, [gap_center_node(fld.mesh, eps)], "gradient")[0][0, 1])
         assert abs(vals[0] - vals[1]) / abs(vals[1]) < 0.02
 
@@ -737,7 +739,7 @@ def test_mesh_independence():
 def test_energy_minimality_spot_check(setup05):
     # perturbing interior DOFs of the solved field cannot decrease the energy
     geom, mesh, system = setup05
-    fld, _ = solve_hard_inclusion(geom, LAM, MU, lambda x, y: (y, x + y), system=system)
+    fld, _ = solve_hard_inclusion(system, lambda x, y: (y, x + y))
     bnodes = np.concatenate([mesh.boundary_nodes(t) for t in ("outer", "incl1", "incl2")])
     interior = np.setdiff1d(np.arange(mesh.n_nodes), bnodes)
     rng = np.random.default_rng(5)

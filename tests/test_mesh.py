@@ -89,8 +89,8 @@ NAN, INF = float("nan"), float("inf")
 
 
 UNMESHABLE = [
-    (lambda: MeshParams(ct=0.0), MeshError, "ct must be finite and positive"),
-    (lambda: MeshParams(ct=NAN), MeshError, "ct must be finite and positive"),
+    (lambda: MeshParams(ct=0.0), MeshError, r"grading \(ct\) must be finite and positive"),
+    (lambda: MeshParams(ct=NAN), MeshError, r"grading \(ct\) must be finite and positive"),
     (lambda: MeshParams(arc_target=-0.1), MeshError, "arc_target"),
     (lambda: MeshParams(arc_target=INF), MeshError, "arc_target"),
     (lambda: MeshParams(neck_halfwidth=0.0), MeshError, "neck_halfwidth"),
@@ -105,7 +105,7 @@ UNMESHABLE = [
     (lambda: Geometry(eps=0.1, R0=INF), GeometryError, "R0 must be finite"),
     (lambda: Geometry(eps=0.1, rho1=NAN), GeometryError, "rho1 must be finite"),
     (lambda: Geometry(eps=0.1, rho2=INF), GeometryError, "rho2 must be finite"),
-    (lambda: SweepConfig(ct=0.0), MeshError, "ct must be finite"),
+    (lambda: SweepConfig(ct=0.0), MeshError, r"grading \(ct\) must be finite"),
     (lambda: SweepConfig(neck_halfwidth=0.0), MeshError, "neck_halfwidth"),
     (lambda: SweepConfig(collar_width=-0.01), MeshError, "collar_width"),
     (lambda: SweepConfig(nr=0), MeshError, "nr must be >= 1"),

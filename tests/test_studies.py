@@ -192,10 +192,10 @@ def test_mesh_params_ct_scaling():
 def test_constant_study_phi_sensitivity():
     # the sqrt(eps) law holds for an independent odd datum; the fitted
     # functional differs (sensitivity is reported, not assumed away)
-    from lamegap.studies import run_constant_study
+    from lamegap.studies import RUNNERS
 
-    base = run_constant_study(SweepConfig(study_id="phi-default"))
-    alt = run_constant_study(SweepConfig(study_id="phi-cubic", phi="odd_cubic"))
+    base = RUNNERS["constants"](SweepConfig(study_id="phi-default"))
+    alt = RUNNERS["constants"](SweepConfig(study_id="phi-cubic", phi="odd_cubic"))
     assert alt.checks["dc1_slope"]["passed"]
     assert alt.checks["bstar11_stable"]["passed"]
     b_base = base.records[0]["bstar11"]
@@ -205,25 +205,25 @@ def test_constant_study_phi_sensitivity():
 
 def test_workers_pool_path_matches_sequential(monkeypatch):
     from lamegap import studies
-    from lamegap.studies import run_constant_study
+    from lamegap.studies import RUNNERS
 
     cfg = SweepConfig(study_id="pool")
-    seq = run_constant_study(cfg)
+    seq = RUNNERS["constants"](cfg)
     # the workers solve afresh rather than read the cases kept above
     monkeypatch.setattr(studies, "_CASES", {})
-    par = run_constant_study(replace(cfg, workers=2))
+    par = RUNNERS["constants"](replace(cfg, workers=2))
     assert seq.records == par.records
 
 
 def test_neck_comparison_depth_checked_before_meshing(monkeypatch):
-    from lamegap.studies import run_neck_comparison
+    from lamegap.studies import RUNNERS
 
     def no_mesh(*args, **kwargs):
         raise AssertionError("meshed before the depth was checked")
 
     monkeypatch.setattr("lamegap.studies.generate_mesh", no_mesh)
     with pytest.raises(StudyError):
-        run_neck_comparison(SweepConfig(), depth=0)
+        RUNNERS["compare"](replace(SweepConfig(), compare_depth=0))
 
 
 # -- node reads -------------------------------------------------------------------
@@ -270,9 +270,9 @@ def test_rates_small_eps_u13_slope():
     # at eps 1e-5 .. 1.25e-6 the mid-gap nodes resolve the neck; the
     # rotation rate must sit within 0.04 of the theoretical -1/2 (41 fixed
     # centerline points gave -0.452 here)
-    from lamegap.studies import run_blowup_study
+    from lamegap.studies import RUNNERS
 
-    rep = run_blowup_study(SweepConfig(study_id="small-eps", eps_grid=(1e-5, 5e-6, 2.5e-6, 1.25e-6)))
+    rep = RUNNERS["rates"](SweepConfig(study_id="small-eps", eps_grid=(1e-5, 5e-6, 2.5e-6, 1.25e-6)))
     assert rep.passed
     assert abs(rep.checks["u13_gap_max_slope"]["value"] + 0.5) <= 0.04
 
@@ -343,12 +343,12 @@ def test_warm_and_cold_cases_give_identical_reports(monkeypatch, counts):
      {"eps_grid": (0.12, 0.05, 0.025, 0.0125)}],
 )
 def test_a_solve_field_change_meshes_afresh(counts, change):
-    from lamegap.studies import run_constant_study
+    from lamegap.studies import RUNNERS
 
     cfg = SweepConfig(**COARSE)
-    run_constant_study(cfg)
+    RUNNERS["constants"](cfg)
     counts.update(generate_mesh=0, splu=0)
-    run_constant_study(replace(cfg, **change))
+    RUNNERS["constants"](replace(cfg, **change))
     assert counts == {"generate_mesh": 4, "splu": 4}
 
 
@@ -361,10 +361,10 @@ def test_a_read_only_change_keeps_the_cases(counts, change):
     from lamegap import studies
 
     cfg = SweepConfig(**COARSE)
-    studies.run_constant_study(cfg)
+    studies.RUNNERS["constants"](cfg)
     kept = dict(studies._CASES)
     counts.update(generate_mesh=0, splu=0)
-    studies.run_constant_study(replace(cfg, **change))
+    studies.RUNNERS["constants"](replace(cfg, **change))
     assert counts == {"generate_mesh": 0, "splu": 0}
     assert studies._CASES.keys() == kept.keys()
     for key, cases in kept.items():
@@ -375,12 +375,12 @@ def test_deeper_comparison_after_a_shallow_one_equals_a_cold_run(monkeypatch, co
     from lamegap import studies
 
     cfg = SweepConfig(study_id="depth", **COARSE)
-    studies.run_neck_comparison(cfg)
+    studies.RUNNERS["compare"](cfg)
     counts.update(generate_mesh=0, splu=0)
-    warm = studies.run_neck_comparison(cfg, depth=3)
+    warm = studies.RUNNERS["compare"](replace(cfg, compare_depth=3))
     assert counts == {"generate_mesh": 0, "splu": 0}
     monkeypatch.setattr(studies, "_CASES", {})
-    cold = studies.run_neck_comparison(cfg, depth=3)
+    cold = studies.RUNNERS["compare"](replace(cfg, compare_depth=3))
     assert warm.to_json() == cold.to_json()
     assert warm.config["compare_depth"] == 3
 
@@ -389,7 +389,7 @@ def test_kept_fields_are_read_only_and_released_energy_is_exact(counts):
     from lamegap import studies
 
     cfg = SweepConfig(**COARSE)
-    report = studies.run_holes_study(cfg)
+    report = studies.RUNNERS["holes"](cfg)
     (cases,) = studies._CASES.values()
     assert sorted(cases) == sorted(cfg.eps_grid)
     for rec in report.records:

@@ -19,7 +19,7 @@ import numpy as np
 from . import checks as checks_mod
 from .config import ConfigError, load_config
 from .families import FamilyError, alpha_range, build_family
-from .fem.assembly import assemble
+from .fem.assembly import assemble, check_ellipticity
 from .fem.geometry import Geometry
 from .fem.mesh import MeshParams, generate_mesh, write_mesh
 from .fem.solve import (
@@ -100,6 +100,7 @@ def _cmd_aux_verify(args) -> int:
 def _cmd_fem_solve(args) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be a positive integer, got {args.stride}")
+    check_ellipticity(args.lam, args.mu)
     geom = Geometry(eps=args.eps, R0=args.R0, rho1=args.rho1, rho2=args.rho2)
     params = MeshParams(nz=args.nz, ct=args.grading)
     mesh = generate_mesh(geom, params)

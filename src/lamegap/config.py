@@ -32,7 +32,6 @@ _SCALAR_KEYS: dict[str, tuple[str, type]] = {
     "mesh.collar_width": ("collar_width", float),
     "mesh.ct_eps_power": ("ct_eps_power", float),
     "compare.depth": ("compare_depth", int),
-    "workers": ("workers", int),
 }
 
 

@@ -41,6 +41,7 @@ identical matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,8 @@ class AssemblyError(ValueError):
 
 
 def check_ellipticity(lam: float, mu: float) -> None:
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise AssemblyError(f"lam and mu must be finite, got lam={lam}, mu={mu}")
     if not (mu > 0 and lam + 2 * mu > 0 and lam + mu >= 0):
         raise AssemblyError(
             f"non-elliptic parameters lam={lam}, mu={mu}: need mu>0, "

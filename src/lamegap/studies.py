@@ -31,13 +31,12 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .families import MAX_DEPTH, build_family
-from .fem.assembly import ElasticitySystem, assemble
+from .fem.assembly import ElasticitySystem, assemble, check_ellipticity
 from .fem.geometry import Geometry
 from .fem.mesh import Mesh, MeshParams, generate_mesh
 from .fem.solve import (
@@ -129,7 +128,6 @@ class SweepConfig:
     ct_eps_power: float = 0.0
     compare_depth: int = 2
     study_id: str = "study"
-    workers: int = 1
     tolerances: tuple[tuple[str, float], ...] = tuple(sorted(DEFAULT_TOLERANCES.items()))
 
     def __post_init__(self):
@@ -145,10 +143,12 @@ class SweepConfig:
             raise SweepConfigError(
                 f"compare depth must be in 1..{MAX_DEPTH}, got {self.compare_depth}"
             )
-        if self.workers < 1:
-            raise SweepConfigError(f"workers must be at least 1, got {self.workers}")
         if not math.isfinite(self.ct_eps_power):
             raise SweepConfigError(f"ct_eps_power must be finite, got {self.ct_eps_power!r}")
+        for name, value in self.tolerances:
+            if not math.isfinite(value):
+                raise SweepConfigError(f"tolerance {name} must be finite, got {value!r}")
+        check_ellipticity(self.lam, self.mu)
         # a GeometryError or MeshError here, not after the first solves
         for eps in self.eps_grid:
             self.geometry(eps)
@@ -623,15 +623,16 @@ def _report_holes(tol: dict, records: list[dict]) -> tuple[dict, dict]:
 # Studies
 # ---------------------------------------------------------------------------
 
-# kind -> (record function, report function), in pass order: the solves run
-# grouped by prescribed boundaries (components and hard, then holes), so each
+# kind -> (record function, report function), in command-line order, which
+# is also the pass order: every kind before holes solves on the components'
+# prescribed boundaries (compare on its own mesh below eps_max), so each
 # system factorizes every set once although it keeps only the latest factor
 _STUDIES = {
-    "cancel": (_record_cancel, _report_cancel),
     "rates": (_record_rates, _report_rates),
     "constants": (_record_constants, _report_constants),
-    "holes": (_record_holes, _report_holes),
     "compare": (_record_compare, _report_compare),
+    "cancel": (_record_cancel, _report_cancel),
+    "holes": (_record_holes, _report_holes),
 }
 
 
@@ -657,11 +658,10 @@ def _mark_not_applicable(cfg: SweepConfig, checks: dict[str, dict]) -> None:
 # SweepConfig fields that reach no mesh and no solve.  A config that differs
 # from the kept cases' in any other field, or in max(eps_grid) (it grades
 # the meshes), drops them.
-_READ_ONLY_FIELDS = frozenset({"eps_grid", "compare_depth", "study_id", "workers", "tolerances"})
+_READ_ONLY_FIELDS = frozenset({"eps_grid", "compare_depth", "study_id", "tolerances"})
 
 # the cases of the latest configuration: {_solve_key(cfg): {eps: case}}, at
-# most one entry.  Forked workers start from a copy of it; what they add is
-# lost when they exit.
+# most one entry
 _CASES: dict[tuple, dict[float, _EpsCase]] = {}
 
 
@@ -681,8 +681,7 @@ def _cases(cfg: SweepConfig) -> dict[float, _EpsCase]:
 
 
 def _eps_records(cfg: SweepConfig, kinds: tuple[str, ...], eps: float) -> dict[str, dict]:
-    """The record of every study in `kinds` at one eps, from its kept case
-    (module-level, so the process pool can map it)."""
+    """The record of every study in `kinds` at one eps, from its kept case."""
     cases = _cases(cfg)
     case = cases.get(eps)
     if case is None:
@@ -700,19 +699,11 @@ def _eps_records(cfg: SweepConfig, kinds: tuple[str, ...], eps: float) -> dict[s
 def run_studies(cfg: SweepConfig, kinds: Sequence[str] | None = None) -> dict[str, StudyReport]:
     """Run the studies in `kinds` (default: all) from one pass over the eps
     grid and return their reports by kind."""
-    kinds = tuple(RUNNERS if kinds is None else kinds)
+    kinds = tuple(_STUDIES if kinds is None else kinds)
     if not set(kinds) <= set(_STUDIES):
         raise StudyError(f"unknown study in {kinds}")
-    _cases(cfg)  # drop kept cases of another configuration before any fork
-    run = partial(_eps_records, cfg, kinds)
-    grid = sorted(cfg.eps_grid, reverse=True)  # records merge in sweep order
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # 6 ms to import, so only here
-
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_eps = list(pool.map(run, grid))
-    else:
-        per_eps = [run(eps) for eps in grid]
+    # one eps after another, largest first, so the records are in sweep order
+    per_eps = [_eps_records(cfg, kinds, eps) for eps in sorted(cfg.eps_grid, reverse=True)]
     reports = {}
     for kind in kinds:
         records = [recs[kind] for recs in per_eps]
@@ -722,9 +713,5 @@ def run_studies(cfg: SweepConfig, kinds: Sequence[str] | None = None) -> dict[st
     return reports
 
 
-# kind -> its report from a pass of its own; `run_studies` runs every kind,
-# in this order, by default
-RUNNERS = {
-    kind: lambda cfg, kind=kind: run_studies(cfg, [kind])[kind]
-    for kind in ("rates", "constants", "compare", "cancel", "holes")
-}
+# kind -> its report from a pass of its own
+RUNNERS = {kind: lambda cfg, kind=kind: run_studies(cfg, [kind])[kind] for kind in _STUDIES}

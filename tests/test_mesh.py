@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamegap import studies
-from lamegap.fem.assembly import assemble
+from lamegap.fem.assembly import AssemblyError, assemble
 from lamegap.fem.geometry import Geometry, GeometryError
 from lamegap.fem.mesh import (
     MeshError,
@@ -19,7 +19,7 @@ from lamegap.fem.mesh import (
     read_mesh,
     write_mesh,
 )
-from lamegap.studies import SweepConfig, SweepConfigError
+from lamegap.studies import DEFAULT_TOLERANCES, SweepConfig, SweepConfigError
 
 # the benchmark's coarse sweep mesh
 COARSE = MeshParams(nr=8, arc_target=0.24)
@@ -112,6 +112,15 @@ UNMESHABLE = [
     (lambda: SweepConfig(R0=INF), GeometryError, "R0 must be finite"),
     (lambda: SweepConfig(rho1=NAN), GeometryError, "rho1 must be finite"),
     (lambda: SweepConfig(ct_eps_power=NAN), SweepConfigError, "ct_eps_power must be finite"),
+    (lambda: SweepConfig(lam=INF), AssemblyError, "lam and mu must be finite"),
+    (lambda: SweepConfig(mu=NAN), AssemblyError, "lam and mu must be finite"),
+    (
+        lambda: SweepConfig(
+            tolerances=tuple(sorted({**DEFAULT_TOLERANCES, "cancel_noise_floor": NAN}.items()))
+        ),
+        SweepConfigError,
+        "tolerance cancel_noise_floor must be finite",
+    ),
 ]
 
 

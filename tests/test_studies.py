@@ -203,18 +203,6 @@ def test_constant_study_phi_sensitivity():
     assert abs(b_base - b_alt) > 1e-3 * abs(b_base)
 
 
-def test_workers_pool_path_matches_sequential(monkeypatch):
-    from lamegap import studies
-    from lamegap.studies import RUNNERS
-
-    cfg = SweepConfig(study_id="pool")
-    seq = RUNNERS["constants"](cfg)
-    # the workers solve afresh rather than read the cases kept above
-    monkeypatch.setattr(studies, "_CASES", {})
-    par = RUNNERS["constants"](replace(cfg, workers=2))
-    assert seq.records == par.records
-
-
 def test_neck_comparison_depth_checked_before_meshing(monkeypatch):
     from lamegap.studies import RUNNERS
 
@@ -354,7 +342,7 @@ def test_a_solve_field_change_meshes_afresh(counts, change):
 
 @pytest.mark.parametrize(
     "change",
-    [{"study_id": "other"}, {"workers": 2}, {"compare_depth": 3},
+    [{"study_id": "other"}, {"compare_depth": 3},
      {"tolerances": tuple(sorted({**DEFAULT_TOLERANCES, "dc3_rel_max": 1e-9}.items()))}],
 )
 def test_a_read_only_change_keeps_the_cases(counts, change):

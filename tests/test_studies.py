@@ -342,7 +342,7 @@ def test_a_solve_field_change_meshes_afresh(counts, change):
 
 @pytest.mark.parametrize(
     "change",
-    [{"study_id": "other"}, {"compare_depth": 3},
+    [{"study_id": "other"}, {"eps_grid": (0.0125, 0.025, 0.05, 0.1)}, {"compare_depth": 3},
      {"tolerances": tuple(sorted({**DEFAULT_TOLERANCES, "dc3_rel_max": 1e-9}.items()))}],
 )
 def test_a_read_only_change_keeps_the_cases(counts, change):

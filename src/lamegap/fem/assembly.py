@@ -55,9 +55,23 @@ class AssemblyError(ValueError):
     pass
 
 
+# The largest lam + 2 mu a system may have.  Every stiffness entry is lam + 2 mu
+# (for elliptic moduli the largest of |lam|, mu and lam + 2 mu) times a Gram sum
+# that grows with the element aspect ratio: at most 6.6e3 on the default mesh
+# at eps = 1e-6, with row sums up to 1.4e4.  The factorization, the energies
+# and the boundary work add sums over some 1e4 DOFs on top.  1e150, about the
+# square root of the largest double, leaves those factors 158 decades, and it
+# excludes no material: with the displacement prescribed on the boundary, the
+# fields depend on lam / mu alone.
+STIFFNESS_MAX = 1e150
+
+
 def check_ellipticity(lam: float, mu: float) -> None:
-    if not (math.isfinite(lam) and math.isfinite(mu)):
-        raise AssemblyError(f"lam and mu must be finite, got lam={lam}, mu={mu}")
+    if not (math.isfinite(lam) and math.isfinite(mu) and lam + 2 * mu <= STIFFNESS_MAX):
+        raise AssemblyError(
+            f"lam and mu must be finite, with lam + 2mu at most {STIFFNESS_MAX:g}, "
+            f"got lam={lam}, mu={mu}"
+        )
     if not (mu > 0 and lam + 2 * mu > 0 and lam + mu >= 0):
         raise AssemblyError(
             f"non-elliptic parameters lam={lam}, mu={mu}: need mu>0, "

@@ -7,7 +7,13 @@ Each study then fits log-log rates to its records and evaluates its
 pass/fail criteria against tolerances carried in the configuration (every
 threshold is echoed into the report; there are no hidden numbers).
 
-The cases outlive the call: the process keeps those of the latest
+The sorted eps grid is dealt round-robin to its owners: the calling
+process and, with more than one CPU to run on, forked worker processes
+kept for the life of the caller (one owner per CPU, at most one per eps).
+Each owner solves the eps it owns and keeps their cases; only the
+configuration, the eps list and the records cross a pipe.
+
+The cases outlive the call: each owner keeps those of the latest
 configuration, so a later study on the same meshes reads the fields an
 earlier one solved.  Once an eps has been read, its stiffness matrices and
 factors are dropped (a later solve assembles the stiffness again), so only
@@ -26,10 +32,16 @@ with |x1| <= 0.2.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io
 import json
 import math
+import os
+import pickle
+import signal
+import time
+import traceback
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
@@ -661,7 +673,7 @@ def _mark_not_applicable(cfg: SweepConfig, checks: dict[str, dict]) -> None:
 _READ_ONLY_FIELDS = frozenset({"eps_grid", "compare_depth", "study_id", "tolerances"})
 
 # the cases of the latest configuration: {_solve_key(cfg): {eps: case}}, at
-# most one entry
+# most one entry.  Each owner keeps its own: a worker starts with none.
 _CASES: dict[tuple, dict[float, _EpsCase]] = {}
 
 
@@ -696,14 +708,197 @@ def _eps_records(cfg: SweepConfig, kinds: tuple[str, ...], eps: float) -> dict[s
         case.release()
 
 
+def _share_records(cfg: SweepConfig, kinds: tuple[str, ...], share: list[float]) -> tuple:
+    """One owner's part of a pass: ({eps: records} for the eps of `share`
+    in order up to the first that raises, None or (that eps, its
+    exception)).  An empty share only drops the cases of another
+    configuration."""
+    _cases(cfg)
+    done = {}
+    for eps in share:
+        try:
+            done[eps] = _eps_records(cfg, kinds, eps)
+        except Exception as exc:
+            return done, (eps, exc)
+    return done, None
+
+
+# ---------------------------------------------------------------------------
+# Owners: the calling process and its forked workers
+# ---------------------------------------------------------------------------
+
+
+def _write(fh, obj) -> None:
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    fh.write(len(data).to_bytes(8, "little") + data)
+    fh.flush()
+
+
+def _read(fh):
+    """The next message on `fh`; EOFError once the other end is closed."""
+    head = fh.read(8)
+    size = int.from_bytes(head, "little")
+    data = fh.read(size) if len(head) == 8 else b""
+    if not data or len(data) != size:
+        raise EOFError
+    return pickle.loads(data)
+
+
+class _Worker:
+    """A forked owner.  The caller holds the write end of its request pipe
+    and the read end of its reply pipe; each message is a pickle behind its
+    8-byte length.  The worker closes every caller end it inherits, its
+    own and the other workers', so it sees EOF, and exits, once the caller
+    has closed its ends or died.  Forked, not spawned: a spawned worker
+    would import numpy, scipy and lamegap again, about 0.6 s, which is
+    more than the five studies of the benchmark's sweep take."""
+
+    def __init__(self) -> None:
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (req_r, req_w, rep_r, rep_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(req_w)
+                os.close(rep_r)
+                for other in _WORKERS:
+                    other.close()
+                _serve(os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(req_r)
+        os.close(rep_w)
+        self.pid = pid
+        self._requests = os.fdopen(req_w, "wb")
+        self._replies = os.fdopen(rep_r, "rb")
+
+    def send(self, request: tuple) -> None:
+        _write(self._requests, request)
+
+    def receive(self) -> tuple:
+        return _read(self._replies)
+
+    def close(self) -> None:
+        self._requests.close()
+        self._replies.close()
+
+    def stop(self) -> None:
+        """Close the pipes and reap the worker; one that has not exited a
+        second later is killed."""
+        self.close()
+        deadline = time.monotonic() + 1.0
+        while not os.waitpid(self.pid, os.WNOHANG)[0]:
+            if time.monotonic() > deadline:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+                return
+            time.sleep(0.001)
+
+
+def _serve(requests, replies) -> None:
+    """A worker's life: answer each (cfg, kinds, share) request with
+    `_share_records` until the caller's end closes."""
+    # Ctrl-C reaches the caller, which still reads this worker's reply
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _CASES.clear()
+    while True:
+        try:
+            request = _read(requests)
+        except EOFError:
+            return
+        done, failure = _share_records(*request)
+        if failure is not None:
+            eps, exc = failure
+            where = "".join(traceback.format_tb(exc.__traceback__))
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # pickle cannot carry it: send its class name and message
+                exc = StudyError(f"{type(exc).__name__}: {exc}")
+            if hasattr(exc, "add_note"):  # shown below the exception where the caller raises it
+                exc.add_note(f"raised in study worker {os.getpid()}:\n{where}")
+            failure = eps, exc
+        _write(replies, (done, failure))
+
+
+# the caller's workers, in owner order (owner k is _WORKERS[k - 1])
+_WORKERS: list[_Worker] = []
+
+
+def _stop_workers() -> None:
+    """Close every worker's pipes and wait for it to exit."""
+    while _WORKERS:
+        _WORKERS.pop().stop()
+
+
+atexit.register(_stop_workers)
+
+
+def _owners(n_eps: int) -> int:
+    """How many processes share a pass: one per CPU this process may run
+    on, at most one per eps; one where there is no fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(n_eps, len(os.sched_getaffinity(0)))
+
+
+def _pass(cfg: SweepConfig, kinds: tuple[str, ...]) -> list[dict[str, dict]]:
+    """Every eps's records, in sweep order (largest eps first).  Owner k
+    solves grid[k::n]; a worker beyond the n - 1 this pass needs gets an
+    empty share, so every owner drops the cases of another configuration.
+    An exception is that of the first eps in sweep order that raised."""
+    grid = sorted(cfg.eps_grid, reverse=True)
+    n = _owners(len(grid))
+    while len(_WORKERS) < n - 1:
+        try:
+            _WORKERS.append(_Worker())
+        except OSError:  # no process to be had: fewer owners
+            n = len(_WORKERS) + 1
+    asked, lost = [], []
+    for k, worker in enumerate(list(_WORKERS), start=1):
+        try:
+            worker.send((cfg, kinds, grid[k::n] if k < n else []))
+            asked.append(worker)
+        except OSError:
+            lost.append(worker)
+    # every reply is read, whatever raises, so the next pass reads its own
+    try:
+        results = [_share_records(cfg, kinds, grid[::n])]
+    finally:
+        for worker in asked:
+            try:
+                results.append(worker.receive())
+            except (EOFError, OSError):
+                lost.append(worker)
+        for worker in lost:
+            _WORKERS.remove(worker)
+            worker.stop()
+    if lost:
+        raise StudyError(
+            f"study worker {', '.join(str(w.pid) for w in lost)} exited; the next pass starts another"
+        )
+    done = {}
+    for part, _ in results:
+        done.update(part)
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise max(failures, key=lambda failure: failure[0])[1]
+    return [done[eps] for eps in grid]
+
+
 def run_studies(cfg: SweepConfig, kinds: Sequence[str] | None = None) -> dict[str, StudyReport]:
     """Run the studies in `kinds` (default: all) from one pass over the eps
     grid and return their reports by kind."""
     kinds = tuple(_STUDIES if kinds is None else kinds)
     if not set(kinds) <= set(_STUDIES):
         raise StudyError(f"unknown study in {kinds}")
-    # one eps after another, largest first, so the records are in sweep order
-    per_eps = [_eps_records(cfg, kinds, eps) for eps in sorted(cfg.eps_grid, reverse=True)]
+    per_eps = _pass(cfg, kinds)
     reports = {}
     for kind in kinds:
         records = [recs[kind] for recs in per_eps]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from lamegap.families import build_family
@@ -25,3 +27,19 @@ def families_depth5():
         for alpha in (1, 2, 3):
             fams[(dim.d, alpha)] = build_family(dim, alpha, 5, route="integral")
     return fams
+
+
+@pytest.fixture
+def one_cpu():
+    """Narrow this process to one CPU for the test and restore it after, so
+    a study pass has one owner: all its work runs in the test process,
+    where monkeypatches, counters and `studies._CASES` see it."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)

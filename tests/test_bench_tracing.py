@@ -39,7 +39,7 @@ def _bindings() -> dict:
     return out
 
 
-def test_tracer_records_the_solver_spans_and_uninstalls(tmp_path, monkeypatch, capsys):
+def test_tracer_records_the_solver_spans_and_uninstalls(tmp_path, monkeypatch, capsys, one_cpu):
     monkeypatch.setattr(studies, "_CASES", {})
     cfg = tmp_path / "coarse.cfg"
     cfg.write_text("mesh.nr = 8\nmesh.arc_target = 0.24\n")

@@ -222,7 +222,7 @@ def test_fem_solve_rejects_nonpositive_stride(tmp_path, monkeypatch, capsys, str
     assert not field_out.exists()
 
 
-@pytest.mark.parametrize("modulus", [["--lam", "inf"], ["--mu", "nan"]])
+@pytest.mark.parametrize("modulus", [["--lam", "inf"], ["--mu", "nan"], ["--lam", "1e308"]])
 def test_fem_solve_rejects_nonfinite_moduli_before_meshing(monkeypatch, capsys, modulus):
     def no_mesh(*args, **kwargs):
         raise AssertionError("meshed before the moduli were checked")
@@ -243,6 +243,7 @@ def test_fem_solve_rejects_nonfinite_moduli_before_meshing(monkeypatch, capsys, 
         f"compare.depth = {MAX_DEPTH + 1}",
         "workers = 0",
         "material.lambda = inf",
+        "material.lambda = 1e308",  # finite, but the stiffness overflows
         "study.tolerance.cancel_noise_floor = nan",
     ],
 )
@@ -280,7 +281,7 @@ def test_study_summary_shows_silent_state(monkeypatch, capsys):
     assert "fit flat" not in out
 
 
-def test_study_all_runs_every_study_from_one_pass(tmp_path, monkeypatch, capsys):
+def test_study_all_runs_every_study_from_one_pass(tmp_path, monkeypatch, capsys, one_cpu):
     import scipy.sparse.linalg as spla
 
     from lamegap import studies

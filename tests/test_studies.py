@@ -291,8 +291,9 @@ COARSE = dict(nr=8, arc_target=0.24)
 
 
 @pytest.fixture
-def counts(monkeypatch):
-    """Empty the kept cases and count meshes and factorizations from here on."""
+def counts(monkeypatch, one_cpu):
+    """Empty the kept cases and count meshes and factorizations from here on,
+    with every eps owned by the test process."""
     import scipy.sparse.linalg as spla
 
     from lamegap import studies

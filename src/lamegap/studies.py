@@ -8,8 +8,9 @@ pass/fail criteria against tolerances carried in the configuration (every
 threshold is echoed into the report; there are no hidden numbers).
 
 The sorted eps grid is dealt round-robin to its owners: the calling
-process and, with more than one CPU to run on, forked worker processes
-kept for the life of the caller (one owner per CPU, at most one per eps).
+process and, with more than one CPU to run on, a forked worker process
+kept for the life of the caller (at most two owners, one per CPU and per
+eps).
 Each owner solves the eps it owns and keeps their cases; only the
 configuration, the eps list and the records cross a pipe.
 
@@ -33,6 +34,7 @@ with |x1| <= 0.2.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import csv
 import io
 import json
@@ -40,6 +42,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 import time
 import traceback
 from dataclasses import asdict, dataclass, fields
@@ -751,7 +754,10 @@ class _Worker:
     own and the other workers', so it sees EOF, and exits, once the caller
     has closed its ends or died.  Forked, not spawned: a spawned worker
     would import numpy, scipy and lamegap again, about 0.6 s, which is
-    more than the five studies of the benchmark's sweep take."""
+    more than the five studies of the benchmark's sweep take.  A fork
+    copies only the forking thread, so `_owners` forks from a process
+    with one Python thread; OpenBLAS stops its own thread pool before a
+    fork (its pthread_atfork handler) and starts it again on next use."""
 
     def __init__(self) -> None:
         req_r, req_w = os.pipe()
@@ -769,7 +775,8 @@ class _Worker:
                 os.close(rep_r)
                 for other in _WORKERS:
                     other.close()
-                _serve(os.fdopen(req_r, "rb"), os.fdopen(rep_w, "wb"))
+                with os.fdopen(req_r, "rb") as requests, os.fdopen(rep_w, "wb") as replies:
+                    _serve(requests, replies)
                 code = 0
             finally:
                 os._exit(code)
@@ -840,12 +847,22 @@ def _stop_workers() -> None:
 atexit.register(_stop_workers)
 
 
+# owners per pass at most: the caller and one worker, the configuration
+# that was measured; more workers would add a process each, and BLAS
+# threads per process, for a gain not measured
+_MAX_OWNERS = 2
+
+
 def _owners(n_eps: int) -> int:
     """How many processes share a pass: one per CPU this process may run
-    on, at most one per eps; one where there is no fork."""
+    on, at most one per eps and at most _MAX_OWNERS; one where there is no
+    fork, or where another Python thread runs (a fork copies only this
+    one, whatever locks the others hold)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(n_eps, len(os.sched_getaffinity(0)))
+    if threading.active_count() > 1:
+        return 1
+    return min(_MAX_OWNERS, n_eps, len(os.sched_getaffinity(0)))
 
 
 def _pass(cfg: SweepConfig, kinds: tuple[str, ...]) -> list[dict[str, dict]]:
@@ -860,25 +877,30 @@ def _pass(cfg: SweepConfig, kinds: tuple[str, ...]) -> list[dict[str, dict]]:
             _WORKERS.append(_Worker())
         except OSError:  # no process to be had: fewer owners
             n = len(_WORKERS) + 1
-    asked, lost = [], []
-    for k, worker in enumerate(list(_WORKERS), start=1):
-        try:
-            worker.send((cfg, kinds, grid[k::n] if k < n else []))
-            asked.append(worker)
-        except OSError:
-            lost.append(worker)
-    # every reply is read, whatever raises, so the next pass reads its own
+    # a worker is `lost` until its request is written whole, and once its
+    # reply cannot be read whole; lost workers are stopped, so no later
+    # pass meets a message cut short, not even by Ctrl-C
+    results, asked, lost = [], [], []
     try:
-        results = [_share_records(cfg, kinds, grid[::n])]
+        for k, worker in enumerate(list(_WORKERS), start=1):
+            lost.append(worker)
+            with contextlib.suppress(OSError):
+                worker.send((cfg, kinds, grid[k::n] if k < n else []))
+                asked.append(lost.pop())
+        results.append(_share_records(cfg, kinds, grid[::n]))
     finally:
-        for worker in asked:
-            try:
-                results.append(worker.receive())
-            except (EOFError, OSError):
-                lost.append(worker)
-        for worker in lost:
-            _WORKERS.remove(worker)
-            worker.stop()
+        # every reply is read, whatever raises, so the next pass reads its own
+        try:
+            while asked:
+                try:
+                    results.append(asked[0].receive())
+                except (EOFError, OSError):
+                    lost.append(asked[0])
+                del asked[0]
+        finally:
+            for worker in lost + asked:
+                _WORKERS.remove(worker)
+                worker.stop()
     if lost:
         raise StudyError(
             f"study worker {', '.join(str(w.pid) for w in lost)} exited; the next pass starts another"

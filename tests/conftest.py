@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from lamegap import studies
 from lamegap.families import build_family
 from lamegap.neck import DIM2, DIM3
 
@@ -43,3 +44,11 @@ def one_cpu():
         yield
     finally:
         os.sched_setaffinity(0, cpus)
+
+
+@pytest.fixture(autouse=True)
+def no_study_worker_outlives_its_test():
+    """Stop the study workers a test started: a worker keeps whatever was
+    patched when it forked, so no later test may meet it."""
+    yield
+    studies._stop_workers()

@@ -1,10 +1,9 @@
 """The owner split of a study pass: the calling process and its forked
 workers each solve and keep the eps they own.
 
-Every test here needs two CPUs, so that a pass has a worker.  The tests
-that run a pass in this process start and end with no worker
-(`fresh_workers`): a worker keeps whatever was patched when it forked, so
-no later test may meet one forked under a patch.
+Every test here but the owner-count ones needs two CPUs, so that a pass has a
+worker.  Each test starts with no worker, and the workers it starts are
+stopped after it (`no_study_worker_outlives_its_test` in conftest.py).
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from lamegap.cli import main
 from lamegap.fem.mesh import MeshError
 from lamegap.fem.solve import SolverError
 
-pytestmark = pytest.mark.skipif(
+two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="a pass has a worker only with two CPUs",
 )
@@ -45,13 +45,6 @@ def owners(n: int):
         yield
     finally:
         os.sched_setaffinity(0, cpus)
-
-
-@pytest.fixture
-def fresh_workers():
-    studies._stop_workers()
-    yield
-    studies._stop_workers()
 
 
 @pytest.fixture
@@ -94,7 +87,27 @@ def _outputs(cfg: str, dest: Path) -> dict[str, bytes]:
     return {str(p.relative_to(dest)): p.read_bytes() for p in sorted(dest.rglob("*.*"))}
 
 
-def test_one_and_two_owners_write_the_same_bytes(fresh_workers, tmp_path, monkeypatch, capsys,
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="one owner where there is no fork")
+@pytest.mark.parametrize("cpus, n_eps, n", [(1, 4, 1), (2, 4, 2), (2, 1, 1), (8, 4, 2), (64, 40, 2)])
+def test_the_owners_are_at_most_the_cpus_the_eps_and_two(monkeypatch, cpus, n_eps, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert studies._owners(n_eps) == n
+
+
+def test_a_process_with_another_python_thread_forks_no_worker(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert studies._owners(4) == 1
+    finally:
+        stop.set()
+        other.join()
+
+
+@two_cpus
+def test_one_and_two_owners_write_the_same_bytes(tmp_path, monkeypatch, capsys,
                                                  coarse_cfg):
     with owners(1):
         monkeypatch.setattr(studies, "_CASES", {})
@@ -112,7 +125,8 @@ def test_one_and_two_owners_write_the_same_bytes(fresh_workers, tmp_path, monkey
         assert two[name] == one[name], name
 
 
-def test_each_eps_is_meshed_once_by_its_owner(fresh_workers, mesh_log, capsys, coarse_cfg):
+@two_cpus
+def test_each_eps_is_meshed_once_by_its_owner(mesh_log, capsys, coarse_cfg):
     with owners(2):
         for kind in KINDS:
             assert main(["study", kind, "--config", coarse_cfg]) == 0
@@ -126,7 +140,8 @@ def test_each_eps_is_meshed_once_by_its_owner(fresh_workers, mesh_log, capsys, c
     assert {eps for pid, eps in made if pid == worker.pid} == {0.05, 0.0125}
 
 
-def test_a_config_change_drops_the_cases_in_every_owner(fresh_workers, mesh_log, capsys, tmp_path,
+@two_cpus
+def test_a_config_change_drops_the_cases_in_every_owner(mesh_log, capsys, tmp_path,
                                                         coarse_cfg):
     other = tmp_path / "other.cfg"
     other.write_text("material.lambda = 2.0\n" + COARSE)
@@ -143,10 +158,11 @@ def test_a_config_change_drops_the_cases_in_every_owner(fresh_workers, mesh_log,
     assert sorted(eps for pid, eps in mesh_log() if pid == worker.pid) == [0.0125, 0.05]
 
 
+@two_cpus
 @pytest.mark.parametrize("error, code", [(SolverError, 3), (MeshError, 2)])
 @pytest.mark.parametrize("fail_eps", [0.05, 0.1], ids=["worker-owned", "caller-owned"])
 def test_a_failed_eps_raises_as_in_one_process_and_the_next_pass_is_clean(
-    fresh_workers, monkeypatch, capsys, tmp_path, coarse_cfg, error, code, fail_eps
+    monkeypatch, capsys, tmp_path, coarse_cfg, error, code, fail_eps
 ):
     # the constants record raises once in each process at fail_eps; a
     # worker starts armed, the caller is armed again before the one-owner run
@@ -176,6 +192,38 @@ def test_a_failed_eps_raises_as_in_one_process_and_the_next_pass_is_clean(
                                  f"no constants at eps={fail_eps!r}\n")
 
 
+@two_cpus
+@pytest.mark.parametrize("cut", ["request", "reply"])
+def test_a_message_cut_by_ctrl_c_stops_its_worker_and_the_next_pass_is_clean(monkeypatch, cut):
+    cfg = studies.SweepConfig(nr=8, arc_target=0.24)
+    with owners(1):
+        monkeypatch.setattr(studies, "_CASES", {})
+        want = studies.run_studies(cfg, ["holes"])["holes"].records
+
+    def cut_short(worker, *request):
+        # Ctrl-C after the first 8 bytes of a message, its length
+        if cut == "request":
+            worker._requests.write((1 << 20).to_bytes(8, "little"))
+            worker._requests.flush()
+        else:
+            worker._replies.read(8)
+        raise KeyboardInterrupt
+
+    with owners(2):
+        studies.run_studies(cfg, ["constants"])
+        (worker,) = studies._WORKERS
+        with monkeypatch.context() as patch:
+            patch.setattr(studies._Worker, "send" if cut == "request" else "receive", cut_short)
+            with pytest.raises(KeyboardInterrupt):
+                studies.run_studies(cfg, ["holes"])
+        # the worker with the message cut short is gone, not kept for the next pass
+        assert studies._WORKERS == [] and not _running(worker.pid)
+        got = studies.run_studies(cfg, ["holes"])["holes"].records
+        (again,) = studies._WORKERS
+    assert again.pid != worker.pid
+    assert got == want
+
+
 # -- lifecycle, in a subprocess --------------------------------------------------
 
 CALLER = textwrap.dedent("""
@@ -191,7 +239,8 @@ CALLER = textwrap.dedent("""
 
 def _caller(mode: str) -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.Popen([sys.executable, "-c", CALLER, mode], env=env, stdout=subprocess.PIPE)
+    with owners(2):  # the caller inherits this mask: one worker
+        return subprocess.Popen([sys.executable, "-c", CALLER, mode], env=env, stdout=subprocess.PIPE)
 
 
 def _running(pid: int) -> bool:
@@ -209,6 +258,7 @@ def _kill(pids: list[int]) -> None:
             os.kill(pid, signal.SIGKILL)
 
 
+@two_cpus
 def test_no_worker_outlives_a_normal_exit():
     proc = _caller("exit")
     try:
@@ -221,6 +271,7 @@ def test_no_worker_outlives_a_normal_exit():
     assert not any(_running(pid) for pid in pids)
 
 
+@two_cpus
 def test_a_worker_exits_soon_after_its_caller_is_killed():
     proc = _caller("wait")
     pids = []

@@ -7,12 +7,12 @@ Each study then fits log-log rates to its records and evaluates its
 pass/fail criteria against tolerances carried in the configuration (every
 threshold is echoed into the report; there are no hidden numbers).
 
-The sorted eps grid is dealt round-robin to its owners: the calling
-process and, with more than one CPU to run on, a forked worker process
-kept for the life of the caller (at most two owners, one per CPU and per
-eps).
-Each owner solves the eps it owns and keeps their cases; only the
-configuration, the eps list and the records cross a pipe.
+The sorted eps grid is shared by two owners: the calling process takes
+every other eps from the largest, and, with more than one CPU to run on,
+one forked worker kept for the life of the caller takes the rest (with one
+CPU the caller takes them all).  Each owner solves the eps it owns and
+keeps their cases; only the configuration, the eps list and the records
+cross the one duplex connection between the caller and its worker.
 
 The cases outlive the call: each owner keeps those of the latest
 configuration, so a later study on the same meshes reads the fields an
@@ -160,11 +160,18 @@ class SweepConfig:
             )
         if not math.isfinite(self.ct_eps_power):
             raise SweepConfigError(f"ct_eps_power must be finite, got {self.ct_eps_power!r}")
+        tol = self.tol
         for name, value in self.tolerances:
             if not math.isfinite(value):
                 raise SweepConfigError(f"tolerance {name} must be finite, got {value!r}")
+            hi = name[:-2] + "hi"
+            if name.endswith("_slope_lo") and value > tol.get(hi, value):
+                raise SweepConfigError(f"tolerance {name} = {value!r} is above {hi} = {tol[hi]!r}: "
+                                       "no slope can pass")
         check_ellipticity(self.lam, self.mu)
-        # a GeometryError or MeshError here, not after the first solves
+        # a GeometryError or MeshError for bad geometry or mesh parameters;
+        # nothing is meshed here, so a mesh that folds (rho2 = 0.7) still
+        # fails at its first eps (ROADMAP item 2(b))
         for eps in self.eps_grid:
             self.geometry(eps)
         self.mesh_params(max(self.eps_grid))
@@ -727,89 +734,58 @@ def _share_records(cfg: SweepConfig, kinds: tuple[str, ...], share: list[float])
 
 
 # ---------------------------------------------------------------------------
-# Owners: the calling process and its forked workers
+# Owners: the calling process and at most one forked worker
 # ---------------------------------------------------------------------------
 
 
-def _write(fh, obj) -> None:
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    fh.write(len(data).to_bytes(8, "little") + data)
-    fh.flush()
-
-
-def _read(fh):
-    """The next message on `fh`; EOFError once the other end is closed."""
-    head = fh.read(8)
-    size = int.from_bytes(head, "little")
-    data = fh.read(size) if len(head) == 8 else b""
-    if not data or len(data) != size:
-        raise EOFError
-    return pickle.loads(data)
-
-
 class _Worker:
-    """A forked owner.  The caller holds the write end of its request pipe
-    and the read end of its reply pipe; each message is a pickle behind its
-    8-byte length.  The worker closes every caller end it inherits, its
-    own and the other workers', so it sees EOF, and exits, once the caller
-    has closed its ends or died.  Forked, not spawned: a spawned worker
-    would import numpy, scipy and lamegap again, about 0.6 s, which is
-    more than the five studies of the benchmark's sweep take.  A fork
-    copies only the forking thread, so `_owners` forks from a process
-    with one Python thread; OpenBLAS stops its own thread pool before a
-    fork (its pthread_atfork handler) and starts it again on next use."""
+    """The forked owner.  It talks to the caller over one duplex
+    `multiprocessing.connection` connection and closes the caller's end it
+    inherits, so it sees EOF, and exits, once the caller has closed its end
+    or died.  Forked, not spawned: a spawned worker would import numpy,
+    scipy and lamegap again, about 0.6 s, which is more than the five
+    studies of the benchmark's sweep take.  A fork copies only the forking
+    thread, so `_owners` forks from a process with one Python thread;
+    OpenBLAS stops its own thread pool before a fork (its pthread_atfork
+    handler) and starts it again on next use."""
 
     def __init__(self) -> None:
-        req_r, req_w = os.pipe()
-        rep_r, rep_w = os.pipe()
+        from multiprocessing.connection import Pipe  # a one-owner run loads none of it
+
+        self.conn, child = Pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (req_r, req_w, rep_r, rep_w):
-                os.close(fd)
+            self.conn.close()
+            child.close()
             raise
         if pid == 0:
             code = 1
             try:
-                os.close(req_w)
-                os.close(rep_r)
-                for other in _WORKERS:
-                    other.close()
-                with os.fdopen(req_r, "rb") as requests, os.fdopen(rep_w, "wb") as replies:
-                    _serve(requests, replies)
+                self.conn.close()
+                _serve(child)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(req_r)
-        os.close(rep_w)
+        child.close()
         self.pid = pid
-        self._requests = os.fdopen(req_w, "wb")
-        self._replies = os.fdopen(rep_r, "rb")
-
-    def send(self, request: tuple) -> None:
-        _write(self._requests, request)
-
-    def receive(self) -> tuple:
-        return _read(self._replies)
-
-    def close(self) -> None:
-        self._requests.close()
-        self._replies.close()
 
     def stop(self) -> None:
-        """Close the pipes and reap the worker; one that has not exited a
-        second later is killed."""
-        self.close()
-        deadline = time.monotonic() + 1.0
-        while not os.waitpid(self.pid, os.WNOHANG)[0]:
-            if time.monotonic() > deadline:
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-                return
-            time.sleep(0.001)
+        """Close the connection and reap the worker; one that has not exited
+        a second later is killed."""
+        try:
+            self.conn.close()
+        finally:
+            deadline = time.monotonic() + 1.0
+            while not os.waitpid(self.pid, os.WNOHANG)[0]:
+                if time.monotonic() > deadline:
+                    os.kill(self.pid, signal.SIGKILL)
+                    os.waitpid(self.pid, 0)
+                    break
+                time.sleep(0.001)
 
 
-def _serve(requests, replies) -> None:
+def _serve(conn) -> None:
     """A worker's life: answer each (cfg, kinds, share) request with
     `_share_records` until the caller's end closes."""
     # Ctrl-C reaches the caller, which still reads this worker's reply
@@ -817,7 +793,7 @@ def _serve(requests, replies) -> None:
     _CASES.clear()
     while True:
         try:
-            request = _read(requests)
+            request = conn.recv()
         except EOFError:
             return
         done, failure = _share_records(*request)
@@ -831,15 +807,15 @@ def _serve(requests, replies) -> None:
             if hasattr(exc, "add_note"):  # shown below the exception where the caller raises it
                 exc.add_note(f"raised in study worker {os.getpid()}:\n{where}")
             failure = eps, exc
-        _write(replies, (done, failure))
+        conn.send((done, failure))
 
 
-# the caller's workers, in owner order (owner k is _WORKERS[k - 1])
+# the caller's worker, if it has one
 _WORKERS: list[_Worker] = []
 
 
 def _stop_workers() -> None:
-    """Close every worker's pipes and wait for it to exit."""
+    """Close the worker's connection and wait for it to exit."""
     while _WORKERS:
         _WORKERS.pop().stop()
 
@@ -847,64 +823,57 @@ def _stop_workers() -> None:
 atexit.register(_stop_workers)
 
 
-# owners per pass at most: the caller and one worker, the configuration
-# that was measured; more workers would add a process each, and BLAS
-# threads per process, for a gain not measured
-_MAX_OWNERS = 2
-
-
-def _owners(n_eps: int) -> int:
-    """How many processes share a pass: one per CPU this process may run
-    on, at most one per eps and at most _MAX_OWNERS; one where there is no
-    fork, or where another Python thread runs (a fork copies only this
-    one, whatever locks the others hold)."""
+def _owners() -> int:
+    """How many processes share a pass: two, the caller and one worker,
+    where this process may run on two CPUs or more; one where there is no
+    fork, or where another Python thread runs (a fork copies only this one,
+    whatever locks the others hold).  Two is the configuration that was
+    measured; more workers would add a process each, and BLAS threads per
+    process, for a gain not measured."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if threading.active_count() > 1:
         return 1
-    return min(_MAX_OWNERS, n_eps, len(os.sched_getaffinity(0)))
+    return min(2, len(os.sched_getaffinity(0)))
 
 
 def _pass(cfg: SweepConfig, kinds: tuple[str, ...]) -> list[dict[str, dict]]:
-    """Every eps's records, in sweep order (largest eps first).  Owner k
-    solves grid[k::n]; a worker beyond the n - 1 this pass needs gets an
-    empty share, so every owner drops the cases of another configuration.
-    An exception is that of the first eps in sweep order that raised."""
+    """Every eps's records, in sweep order (largest eps first).  With two
+    owners the caller solves grid[::2] and the worker grid[1::2]; with one,
+    a kept worker gets an empty share, so it drops the cases of another
+    configuration.  An exception is that of the first eps in sweep order
+    that raised."""
     grid = sorted(cfg.eps_grid, reverse=True)
-    n = _owners(len(grid))
-    while len(_WORKERS) < n - 1:
+    two = _owners() == 2
+    if two and not _WORKERS:
         try:
             _WORKERS.append(_Worker())
-        except OSError:  # no process to be had: fewer owners
-            n = len(_WORKERS) + 1
-    # a worker is `lost` until its request is written whole, and once its
-    # reply cannot be read whole; lost workers are stopped, so no later
-    # pass meets a message cut short, not even by Ctrl-C
-    results, asked, lost = [], [], []
+        except OSError:  # no process to be had: one owner
+            two = False
+    ours, theirs = (grid[::2], grid[1::2]) if two else (grid, [])
+    worker = _WORKERS[0] if _WORKERS else None
+    # the worker is stopped unless its request is written whole and its
+    # reply read whole, so no later pass meets a message cut short, not
+    # even by Ctrl-C
+    results, asked, replied = [], False, worker is None
     try:
-        for k, worker in enumerate(list(_WORKERS), start=1):
-            lost.append(worker)
+        if worker:
             with contextlib.suppress(OSError):
-                worker.send((cfg, kinds, grid[k::n] if k < n else []))
-                asked.append(lost.pop())
-        results.append(_share_records(cfg, kinds, grid[::n]))
+                worker.conn.send((cfg, kinds, theirs))
+                asked = True
+        results.append(_share_records(cfg, kinds, ours))
     finally:
-        # every reply is read, whatever raises, so the next pass reads its own
+        # the reply is read whatever raises, so the next pass reads its own
         try:
-            while asked:
-                try:
-                    results.append(asked[0].receive())
-                except (EOFError, OSError):
-                    lost.append(asked[0])
-                del asked[0]
+            if asked:
+                with contextlib.suppress(EOFError, OSError):
+                    results.append(worker.conn.recv())
+                    replied = True
         finally:
-            for worker in lost + asked:
-                _WORKERS.remove(worker)
-                worker.stop()
-    if lost:
-        raise StudyError(
-            f"study worker {', '.join(str(w.pid) for w in lost)} exited; the next pass starts another"
-        )
+            if not replied:
+                _stop_workers()
+    if not replied:
+        raise StudyError(f"study worker {worker.pid} exited; the next pass starts another")
     done = {}
     for part, _ in results:
         done.update(part)

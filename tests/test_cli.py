@@ -23,7 +23,7 @@ from lamegap.fem.solve import (
     solve_hard_inclusion,
     solve_holes,
 )
-from lamegap.studies import BOUNDARY_DATA
+from lamegap.studies import BOUNDARY_DATA, DEFAULT_TOLERANCES
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -256,6 +256,17 @@ def test_study_rejects_unrunnable_config_before_meshing(tmp_path, monkeypatch, c
     cfg.write_text(line + "\n")
     assert main(["study", "compare", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", sorted(k[:-9] for k in DEFAULT_TOLERANCES if k.endswith("_slope_lo")))
+def test_study_rejects_an_inverted_slope_window(tmp_path, capsys, window):
+    # a window with lo > hi fails its check on any run, so it is a config error
+    hi = DEFAULT_TOLERANCES[f"{window}_slope_hi"]
+    cfg = tmp_path / "inverted.cfg"
+    cfg.write_text(f"study.tolerance.{window}_slope_lo = {hi + 0.5}\n")
+    assert main(["study", "rates", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: tolerance {window}_slope_lo = {hi + 0.5!r} is above "
+                                       f"{window}_slope_hi = {hi!r}: no slope can pass\n")
 
 
 def test_study_summary_shows_silent_state(monkeypatch, capsys):

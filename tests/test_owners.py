@@ -1,8 +1,8 @@
 """The owner split of a study pass: the calling process and its forked
-workers each solve and keep the eps they own.
+worker each solve and keep the eps they own.
 
 Every test here but the owner-count ones needs two CPUs, so that a pass has a
-worker.  Each test starts with no worker, and the workers it starts are
+worker.  Each test starts with no worker, and the worker it starts is
 stopped after it (`no_study_worker_outlives_its_test` in conftest.py).
 """
 
@@ -88,10 +88,38 @@ def _outputs(cfg: str, dest: Path) -> dict[str, bytes]:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="one owner where there is no fork")
-@pytest.mark.parametrize("cpus, n_eps, n", [(1, 4, 1), (2, 4, 2), (2, 1, 1), (8, 4, 2), (64, 40, 2)])
+@pytest.mark.parametrize("cpus, n_eps, n", [(1, 4, 1), (2, 4, 2), (8, 4, 2), (64, 40, 2)])
 def test_the_owners_are_at_most_the_cpus_the_eps_and_two(monkeypatch, cpus, n_eps, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert studies._owners(n_eps) == n
+    assert studies._owners() == n
+    # the shares of a pass, the worker's first, from a stub worker that
+    # answers in this process
+    shares = []
+
+    def share_records(cfg, kinds, share):
+        shares.append(share)
+        return {eps: {"holes": eps} for eps in share}, None
+
+    class Stub:
+        pid = 0
+
+        def __init__(self):
+            self.conn = self
+
+        def send(self, request):
+            self.reply = share_records(*request)
+
+        def recv(self):
+            return self.reply
+
+        def stop(self):
+            pass
+
+    monkeypatch.setattr(studies, "_share_records", share_records)
+    monkeypatch.setattr(studies, "_Worker", Stub)
+    grid = tuple(0.1 * 0.9**k for k in range(n_eps))
+    assert studies._pass(studies.SweepConfig(eps_grid=grid), ("holes",)) == [{"holes": e} for e in grid]
+    assert shares == ([list(grid[1::2]), list(grid[::2])] if n == 2 else [list(grid)])
 
 
 def test_a_process_with_another_python_thread_forks_no_worker(monkeypatch):
@@ -100,7 +128,7 @@ def test_a_process_with_another_python_thread_forks_no_worker(monkeypatch):
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert studies._owners(4) == 1
+        assert studies._owners() == 1
     finally:
         stop.set()
         other.join()
@@ -200,20 +228,19 @@ def test_a_message_cut_by_ctrl_c_stops_its_worker_and_the_next_pass_is_clean(mon
         monkeypatch.setattr(studies, "_CASES", {})
         want = studies.run_studies(cfg, ["holes"])["holes"].records
 
-    def cut_short(worker, *request):
-        # Ctrl-C after the first 8 bytes of a message, its length
+    def cut_short(*request):
+        # Ctrl-C after the first 4 bytes of a message, its length
         if cut == "request":
-            worker._requests.write((1 << 20).to_bytes(8, "little"))
-            worker._requests.flush()
+            os.write(worker.conn.fileno(), (1 << 20).to_bytes(4, "big"))
         else:
-            worker._replies.read(8)
+            os.read(worker.conn.fileno(), 4)
         raise KeyboardInterrupt
 
     with owners(2):
         studies.run_studies(cfg, ["constants"])
         (worker,) = studies._WORKERS
         with monkeypatch.context() as patch:
-            patch.setattr(studies._Worker, "send" if cut == "request" else "receive", cut_short)
+            patch.setattr(worker.conn, "send" if cut == "request" else "recv", cut_short)
             with pytest.raises(KeyboardInterrupt):
                 studies.run_studies(cfg, ["holes"])
         # the worker with the message cut short is gone, not kept for the next pass
@@ -222,6 +249,38 @@ def test_a_message_cut_by_ctrl_c_stops_its_worker_and_the_next_pass_is_clean(mon
         (again,) = studies._WORKERS
     assert again.pid != worker.pid
     assert got == want
+
+
+@two_cpus
+def test_a_worker_killed_between_passes_is_reaped_and_the_next_pass_forks_another(
+    monkeypatch, capsys, coarse_cfg
+):
+    cfg = studies.SweepConfig(nr=8, arc_target=0.24)
+    with owners(1):
+        monkeypatch.setattr(studies, "_CASES", {})
+        want = studies.run_studies(cfg, ["holes"])["holes"].records
+
+    def kill_worker() -> int:
+        (worker,) = studies._WORKERS
+        os.kill(worker.pid, signal.SIGKILL)
+        while _running(worker.pid):  # dead, so the next request meets a closed end
+            time.sleep(0.01)
+        return worker.pid
+
+    with owners(2):
+        studies.run_studies(cfg, ["constants"])
+        pid = kill_worker()
+        with pytest.raises(studies.StudyError) as exc:
+            studies.run_studies(cfg, ["holes"])
+        assert str(exc.value) == f"study worker {pid} exited; the next pass starts another"
+        with pytest.raises(ChildProcessError):  # reaped, not left a zombie
+            os.waitpid(pid, os.WNOHANG)
+        got = studies.run_studies(cfg, ["holes"])["holes"].records
+        again = kill_worker()
+        assert main(["study", "holes", "--config", coarse_cfg]) == 3
+    assert again != pid and got == want
+    assert capsys.readouterr().err == (f"runtime error: study worker {again} exited; "
+                                       "the next pass starts another\n")
 
 
 # -- lifecycle, in a subprocess --------------------------------------------------

@@ -19,8 +19,10 @@ from .coeffs import MU, ONE
 from .families import (
     LAM_P_2MU,
     LAM_P_MU,
+    ROTATIONS,
     AuxFamily,
     construction_order,
+    family_kind,
     level2_split_targets,
     rigid_basis,
     uses_level2_split,
@@ -109,61 +111,39 @@ def check_boundary(fam: AuxFamily) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _identity_residuals(fam: AuxFamily, l: int) -> list[tuple[str, NeckScalar]]:
-    """Recompute the defining ODE identities of level l as must-be-zero scalars."""
+def _level_residuals(fam: AuxFamily, l: int) -> list[tuple[str, NeckScalar]]:
+    """The defining ODE identities of level l, then its residual-structure
+    identities (the slaved components of f^l are purely tangential second
+    derivatives of v^l), as labelled must-be-zero scalars.
+
+    The component class built second also cancels the cross derivative of
+    the class built first."""
     dim = fam.dim
     d = dim.d
     axes = dim.axes
-    zero_f = NeckField.zero(dim)
-    f_prev = fam.f(l - 1) if l >= 2 else zero_f
-    vl = fam.v(l)
-    order = construction_order(dim, fam.alpha)
-    rotation = fam.alpha > d
-    out: list[tuple[str, NeckScalar]] = []
-    if l == 1 and rotation:
-        return out  # no corrector ODE at level 1 for rotations
-    split = uses_level2_split(dim, fam.alpha) and l == 2
-    if order == "tangential_first":
-        targets = level2_split_targets(fam) if split else [f_prev[i] for i in range(d - 1)]
-        for i in range(d - 1):
-            res = lincomb(dim, [(vl[i], ("z", "z"), MU), (targets[i], None, ONE)])
-            out.append((f"tangential ODE comp {i + 1}", res))
-        parts = [(vl[d - 1], ("z", "z"), LAM_P_2MU), (f_prev[d - 1], None, ONE)]
-        parts += [(vl[i], ("z", axes[i]), LAM_P_MU) for i in range(d - 1)]
-        out.append(("normal ODE", lincomb(dim, parts)))
-    else:
-        res = lincomb(dim, [(vl[d - 1], ("z", "z"), LAM_P_2MU), (f_prev[d - 1], None, ONE)])
-        out.append(("normal ODE", res))
-        for i in range(d - 1):
-            res = lincomb(dim, [
-                (vl[i], ("z", "z"), MU),
-                (f_prev[i], None, ONE),
-                (vl[d - 1], ("z", axes[i]), LAM_P_MU),
-            ])
-            out.append((f"tangential ODE comp {i + 1}", res))
-    return out
-
-
-def _structure_residuals(fam: AuxFamily, l: int) -> list[tuple[str, NeckScalar]]:
-    """Residual-structure identities: the last-slaved components of f^l are
-    purely tangential second derivatives of v^l."""
-    dim = fam.dim
-    d = dim.d
-    axes = dim.axes
+    if l == 1 and family_kind(dim, fam.alpha) in ROTATIONS:
+        return []  # no corrector ODE at level 1 for rotations
+    f_prev = fam.f(l - 1) if l >= 2 else NeckField.zero(dim)
     vl, fl = fam.v(l), fam.f(l)
-    order = construction_order(dim, fam.alpha)
-    rotation = fam.alpha > d
-    out: list[tuple[str, NeckScalar]] = []
-    if l == 1 and rotation:
-        return out
-    if order == "tangential_first":
-        parts = [(fl[d - 1], None, ONE)] + [(vl[d - 1], (ax, ax), -MU) for ax in axes[:-1]]
-        out.append((f"residual structure comp {d}", lincomb(dim, parts)))
-    else:
-        for i in range(d - 1):
-            parts = [(fl[i], None, ONE)] + [(vl[i], (ax, ax), -MU) for ax in axes[:-1]]
-            parts += [(vl[j], (axes[i], axes[j]), -LAM_P_MU) for j in range(d - 1)]
-            out.append((f"residual structure comp {i + 1}", lincomb(dim, parts)))
+    tangential_first = construction_order(dim, fam.alpha) == "tangential_first"
+    split = uses_level2_split(dim, fam.alpha) and l == 2
+    targets = level2_split_targets(fam) if split else f_prev.components[:-1]
+    tangential = []
+    for i in range(d - 1):
+        parts = [(vl[i], ("z", "z"), MU), (targets[i], None, ONE)]
+        if not tangential_first:
+            parts.append((vl[d - 1], ("z", axes[i]), LAM_P_MU))
+        tangential.append((f"tangential ODE comp {i + 1}", lincomb(dim, parts)))
+    parts = [(vl[d - 1], ("z", "z"), LAM_P_2MU), (f_prev[d - 1], None, ONE)]
+    if tangential_first:
+        parts += [(vl[i], ("z", axes[i]), LAM_P_MU) for i in range(d - 1)]
+    normal = [("normal ODE", lincomb(dim, parts))]
+    out = tangential + normal if tangential_first else normal + tangential
+    for k in [d - 1] if tangential_first else range(d - 1):
+        parts = [(fl[k], None, ONE)] + [(vl[k], (ax, ax), -MU) for ax in axes[:-1]]
+        if not tangential_first:
+            parts += [(vl[j], (axes[k], axes[j]), -LAM_P_MU) for j in range(d - 1)]
+        out.append((f"residual structure comp {k + 1}", lincomb(dim, parts)))
     return out
 
 
@@ -171,7 +151,7 @@ def check_cancel_identity(fam: AuxFamily) -> CheckReport:
     """The defining second-order identities and the residual structure hold
     as exact symbolic zeros at every level."""
     for l in range(1, fam.depth + 1):
-        for label, res in _identity_residuals(fam, l) + _structure_residuals(fam, l):
+        for label, res in _level_residuals(fam, l):
             if not res.equal(NeckScalar.zero(fam.dim)):
                 return CheckReport(
                     "cancel_identity",
@@ -191,17 +171,15 @@ def residual_order_targets(dim: DimConfig, alpha: int, l: int) -> list[Fraction]
     """Refined per-component lower bounds on the growth order of f^l."""
     base = Fraction(l - 2)
     half_up = Fraction(2 * l - 3, 2)
-    d = dim.d
-    order = construction_order(dim, alpha)
-    if alpha <= d:  # translations
-        if order == "tangential_first":
-            return [base] * (d - 1) + [half_up]
-        return [half_up] * (d - 1) + [base]
-    if dim.d == 2:  # 2D rotation
-        return [base, half_up]
-    if alpha == 4:  # in-plane rotation: all components gain half an order
-        return [half_up, half_up, half_up]
-    return [base, base, half_up]  # axis-mixing rotations
+    # (tangential, normal) per kind; the in-plane rotation gains half an
+    # order in every component
+    tangential, normal = {
+        "tangential": (base, half_up),
+        "normal": (half_up, base),
+        "in_plane": (half_up, half_up),
+        "mixing": (base, half_up),
+    }[family_kind(dim, alpha)]
+    return [tangential] * dim.n_tangential + [normal]
 
 
 def check_residual_order(fam: AuxFamily, m: int | None = None) -> CheckReport:
@@ -249,21 +227,13 @@ def check_residual_order(fam: AuxFamily, m: int | None = None) -> CheckReport:
 
 def z_degree_caps(dim: DimConfig, alpha: int, l: int) -> list[int]:
     """Normal-degree caps per component for level l."""
-    d = dim.d
-    if d == 2:
-        if alpha == 1:
-            return [2 * l - 1, 2 * l]
-        if alpha == 2:
-            return [2 * l, 2 * l - 1]
-        return [2, 1] if l == 1 else [2 * l - 2, 2 * l - 1]
-    if alpha in (1, 2):
-        return [2 * l - 1, 2 * l - 1, 2 * l]
-    if alpha == 3:
-        return [2 * l, 2 * l, 2 * l - 1]
-    if alpha == 4:
-        return [2 * l - 1, 2 * l - 1, 2 * l - 2]
-    # axis-mixing rotations follow the 2D alpha=3 pattern
-    return [2, 2, 1] if l == 1 else [2 * l - 2, 2 * l - 2, 2 * l - 1]
+    tangential, normal = {
+        "tangential": (2 * l - 1, 2 * l),
+        "normal": (2 * l, 2 * l - 1),
+        "in_plane": (2 * l - 1, 2 * l - 2),
+        "mixing": (max(2 * l - 2, 2), 2 * l - 1),
+    }[family_kind(dim, alpha)]
+    return [tangential] * dim.n_tangential + [normal]
 
 
 def check_z_degree(fam: AuxFamily) -> CheckReport:
@@ -308,30 +278,26 @@ def fd_oracle(
         raise ValueError("eps must be positive")
     rng = random.Random(seed)
     exact = a.diff(axis)
+    i = a.dim.axes.index(axis)
     nt = a.dim.n_tangential
+
+    def shifted(xp: list[float], z: float, h: float) -> float:
+        """The float value of a at (x', z) moved by h along axis."""
+        pt = [*xp, z]
+        pt[i] += h
+        return a.evaluate(pt[:-1], pt[-1], eps, lam, mu, mode="float")
+
     worst = 0.0
     worst_pt = None
     for _ in range(samples):
         xp = [rng.uniform(-0.3, 0.3) for _ in range(nt)]
         delta = eps + sum(v * v for v in xp)
         z = 0.8 * (delta / 2) * rng.uniform(-1, 1)
-        args = dict(z=z, eps=eps, lam=lam, mu=mu, mode="float")
-        ex = exact.evaluate(xp, **args)
+        ex = exact.evaluate(xp, z, eps, lam, mu, mode="float")
         fds: list[tuple[float, float]] = []
         for h0 in steps:
             h = h0 * math.sqrt(eps)
-            if axis == "z":
-                up = a.evaluate(xp, z + h, eps, lam, mu, mode="float")
-                dn = a.evaluate(xp, z - h, eps, lam, mu, mode="float")
-            else:
-                i = a.dim.axes.index(axis)
-                xu = list(xp)
-                xd = list(xp)
-                xu[i] += h
-                xd[i] -= h
-                up = a.evaluate(xu, z, eps, lam, mu, mode="float")
-                dn = a.evaluate(xd, z, eps, lam, mu, mode="float")
-            fds.append((h, (up - dn) / (2 * h)))
+            fds.append((h, (shifted(xp, z, h) - shifted(xp, z, -h)) / (2 * h)))
         estimates = [fd for _, fd in fds]
         for (h1, d1), (h2, d2) in zip(fds, fds[1:]):
             r2 = (h1 / h2) ** 2

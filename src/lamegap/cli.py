@@ -73,11 +73,16 @@ def _cmd_aux_build(args) -> int:
 
 def _cmd_aux_verify(args) -> int:
     fams = []
-    dims = [2, 3] if args.dim == 0 else [args.dim]
-    for d in dims:
-        alphas = alpha_range(_dim(d), args.route) if args.alpha == 0 else [args.alpha]
+    for d in [2, 3] if args.dim == 0 else [args.dim]:
+        scope = alpha_range(_dim(d), args.route)
+        alphas = scope if args.alpha == 0 else [args.alpha]
         for alpha in alphas:
-            fams.append(build_family(_dim(d), alpha, args.depth, route=args.route))
+            # with both dimensions, one alpha runs where the route builds it
+            if args.dim or alpha in scope:
+                fams.append(build_family(_dim(d), alpha, args.depth, route=args.route))
+    if not fams:
+        raise FamilyError(
+            f"alpha={args.alpha} is out of range for d=2 and d=3 on the {args.route} route")
     reports = checks_mod.run_suite(fams)
     rows = [r.to_json_obj() for r in reports]
     if args.json:

@@ -13,13 +13,14 @@ routes are provided:
   into the alpha-own (odd) and the other (even) component class, started
   from the printed seed coefficients.
 
-Component ordering per alpha: translation indices along a tangential axis
-extend tangential components first (the normal component is slaved); normal
-translations and the in-plane 3D rotation extend the normal component
-first.  Axis-mixing rotations (2D alpha=3; 3D alpha in {5,6}) extend
-tangentially first and use a restricted level-2 cancellation target, which
-keeps the normal-degree caps intact (full cancellation at level 2 would
-grow the z-degree without bound).
+Each psi_alpha has one of four kinds (:func:`family_kind`), which sets the
+construction.  A 'tangential' translation extends the tangential components
+first (the normal component is slaved); the 'normal' translation and the
+'in_plane' 3D rotation (alpha=4) extend the normal component first.  The
+'mixing' rotations (2D alpha=3; 3D alpha in {5,6}) extend tangentially
+first and use a restricted level-2 cancellation target, which keeps the
+normal-degree caps intact (full cancellation at level 2 would grow the
+z-degree without bound).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "build_family",
     "construction_order",
     "extend_integral",
+    "family_kind",
     "lame_apply",
     "rigid_basis",
     "seed_level1",
@@ -111,29 +113,29 @@ def lame_apply(u: NeckField) -> NeckField:
 # ---------------------------------------------------------------------------
 
 
-def construction_order(dim: DimConfig, alpha: int) -> str:
-    """'tangential_first' or 'normal_first' for the integral route."""
+# The kind of each psi_alpha, in rigid_basis order.
+_KINDS = {2: ("tangential", "normal", "mixing"),
+          3: ("tangential", "tangential", "normal", "in_plane", "mixing", "mixing")}
+ROTATIONS = ("in_plane", "mixing")
+
+
+def family_kind(dim: DimConfig, alpha: int) -> str:
+    """The kind of psi_alpha: a 'tangential' or 'normal' translation, the
+    'in_plane' 3D rotation, or a 'mixing' rotation of a tangential axis and z."""
     if alpha not in alpha_range(dim):
         raise FamilyError(f"alpha={alpha} invalid for d={dim.d}")
-    if dim.d == 2:
-        return {1: "tangential_first", 2: "normal_first", 3: "tangential_first"}[alpha]
-    return {
-        1: "tangential_first",
-        2: "tangential_first",
-        3: "normal_first",
-        4: "normal_first",
-        5: "tangential_first",
-        6: "tangential_first",
-    }[alpha]
+    return _KINDS[dim.d][alpha - 1]
+
+
+def construction_order(dim: DimConfig, alpha: int) -> str:
+    """'tangential_first' or 'normal_first' for the integral route."""
+    normal_first = family_kind(dim, alpha) in ("normal", "in_plane")
+    return "normal_first" if normal_first else "tangential_first"
 
 
 def uses_level2_split(dim: DimConfig, alpha: int) -> bool:
     """Axis-mixing rotations cancel only the z-derivative part at level 2."""
-    return (dim.d == 2 and alpha == 3) or (dim.d == 3 and alpha in (5, 6))
-
-
-def _is_rotation(dim: DimConfig, alpha: int) -> bool:
-    return alpha > dim.d
+    return family_kind(dim, alpha) == "mixing"
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +227,16 @@ def seed_level1(dim: DimConfig, alpha: int) -> NeckField:
     Translations get the slaved-component corrector from the level-1
     cancellation ODE; rotations are the plain profile times psi_alpha.
     """
-    if alpha not in alpha_range(dim):
-        raise FamilyError(f"alpha={alpha} invalid for d={dim.d}")
+    kind = family_kind(dim, alpha)
     prof = _profile(dim)
     axes = dim.axes
     d = dim.d
-    if _is_rotation(dim, alpha):
+    if kind in ROTATIONS:
         psi = rigid_basis(dim)[alpha - 1]
         return NeckField([prof * c for c in psi.components])
     comps = [NeckScalar.zero(dim) for _ in range(d)]
     comps[alpha - 1] = prof
-    if alpha <= dim.n_tangential:
+    if kind == "tangential":
         # tangential translation: normal component solves
         # (lam+2mu) w_zz = -(lam+mu) d_{x_alpha z} profile
         rhs = prof.diff2("z", axes[alpha - 1]).scale(-(LAM_P_MU / LAM_P_2MU))

@@ -20,6 +20,7 @@ and exact/float evaluation.  All values are immutable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -337,14 +338,7 @@ class NeckScalar:
                 self.dim.n_tangential, big_r - r
             ):
                 key = (tuple(a + b for a, b in zip(p, dp)), q, s + ds)
-                cc = c._scaled(mult, 1)
-                acc = out.get(key)
-                if acc is not None:
-                    cc = acc + cc
-                if cc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = cc
+                _accumulate(out, key, c._scaled(mult, 1))
         return out
 
     def equal(self, other: "NeckScalar") -> bool:
@@ -389,38 +383,31 @@ class NeckScalar:
         """
         if len(xp) != self.dim.n_tangential:
             raise NeckError("wrong number of tangential coordinates")
-        if mode == "exact":
-            xp = [Fraction(v) for v in xp]
-            z, eps = Fraction(z), Fraction(eps)
-            lam_f, mu_f = Fraction(lam), Fraction(mu)
-            delta = eps + sum(v * v for v in xp)
-            if delta == 0:
-                raise NeckError("evaluation requires eps + |x'|^2 > 0")
-            acc = Fraction(0)
-            for (p, q, s, r), c in self._terms.items():
-                mono = Fraction(1)
-                for v, e in zip(xp, p):
-                    mono *= v**e
-                acc += c.evaluate(lam_f, mu_f) * mono * z**q * eps**s / delta**r
-            return acc
-        if mode == "float":
-            xpf = [float(v) for v in xp]
-            zf, ef = float(z), float(eps)
-            delta = ef + sum(v * v for v in xpf)
-            if delta == 0:
-                raise NeckError("evaluation requires eps + |x'|^2 > 0")
+        num = {"exact": Fraction, "float": float}.get(mode)
+        if num is None:
+            raise NeckError(f"unknown evaluation mode {mode!r}")
+        xp = [num(v) for v in xp]
+        z, eps = num(z), num(eps)
+        delta = eps + sum(v * v for v in xp)
+        if delta == 0:
+            raise NeckError("evaluation requires eps + |x'|^2 > 0")
+        if num is float:
             if self._floats is None or self._floats[0] != (lam, mu):
                 lam_q, mu_q = Fraction(lam), Fraction(mu)
                 coeffs = [float(c.evaluate(lam_q, mu_q)) for c in self._terms.values()]
                 self._floats = ((lam, mu), coeffs)
-            acc = 0.0
-            for (p, q, s, r), cf in zip(self._terms, self._floats[1]):
-                mono = 1.0
-                for v, e in zip(xpf, p):
-                    mono *= v**e
-                acc += cf * mono * zf**q * ef**s / delta**r
-            return acc
-        raise NeckError(f"unknown evaluation mode {mode!r}")
+            coeffs = self._floats[1]
+        else:
+            lam_q, mu_q = Fraction(lam), Fraction(mu)
+            coeffs = [c.evaluate(lam_q, mu_q) for c in self._terms.values()]
+        one = num(1)
+        acc = num(0)
+        for (p, q, s, r), c in zip(self._terms, coeffs):
+            mono = one
+            for v, e in zip(xp, p):
+                mono *= v**e
+            acc += c * mono * z**q * eps**s / delta**r
+        return acc
 
     # -- rendering / serialization ------------------------------------------
 
@@ -579,29 +566,20 @@ def _term_times_delta(
         _accumulate(out, kk, c._scaled(mult, 1))
 
 
-_DELTA_CACHE: dict[tuple[int, int], tuple[tuple[tuple[tuple[int, ...], int], int], ...]] = {}
-
-
+@functools.cache
 def _delta_power_monomials(
     nt: int, k: int
 ) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
     """Monomials of (eps + x1^2 [+ x2^2])^k as ((p, s), multiplicity)."""
-    cached = _DELTA_CACHE.get((nt, k))
-    if cached is not None:
-        return cached
     if k == 0:
-        result = ((((0,) * nt, 0), 1),)
-    else:
-        prev = _delta_power_monomials(nt, k - 1)
-        acc: dict[tuple[tuple[int, ...], int], int] = {}
-        for (p, s), mult in prev:
-            acc[(p, s + 1)] = acc.get((p, s + 1), 0) + mult
-            for i in range(nt):
-                pp = tuple(e + 2 if j == i else e for j, e in enumerate(p))
-                acc[(pp, s)] = acc.get((pp, s), 0) + mult
-        result = tuple(acc.items())
-    _DELTA_CACHE[(nt, k)] = result
-    return result
+        return ((((0,) * nt, 0), 1),)
+    acc: dict[tuple[tuple[int, ...], int], int] = {}
+    for (p, s), mult in _delta_power_monomials(nt, k - 1):
+        acc[(p, s + 1)] = acc.get((p, s + 1), 0) + mult
+        for i in range(nt):
+            pp = tuple(e + 2 if j == i else e for j, e in enumerate(p))
+            acc[(pp, s)] = acc.get((pp, s), 0) + mult
+    return tuple(acc.items())
 
 
 def green_solve(g: NeckScalar) -> NeckScalar:

@@ -87,6 +87,30 @@ def test_aux_verify_recursion_route_covers_the_translations(tmp_path, capsys):
     assert "integral route" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, cells",
+    [
+        (["--alpha", "4"], {(3, 4)}),  # the in-plane rotation exists in 3D only
+        (["--alpha", "3", "--route", "recursion"], {(3, 3)}),  # the 2D alpha=3 is a rotation
+        (["--alpha", "3"], {(2, 3), (3, 3)}),
+    ],
+)
+def test_aux_verify_both_dims_runs_alpha_where_the_route_builds_it(tmp_path, capsys, argv, cells):
+    out = tmp_path / "verify.json"
+    assert main(["aux", "verify", "--depth", "2", *argv, "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert all(r["status"] == "pass" for r in rows)
+    assert {(r["metadata"]["d"], r["metadata"]["alpha"]) for r in rows} == cells
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "7"], ["--alpha", "4", "--route", "recursion"]])
+def test_aux_verify_both_dims_without_alpha_exits_2(capsys, argv):
+    assert main(["aux", "verify", "--depth", "2", *argv]) == 2
+    err = capsys.readouterr().err
+    route = argv[-1] if "--route" in argv else "integral"
+    assert f"alpha={argv[1]}" in err and f"{route} route" in err
+
+
 def test_fem_solve_cli(tmp_path, capsys):
     mesh_out = tmp_path / "mesh.txt"
     field_out = tmp_path / "field.csv"

@@ -276,6 +276,10 @@ def fd_oracle(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if not steps:
+        raise ValueError("steps must not be empty")
     rng = random.Random(seed)
     exact = a.diff(axis)
     i = a.dim.axes.index(axis)
@@ -353,6 +357,8 @@ def lower_bound_probe(
         raise ValueError("the lower-bound probe is defined for alpha=1")
     if len(eps_grid) < 3:
         raise ValueError("need at least 3 grid points for a slope fit")
+    if m < 1:
+        raise ValueError("m must be at least 1")
     probe = fam.v(1)[0]
     for _ in range(m - 1):
         probe = probe.diff("x1")

@@ -11,11 +11,13 @@ semantic equality rewrites eps = delta - |x'|^2, which leaves a unique
 Laurent polynomial in x', z and delta, and compares it to zero.
 
 Supported calculus: exact first and second derivatives, exact linear
-combinations of derivatives summed once per term (:func:`lincomb`), boundary
-substitution z -> +-delta/2 (the symmetric quadratic geometry) split by the
-parity of the normal exponent, the two-point normal ODE solve
-d^2w/dz^2 = g with w(+-delta/2) = 0, certified growth orders on the neck,
-and exact/float evaluation.  All values are immutable.
+combinations of derivatives (:func:`lincomb`), boundary substitution
+z -> +-delta/2 (the symmetric quadratic geometry) split by the parity of the
+normal exponent, the two-point normal ODE solve d^2w/dz^2 = g with
+w(+-delta/2) = 0, certified growth orders on the neck, and exact/float
+evaluation.  All values are immutable.  Every sum except the pairwise ``+``
+runs through one accumulator (:func:`_sum_terms`): each term is summed in
+integers and reduced once, in the order of adding its contributions one by one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .coeffs import ONE, RationalCoeff, _canonical
 
@@ -193,24 +195,12 @@ class NeckScalar:
 
     def __mul__(self, other: "NeckScalar") -> "NeckScalar":
         _check_same_dim(self, other)
-        out: dict[Key, RationalCoeff] = {}
+        rows = []
         for (p1, q1, s1, r1), c1 in self._terms.items():
             for (p2, q2, s2, r2), c2 in other._terms.items():
-                k = (
-                    tuple(a + b for a, b in zip(p1, p2)),
-                    q1 + q2,
-                    s1 + s2,
-                    r1 + r2,
-                )
-                c = c1 * c2
-                acc = out.get(k)
-                if acc is not None:
-                    c = acc + c
-                if c.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = c
-        return NeckScalar._clean(self.dim, out)
+                key = (tuple(a + b for a, b in zip(p1, p2)), q1 + q2, s1 + s2, r1 + r2)
+                rows.append((_times(c1._t, c2._t), c1._c * c2._c, ((key, 1),)))
+        return NeckScalar._clean(self.dim, _sum_terms(rows))
 
     def scale(self, c: RationalCoeff | Fraction | int) -> "NeckScalar":
         if not c:
@@ -225,10 +215,9 @@ class NeckScalar:
         """Multiply by delta^k (k may be negative, meaning division)."""
         if k == 0:
             return self
-        out: dict[Key, RationalCoeff] = {}
-        for key, c in self._terms.items():
-            _term_times_delta(out, self.dim, key, c, k)
-        return NeckScalar._clean(self.dim, out)
+        nt = self.dim.n_tangential
+        rows = [(c._t, c._c, _monomial_delta(key, k, nt)) for key, c in self._terms.items()]
+        return NeckScalar._clean(self.dim, _sum_terms(rows))
 
     def mul_z(self, k: int = 1) -> "NeckScalar":
         terms = {(p, q + k, s, r): c for (p, q, s, r), c in self._terms.items()}
@@ -246,25 +235,15 @@ class NeckScalar:
 
     def diff(self, axis: str) -> "NeckScalar":
         """Exact partial derivative along 'x1', 'x2' or 'z'."""
-        i, nt = self._axis(axis), self.dim.n_tangential
-        out: dict[Key, RationalCoeff] = {}
-        for key, c in self._terms.items():
-            for k, m in _monomial_diff(key, i, nt):
-                _accumulate(out, k, c._scaled(m, 1))
-        return NeckScalar._clean(self.dim, out)
+        return lincomb(self.dim, [(self, (axis,), ONE)])
 
     def diff2(self, a: str, b: str) -> "NeckScalar":
         """Exact second derivative d_a d_b, equal to ``diff(b).diff(a)``.
 
         Each term's integer multipliers are summed over both steps first,
-        so every output coefficient is scaled and accumulated once.
+        so every output coefficient is accumulated once.
         """
-        i, j, nt = self._axis(a), self._axis(b), self.dim.n_tangential
-        out: dict[Key, RationalCoeff] = {}
-        for key, c in self._terms.items():
-            for k, m in _monomial_diff2(key, i, j, nt):
-                _accumulate(out, k, c._scaled(m, 1))
-        return NeckScalar._clean(self.dim, out)
+        return lincomb(self.dim, [(self, (a, b), ONE)])
 
     def boundary_parts(self) -> tuple["NeckScalar", "NeckScalar"]:
         """Even and odd parts (E, O) of the boundary trace, in one pass.
@@ -272,12 +251,12 @@ class NeckScalar:
         Each term c z^q ... becomes (c / 2^q) delta^q ... and goes to E for
         even q and to O for odd q, so z -> +-delta/2 gives E +- O.
         """
-        even: dict[Key, RationalCoeff] = {}
-        odd: dict[Key, RationalCoeff] = {}
+        nt = self.dim.n_tangential
+        rows: tuple[list[Row], list[Row]] = ([], [])  # even q, odd q
         for (p, q, s, r), c in self._terms.items():
-            part = odd if q & 1 else even
-            _term_times_delta(part, self.dim, (p, 0, s, r), c._scaled(1, 2**q), q)
-        return NeckScalar._clean(self.dim, even), NeckScalar._clean(self.dim, odd)
+            rows[q & 1].append((c._t, c._c << q, _monomial_delta((p, 0, s, r), q, nt)))
+        even, odd = (NeckScalar._clean(self.dim, _sum_terms(part)) for part in rows)
+        return even, odd
 
     def substitute_boundary(self, side: str) -> "NeckScalar":
         """Substitute z -> side * delta/2 with side in {'+', '-'}."""
@@ -329,17 +308,16 @@ class NeckScalar:
         (p, q, s) -> coeff; R is the max delta exponent.  Two scalars are
         semantically equal iff their expansions (after subtracting) vanish.
         """
-        if not self._terms:
-            return {}
-        big_r = max(r for (_, _, _, r) in self._terms)
-        out: dict[tuple[tuple[int, ...], int, int], RationalCoeff] = {}
+        nt = self.dim.n_tangential
+        big_r = max((r for (_, _, _, r) in self._terms), default=0)
+        rows = []
         for (p, q, s, r), c in self._terms.items():
-            for (dp, ds), mult in _delta_power_monomials(
-                self.dim.n_tangential, big_r - r
-            ):
-                key = (tuple(a + b for a, b in zip(p, dp)), q, s + ds)
-                _accumulate(out, key, c._scaled(mult, 1))
-        return out
+            mults = [
+                ((tuple(a + b for a, b in zip(p, dp)), q, s + ds), mult)
+                for (dp, ds), mult in _delta_power_monomials(nt, big_r - r)
+            ]
+            rows.append((c._t, c._c, mults))
+        return _sum_terms(rows)
 
     def equal(self, other: "NeckScalar") -> bool:
         """Semantic equality modulo delta = eps + |x'|^2."""
@@ -357,14 +335,16 @@ class NeckScalar:
         delta: 1).  Unlike :meth:`expand_polynomial` it never expands a
         power of delta, and eps^s has small s on the neck families.
         """
-        out: dict[tuple[tuple[int, ...], int, int], RationalCoeff] = {}
+        nt = self.dim.n_tangential
+        rows = []
         for (p, q, s, r), c in self._terms.items():
             # (delta - |x'|^2)^s from the monomials of (delta + |x'|^2)^s
-            for (dp, ds), mult in _delta_power_monomials(self.dim.n_tangential, s):
-                sign = -1 if (s - ds) & 1 else 1
-                key = (tuple(a + b for a, b in zip(p, dp)), q, ds - r)
-                _accumulate(out, key, c._scaled(sign * mult, 1))
-        return out
+            mults = [
+                ((tuple(a + b for a, b in zip(p, dp)), q, ds - r), -mult if (s - ds) & 1 else mult)
+                for (dp, ds), mult in _delta_power_monomials(nt, s)
+            ]
+            rows.append((c._t, c._c, mults))
+        return _sum_terms(rows)
 
     def evaluate(
         self,
@@ -471,6 +451,18 @@ def _monomial_diff2(key: Key, i: int, j: int, nt: int) -> list[tuple[Key, int]]:
     return [(k, m) for k, m in mults.items() if m]
 
 
+def _monomial_delta(key: Key, k: int, nt: int) -> list[tuple[Key, int]]:
+    """One monomial times delta^k as (key, multiplier) pairs, expanding the
+    power that leaves the denominator."""
+    p, q, s, r = key
+    if k <= r:
+        return [((p, q, s, r - k), 1)]
+    return [
+        ((tuple(a + b for a, b in zip(p, dp)), q, s + ds, 0), mult)
+        for (dp, ds), mult in _delta_power_monomials(nt, k - r)
+    ]
+
+
 Part = tuple["NeckScalar", Sequence[str] | None, RationalCoeff]
 
 
@@ -480,16 +472,11 @@ def lincomb(dim: DimConfig, parts: Iterable[Part]) -> NeckScalar:
     Each part is (scalar, axes, factor): axes is None (the scalar itself),
     one axis (``diff``) or a pair (a, b) (``diff2(a, b)``).  The result
     equals the chain ``scalar.diff2(a, b).scale(factor) + ...`` built from
-    ``diff``, ``diff2``, ``scale`` and ``+``, with the same term order when
-    no partial sum of that chain cancels a term.
-
-    Each output term is summed in integers: a contribution is the integer
-    Laurent map of its coefficient times the factor's, weighted by
-    mult * L / (c_coeff c_factor) with L the lcm of all those denominators,
-    and each term's sum over L is reduced by one gcd.
+    ``diff``, ``diff2``, ``scale`` and ``+``.  Its term order is that of
+    :func:`_sum_terms` over the contributions, part by part and term by term.
     """
     nt = dim.n_tangential
-    rows = []  # (coefficient times factor as an integer map, its denominator, [(key, mult)])
+    rows: list[Row] = []
     for scal, axes, f in parts:
         if scal.dim != dim:
             raise NeckError("dimension mismatch between neck scalars")
@@ -506,30 +493,46 @@ def lincomb(dim: DimConfig, parts: Iterable[Part]) -> NeckScalar:
                 mults = _monomial_diff2(key, idx[0], idx[1], nt)
             if mults:
                 rows.append((_times(c._t, tf), c._c * cf, mults))
-    big_l = math.lcm(*{den for _, den, _ in rows})
-    acc: dict[Key, dict[tuple[int, int], int]] = {}
-    for conv, den, mults in rows:
-        scale = big_l // den
+    return NeckScalar._clean(dim, _sum_terms(rows))
+
+
+# (integer Laurent map t with no zero entry, denominator c > 0,
+# [(key, nonzero integer multiplier m)]): each pair adds m * t / c to its key
+Row = tuple[dict[tuple[int, int], int], int, Sequence[tuple[Hashable, int]]]
+
+
+def _sum_terms(rows: list[Row]) -> dict:
+    """Every contribution of the rows summed per key: key -> coefficient.
+
+    The sums run in integers over L, the lcm of the row denominators, and
+    each key that survives is reduced once by :func:`_canonical`.  The term
+    order is that of adding the contributions one at a time: a key enters
+    at its first contribution, and when its running sum cancels it leaves
+    and re-enters at its next contribution.
+    """
+    big_l = math.lcm(*{c for _, c, _ in rows})
+    acc: dict[Hashable, dict[tuple[int, int], int]] = {}
+    for t, c, mults in rows:
+        scale = big_l // c
         for k, m in mults:
             w = m * scale
-            t = acc.get(k)
-            if t is None:
-                acc[k] = {e: w * v for e, v in conv.items()}
-            else:
-                for e, v in conv.items():
-                    t[e] = t.get(e, 0) + w * v
-    out: dict[Key, RationalCoeff] = {}
-    for k, t in acc.items():
-        if 0 in t.values():
-            t = {e: v for e, v in t.items() if v}
-            if not t:
+            run = acc.get(k)
+            if run is None:
+                acc[k] = {e: w * v for e, v in t.items()}
                 continue
-        out[k] = _canonical(t, big_l)
-    return NeckScalar._clean(dim, out)
+            for e, v in t.items():
+                v = run.get(e, 0) + w * v
+                if v:
+                    run[e] = v
+                else:
+                    del run[e]
+            if not run:
+                del acc[k]
+    return {k: _canonical(run, big_l) for k, run in acc.items()}
 
 
 def _times(t: dict[tuple[int, int], int], tf: dict[tuple[int, int], int]) -> dict:
-    """The product of two integer Laurent maps; entries may cancel to zero."""
+    """The product of two integer Laurent maps, with no zero entry."""
     if len(tf) == 1:
         ((i2, j2), v2), = tf.items()
         if i2 == j2 == 0 and v2 == 1:
@@ -540,30 +543,7 @@ def _times(t: dict[tuple[int, int], int], tf: dict[tuple[int, int], int]) -> dic
         for (i, j), v in t.items():
             e = (i + i2, j + j2)
             out[e] = out.get(e, 0) + v * v2
-    return out
-
-
-def _accumulate(out: dict[Key, RationalCoeff], key: Key, c: RationalCoeff) -> None:
-    acc = out.get(key)
-    if acc is not None:
-        c = acc + c
-    if c.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = c
-
-
-def _term_times_delta(
-    out: dict[Key, RationalCoeff], dim: DimConfig, key: Key, c: RationalCoeff, k: int
-) -> None:
-    """Add one term times delta^k to out, expanding when the power leaves the denominator."""
-    p, q, s, r = key
-    if k <= r:
-        _accumulate(out, (p, q, s, r - k), c)
-        return
-    for (dp, ds), mult in _delta_power_monomials(dim.n_tangential, k - r):
-        kk = (tuple(a + b for a, b in zip(p, dp)), q, s + ds, 0)
-        _accumulate(out, kk, c._scaled(mult, 1))
+    return {e: v for e, v in out.items() if v}
 
 
 @functools.cache

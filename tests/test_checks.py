@@ -167,6 +167,18 @@ def test_fd_oracle_negative_control():
     assert not rep.passed
 
 
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [({"samples": -3}, "samples"), ({"samples": 0}, "samples"), ({"steps": ()}, "steps")],
+)
+def test_fd_oracle_rejects_an_empty_check(kwargs, name):
+    # samples <= 0 passed after checking nothing; steps=() died in min()
+    prof = NeckScalar.term(DIM2, ONE, q=1, r=1)
+    args = {"samples": 5, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        fd_oracle(prof, "z", eps=0.02, **args)
+
+
 # -- fd oracle positive ----------------------------------------------------------
 
 
@@ -221,6 +233,12 @@ def test_lower_bound_exact_value_m1(families_depth3):
 def test_lower_bound_grid_too_small(families_depth3):
     with pytest.raises(ValueError):
         lower_bound_probe(families_depth3[(2, 1)], 1, eps_grid=(1e-2, 1e-3))
+
+
+def test_lower_bound_rejects_order_zero(families_depth3):
+    # m = 0 used to report a failing slope of -1 against a target of -1/2
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        lower_bound_probe(families_depth3[(2, 1)], 0)
 
 
 def test_lower_bound_requires_alpha1(families_depth3):

@@ -1,7 +1,7 @@
 """The certificate at the depth cap: every check at depth 8 on both routes,
 its report pinned byte for byte (``verify_depth8`` in
-``tests/data/exact_digests.json``), and the two routes agree at every
-level.  Slow (under a minute); deselected by default, run with
+``tests/data/exact_digests.json``), the insertion order of every term map
+pinned (``term_order_depth8``), and the two routes agree at every level.  Slow (under a minute); deselected by default, run with
 ``pytest -m slow``."""
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import pytest
 from lamegap.cli import main
 from lamegap.families import build_family
 from lamegap.neck import DIM2, DIM3
+
+from test_exact_digests import term_order_digests
 
 pytestmark = pytest.mark.slow
 
@@ -39,3 +41,7 @@ def test_routes_agree_through_level8(d, alpha):
     fam_r = build_family(dim, alpha, 8, route="recursion")
     for l in range(1, 9):
         assert fam_i.v(l).equal(fam_r.v(l)), f"level {l}"
+
+
+def test_term_order_depth8_matches_its_digests():
+    assert term_order_digests(8) == DIGESTS["term_order_depth8"]

@@ -4,7 +4,9 @@
 ``diff2`` and ``lincomb`` must give the same term maps (representation
 equality ``==``, not ``.equal``) as a termwise boundary substitution, the
 two-substitution Green correction, a chain of first derivatives and a
-pairwise chain of ``diff``/``diff2``/``scale``/``+``.  The zero test and the
+pairwise chain of ``diff``/``diff2``/``scale``/``+``.  The accumulator
+behind them must give the map, in the same order, of adding its
+contributions one at a time with ``RationalCoeff`` ``+``.  The zero test and the
 order read in the delta basis must agree with the expansion over delta^R,
 the integer growth orders with the Fractions of ``term_order``, and the
 integer evaluation of a coefficient with its (lam, mu) form num/den.
@@ -21,7 +23,10 @@ from lamegap.coeffs import (
     LAM, MU, ONE, ZERO, CoeffError, CoeffPoleError, ParamPoly, RationalCoeff,
 )
 from lamegap.families import LAM_P_2MU, LAM_P_MU, alpha_range, build_family, lame_apply
-from lamegap.neck import DIM2, DIM3, NeckError, NeckScalar, green_solve, lincomb, term_order
+from lamegap.neck import (
+    DIM2, DIM3, NeckError, NeckScalar, _monomial_diff, _monomial_diff2, _sum_terms, green_solve,
+    lincomb, term_order,
+)
 
 
 def substitute_reference(w: NeckScalar, side: str) -> NeckScalar:
@@ -76,6 +81,39 @@ def chain_reference(dim, parts) -> NeckScalar:
             scal = scal.diff(axes[0]) if len(axes) == 1 else scal.diff2(*axes)
         acc = acc + scal.scale(f)
     return acc
+
+
+def one_by_one(contributions) -> tuple[dict, bool]:
+    """(key, coefficient) contributions added one at a time with ``+``: a
+    key whose sum cancels is dropped, and re-enters at its next
+    contribution.  Also whether any running sum cancelled."""
+    out, cancelled = {}, False
+    for k, c in contributions:
+        if k in out:
+            c = out[k] + c
+        if c:
+            out[k] = c
+        elif out.pop(k, None) is not None:
+            cancelled = True
+    return out, cancelled
+
+
+def lincomb_contributions(parts) -> list:
+    """The (key, coefficient) contributions of ``lincomb``'s parts, part by
+    part and term by term."""
+    out = []
+    for scal, axes, f in parts:
+        nt = scal.dim.n_tangential
+        idx = [scal.dim.axes.index(a) for a in axes or ()]
+        for key, c in scal.terms.items():
+            if not idx:
+                mults = [(key, 1)]
+            elif len(idx) == 1:
+                mults = _monomial_diff(key, idx[0], nt)
+            else:
+                mults = _monomial_diff2(key, idx[0], idx[1], nt)
+            out += [(k, c * f * RationalCoeff.from_int(m)) for k, m in mults]
+    return out
 
 
 def assert_zero_test_matches(scal: NeckScalar) -> None:
@@ -212,7 +250,15 @@ def test_lincomb_matches_the_pairwise_chain():
     def check(comb, cancel):
         dim, parts = comb
         got = lincomb(dim, parts)
-        assert got == chain_reference(dim, parts)
+        chain = chain_reference(dim, parts)
+        assert got == chain
+        # the order of adding every contribution one at a time; the pairwise
+        # chain cancels part by part, so its order is the same only when no
+        # running sum of the contributions cancels
+        ref, cancelled = one_by_one(lincomb_contributions(parts))
+        assert list(got.terms.items()) == list(ref.items())
+        if not cancelled:
+            assert list(got.terms) == list(chain.terms)
         # the same parts again with negated factors cancel every term
         negated = [(scal, axes, -f) for scal, axes, f in parts]
         assert lincomb(dim, parts + negated).is_zero()
@@ -220,7 +266,48 @@ def test_lincomb_matches_the_pairwise_chain():
             # a part and its negation around another part leave that part
             scal, axes, f = parts[0]
             rest = [(scal, axes, f), parts[-1], (scal, axes, -f)]
-            assert lincomb(dim, rest) == chain_reference(dim, [parts[-1]])
+            got = lincomb(dim, rest)
+            assert got == chain_reference(dim, [parts[-1]])
+            ref, _ = one_by_one(lincomb_contributions(rest))
+            assert list(got.terms.items()) == list(ref.items())
+
+    check()
+
+
+def test_sum_terms_adds_contributions_one_at_a_time():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    gens = (ONE, MU, LAM_P_2MU, ONE / MU, LAM_P_MU / LAM_P_2MU, (LAM + MU.scale(5)) / MU.scale(6))
+    coeffs = st.builds(
+        lambda num, den, g: RationalCoeff.from_fraction(Fraction(num, den)) * g,
+        st.integers(-4, 4).filter(bool), st.integers(1, 6), st.sampled_from(gens),
+    )
+    # few keys, coefficients and multipliers, so that running sums often cancel
+    mults = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((-2, -1, 1, 2))), max_size=3)
+    rows = st.lists(st.tuples(st.sampled_from((ONE, -ONE, MU.scale(2))) | coeffs, mults),
+                    max_size=8)
+
+    def summed(drawn):
+        got = _sum_terms([(x._t, x._c, m) for x, m in drawn])
+        want, _ = one_by_one((k, x * RationalCoeff.from_int(n)) for x, m in drawn for k, n in m)
+        assert list(got.items()) == list(want.items())
+        return got
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows, coeffs, coeffs, coeffs)
+    def check(drawn, a, b, c):
+        summed(drawn)
+        got = summed([
+            (a, [("mid", 1), ("end", 2)]),
+            (b, [("never", 1)]),
+            (a, [("mid", -1)]),  # mid cancels mid-way ...
+            (c, [("mid", 3)]),  # ... and re-enters at the end
+            (a, [("end", -2)]),  # end cancels at the end
+        ])
+        assert list(got) == ["never", "mid"]
+        assert got["never"] == b and got["mid"] == c * RationalCoeff.from_int(3)
 
     check()
 

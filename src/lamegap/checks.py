@@ -280,6 +280,9 @@ def fd_oracle(
         raise ValueError("samples must be positive")
     if not steps:
         raise ValueError("steps must not be empty")
+    # a zero step or two equal ones divide by zero; a NaN step passes every gate
+    if not all(math.isfinite(h) and h > 0 for h in steps) or len(set(steps)) < len(steps):
+        raise ValueError(f"steps must be finite, positive and distinct, got {list(steps)}")
     rng = random.Random(seed)
     exact = a.diff(axis)
     i = a.dim.axes.index(axis)

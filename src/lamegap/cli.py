@@ -250,20 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     s.add_argument("--eps", type=float, required=True, help="gap width")
-    s.add_argument("--lam", type=float, default=1.0, help="first Lame parameter")
-    s.add_argument("--mu", type=float, default=1.0, help="shear modulus")
-    s.add_argument("--R0", type=float, default=3.0, help="outer radius")
-    s.add_argument("--rho1", type=float, default=1.0, help="top inclusion radius")
-    s.add_argument("--rho2", type=float, default=1.0, help="bottom inclusion radius")
-    s.add_argument("--nz", type=int, default=8, help="element layers across the gap")
-    s.add_argument("--grading", type=float, default=0.35, help="tangential spacing factor")
+    s.add_argument("--lam", type=float, default=SweepConfig.lam, help="first Lame parameter")
+    s.add_argument("--mu", type=float, default=SweepConfig.mu, help="shear modulus")
+    s.add_argument("--R0", type=float, default=Geometry.R0, help="outer radius")
+    s.add_argument("--rho1", type=float, default=Geometry.rho1, help="top inclusion radius")
+    s.add_argument("--rho2", type=float, default=Geometry.rho2, help="bottom inclusion radius")
+    s.add_argument("--nz", type=int, default=MeshParams.nz, help="element layers across the gap")
+    s.add_argument("--grading", type=float, default=MeshParams.ct, help="tangential spacing factor")
     s.add_argument(
         "--problem",
         choices=("component1", "component2", "component3", "hard", "holes"),
         default="component1",
         help="boundary-value problem",
     )
-    s.add_argument("--phi", choices=sorted(BOUNDARY_DATA), default="default_odd", help="outer boundary datum")
+    s.add_argument("--phi", choices=sorted(BOUNDARY_DATA), default=SweepConfig.phi, help="outer boundary datum")
     s.add_argument("--out", help="CSV field export path")
     s.add_argument("--mesh-out", help="ASCII mesh export path")
     s.add_argument("--stride", type=int, default=1, help="node stride for the export")

@@ -47,6 +47,7 @@ __all__ = [
 
 LAM_P_MU = LAM + MU
 LAM_P_2MU = LAM + MU + MU
+MINUS_QUARTER = RationalCoeff.from_fraction(Fraction(-1, 4))
 
 
 class FamilyError(ValueError):
@@ -347,19 +348,19 @@ class _Tables:
 
     def tilde(self, l: int, i: int) -> NeckScalar:
         # P~_{l,i} = P_{l,i} - (delta^2/4) P_{l,i-1}
-        return self.get(l, i) - self.get(l, i - 1).mul_delta(2).scale(Fraction(1, 4))
+        lower = self.get(l, i - 1).mul_delta(2)
+        return lincomb(self.dim, [(self.get(l, i), None, ONE), (lower, None, MINUS_QUARTER)])
 
 
 def _ansatz_sum(table: _Tables, l: int, odd: int) -> NeckScalar:
     """sum_{i <= l-odd} P_{l,i} z^n (z^2 - delta^2/4) with n = 2l - 2i - odd."""
-    acc = NeckScalar.zero(table.dim)
+    parts = []
     for i in range(1, l - odd + 1):
         coeff = table.get(l, i)
-        if coeff.is_zero():
-            continue
         n = 2 * l - 2 * i - odd
-        acc = acc + coeff.mul_z(n + 2) - coeff.mul_delta(2).scale(Fraction(1, 4)).mul_z(n)
-    return acc
+        parts += [(coeff.mul_z(n + 2), None, ONE),
+                  (coeff.mul_delta(2).mul_z(n), None, MINUS_QUARTER)]
+    return lincomb(table.dim, parts)
 
 
 def _own_symbol(nt: int, k: int, j: int) -> dict[tuple[int, int], RationalCoeff]:
@@ -375,14 +376,11 @@ def _bracket(
 ) -> NeckScalar:
     """Lame forcing on the z^n coefficient of component k; own/other map j -> P~^j."""
     axes = dim.axes
-    cross = NeckScalar.zero(dim)
-    for j, pt in other.items():
-        cross = cross + pt.diff(axes[min(j, k)])
-    out = cross.scale(LAM_P_MU).scale(n + 1)
-    for j, pt in own.items():
-        for (a, b), coeff in _own_symbol(dim.n_tangential, k, j).items():
-            out = out + pt.diff2(axes[b], axes[a]).scale(coeff)
-    return out
+    cross = LAM_P_MU.scale(n + 1)
+    parts = [(pt, (axes[min(j, k)],), cross) for j, pt in other.items()]
+    parts += [(pt, (axes[b], axes[a]), coeff) for j, pt in own.items()
+              for (a, b), coeff in _own_symbol(dim.n_tangential, k, j).items()]
+    return lincomb(dim, parts)
 
 
 def _recursion(dim: DimConfig, alpha: int, depth: int) -> list[NeckField]:

@@ -17,7 +17,7 @@ Everything is deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,10 +71,10 @@ class MeshParams:
             raise MeshError(f"nr must be >= 1, got {self.nr!r}")
 
     def refined(self, factor: float = 2.0) -> "MeshParams":
-        return MeshParams(
+        return replace(
+            self,
             nz=int(self.nz * factor),
             ct=self.ct / factor,
-            neck_halfwidth=self.neck_halfwidth,
             arc_target=self.arc_target / factor,
             nr=int(self.nr * factor),
             radial_growth=self.radial_growth ** (1 / factor),

@@ -213,8 +213,10 @@ class NeckScalar:
 
     def mul_delta(self, k: int) -> "NeckScalar":
         """Multiply by delta^k (k may be negative, meaning division)."""
-        if k == 0:
-            return self
+        if all(k <= r for _, _, _, r in self._terms):
+            # only r moves: relabel the keys as mul_z does
+            return NeckScalar._clean(
+                self.dim, {(p, q, s, r - k): c for (p, q, s, r), c in self._terms.items()})
         nt = self.dim.n_tangential
         rows = [(c._t, c._c, _monomial_delta(key, k, nt)) for key, c in self._terms.items()]
         return NeckScalar._clean(self.dim, _sum_terms(rows))

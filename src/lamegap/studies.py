@@ -125,19 +125,19 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 @dataclass(frozen=True)
 class SweepConfig:
     eps_grid: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
-    R0: float = 3.0
-    rho1: float = 1.0
-    rho2: float = 1.0
+    R0: float = Geometry.R0
+    rho1: float = Geometry.rho1
+    rho2: float = Geometry.rho2
     lam: float = 1.0
     mu: float = 1.0
     phi: str = "default_odd"
-    nz: int = 8
-    ct: float = 0.35
-    neck_halfwidth: float = 0.45
-    arc_target: float = 0.12
-    nr: int = 16
-    radial_growth: float = 1.25
-    collar_width: float = 0.03
+    nz: int = MeshParams.nz
+    ct: float = MeshParams.ct
+    neck_halfwidth: float = MeshParams.neck_halfwidth
+    arc_target: float = MeshParams.arc_target
+    nr: int = MeshParams.nr
+    radial_growth: float = MeshParams.radial_growth
+    collar_width: float = MeshParams.collar_width
     # tangential grading sharpens like (eps/eps_max)^power; the neck
     # comparison needs 1/3 so the value error scales with the gap
     ct_eps_power: float = 0.0
@@ -186,15 +186,8 @@ class SweepConfig:
     def mesh_params(self, eps: float, ct_power: float | None = None) -> MeshParams:
         power = self.ct_eps_power if ct_power is None else ct_power
         scale = (eps / max(self.eps_grid)) ** power if power else 1.0
-        return MeshParams(
-            nz=self.nz,
-            ct=self.ct * scale,
-            neck_halfwidth=self.neck_halfwidth,
-            arc_target=self.arc_target,
-            nr=self.nr,
-            radial_growth=self.radial_growth,
-            collar_width=self.collar_width,
-        )
+        knobs = {f.name: getattr(self, f.name) for f in fields(MeshParams)}
+        return MeshParams(**knobs | {"ct": self.ct * scale})
 
     def to_json_obj(self) -> dict:
         out = asdict(self)

@@ -179,6 +179,19 @@ def test_fd_oracle_rejects_an_empty_check(kwargs, name):
         fd_oracle(prof, "z", eps=0.02, **args)
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [(0.0,), (1e-3, 1e-3), (float("nan"),), (1e-3, float("inf")), (1e-3, -1e-3)],
+    ids=["zero", "repeated", "nan", "inf", "negative"],
+)
+def test_fd_oracle_rejects_a_degenerate_step(steps):
+    # a zero step divided the central difference by zero, two equal steps
+    # zeroed the Richardson factor, and a NaN step passed every gate
+    prof = NeckScalar.term(DIM2, ONE, q=1, r=1)
+    with pytest.raises(ValueError, match="steps must be finite, positive and distinct"):
+        fd_oracle(prof, "z", samples=5, eps=0.02, steps=steps)
+
+
 # -- fd oracle positive ----------------------------------------------------------
 
 

@@ -24,8 +24,8 @@ from lamegap.coeffs import (
 )
 from lamegap.families import LAM_P_2MU, LAM_P_MU, alpha_range, build_family, lame_apply
 from lamegap.neck import (
-    DIM2, DIM3, NeckError, NeckScalar, _monomial_diff, _monomial_diff2, _sum_terms, green_solve,
-    lincomb, term_order,
+    DIM2, DIM3, NeckError, NeckScalar, _monomial_delta, _monomial_diff, _monomial_diff2,
+    _sum_terms, green_solve, lincomb, term_order,
 )
 
 
@@ -164,6 +164,22 @@ def test_lame_apply_keeps_the_chain_and_its_term_order(all_families_depth3):
             ref = lame_reference(fld)
             assert list(got) == ref
             assert [list(c.terms) for c in got] == [list(c.terms) for c in ref]
+
+
+def test_mul_delta_shift_keeps_the_accumulated_map(all_families_depth3):
+    # with k at most every r, mul_delta relabels its keys; the map and its
+    # order must be those of summing each term times delta^k
+    shifted = 0
+    for fam in all_families_depth3:
+        nt = fam.dim.n_tangential
+        for fld in fam.levels + fam.residuals:
+            for comp in fld.components:
+                for k in {-1, min((r for *_, r in comp.terms), default=0)} - {0}:
+                    rows = [(c._t, c._c, _monomial_delta(key, k, nt)) for key, c in comp.terms.items()]
+                    got = comp.mul_delta(k)
+                    assert list(got.terms.items()) == list(_sum_terms(rows).items())
+                    shifted += k > 0
+    assert shifted
 
 
 def test_parts_of_mixed_parity_terms():

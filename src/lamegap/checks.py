@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -55,12 +55,7 @@ class CheckReport:
         return self.status == "pass"
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "witness": self.witness,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def _meta(fam: AuxFamily, **extra) -> dict:
@@ -69,8 +64,9 @@ def _meta(fam: AuxFamily, **extra) -> dict:
     return out
 
 
-def _witness_scalar(s: NeckScalar, limit: int = 4) -> str:
-    terms = s.sorted_terms()[:limit]
+def _witness_scalar(s: NeckScalar) -> str:
+    """`s` shown by its first four terms."""
+    terms = s.sorted_terms()[:4]
     shown = NeckScalar(s.dim, dict(terms)).render()
     more = len(s) - len(terms)
     return shown + (f" ... (+{more} terms)" if more > 0 else "")
@@ -261,21 +257,20 @@ def fd_oracle(
     axis: str,
     samples: int,
     eps: float,
-    lam: float = 1.0,
-    mu: float = 1.0,
     seed: int = 0,
     steps: Sequence[float] = (1e-3, 1e-4, 1e-5),
     tol: float = 1e-6,
 ) -> CheckReport:
-    """Central finite differences of s_eval against the exact derivative.
+    """Central finite differences of s_eval against the exact derivative,
+    at lam = mu = 1.
 
     For each random admissible point the relative error is minimized over a
     step-size sweep (steps scaled by sqrt(eps)) and over the Richardson
     extrapolation of each pair of consecutive steps, which cancels the h^2
     truncation term; all samples must beat tol.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if samples < 1:
         raise ValueError("samples must be positive")
     if not steps:
@@ -292,7 +287,7 @@ def fd_oracle(
         """The float value of a at (x', z) moved by h along axis."""
         pt = [*xp, z]
         pt[i] += h
-        return a.evaluate(pt[:-1], pt[-1], eps, lam, mu, mode="float")
+        return a.evaluate(pt[:-1], pt[-1], eps, 1.0, 1.0, mode="float")
 
     worst = 0.0
     worst_pt = None
@@ -300,7 +295,7 @@ def fd_oracle(
         xp = [rng.uniform(-0.3, 0.3) for _ in range(nt)]
         delta = eps + sum(v * v for v in xp)
         z = 0.8 * (delta / 2) * rng.uniform(-1, 1)
-        ex = exact.evaluate(xp, z, eps, lam, mu, mode="float")
+        ex = exact.evaluate(xp, z, eps, 1.0, 1.0, mode="float")
         fds: list[tuple[float, float]] = []
         for h0 in steps:
             h = h0 * math.sqrt(eps)
@@ -347,11 +342,10 @@ def lower_bound_probe(
     m: int,
     r: Fraction = Fraction(1, 10),
     eps_grid: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5),
-    lam: float = 1.0,
-    mu: float = 1.0,
     tol: float = 0.05,
 ) -> CheckReport:
-    """Slope of |d_x1^{m-1} d_z (v^1)^(1)| at (r sqrt(eps), 0) vs eps.
+    """Slope of |d_x1^{m-1} d_z (v^1)^(1)| at (r sqrt(eps), 0) vs eps, at
+    lam = mu = 1.
 
     Passes when the log-log slope equals -(m+1)/2 within tol and the probed
     value is nonzero on the whole grid.
@@ -370,7 +364,7 @@ def lower_bound_probe(
     for eps in eps_grid:
         x1 = float(r) * math.sqrt(eps)
         xp = [x1] + [0.0] * (fam.dim.n_tangential - 1)
-        v = probe.evaluate(xp, 0.0, eps, lam, mu, mode="float")
+        v = probe.evaluate(xp, 0.0, eps, 1.0, 1.0, mode="float")
         if v == 0.0:
             return CheckReport(
                 "lower_bound",

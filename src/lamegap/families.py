@@ -168,12 +168,9 @@ class AuxFamily:
             raise FamilyError(f"residual {l} not built (depth {self.depth})")
         return self.residuals[l - 1]
 
-    def partial_sum(self, m: int | None = None) -> NeckField:
-        m = self.depth if m is None else m
-        acc = NeckField.zero(self.dim)
-        for l in range(1, m + 1):
-            acc = acc + self.v(l)
-        return acc
+    def partial_sum(self) -> NeckField:
+        """v^1 + ... + v^depth."""
+        return sum(self.levels, NeckField.zero(self.dim))
 
     def _with_level(self, v_new: NeckField) -> "AuxFamily":
         f_prev = self.residuals[-1] if self.residuals else NeckField.zero(self.dim)

@@ -88,11 +88,18 @@ class SolverError(RuntimeError):
 
 @dataclass
 class DisplacementField:
-    """Nodal coefficients of a quadratic vector field plus its system."""
+    """Nodal coefficients of a quadratic vector field plus its system.  Its
+    arrays are read-only from construction, so no reader of a kept field
+    can change it for the others."""
 
     system: ElasticitySystem
     u: np.ndarray  # (2N,)
     rigid: np.ndarray | None = None  # (2, 3) hard-inclusion parameters
+
+    def __post_init__(self):
+        self.u.flags.writeable = False
+        if self.rigid is not None:
+            self.rigid.flags.writeable = False
 
     @property
     def mesh(self) -> Mesh:

@@ -160,12 +160,21 @@ class SweepConfig:
             )
         if not math.isfinite(self.ct_eps_power):
             raise SweepConfigError(f"ct_eps_power must be finite, got {self.ct_eps_power!r}")
+        names = [name for name, _ in self.tolerances]
+        wrong = {
+            "missing": DEFAULT_TOLERANCES.keys() - set(names),
+            "unknown": set(names) - DEFAULT_TOLERANCES.keys(),
+            "repeated": {name for name in names if names.count(name) > 1},
+        }
+        listed = "; ".join(f"{how} {', '.join(sorted(bad))}" for how, bad in wrong.items() if bad)
+        if listed:
+            raise SweepConfigError(f"tolerances must name each default tolerance once: {listed}")
         tol = self.tol
         for name, value in self.tolerances:
             if not math.isfinite(value):
                 raise SweepConfigError(f"tolerance {name} must be finite, got {value!r}")
             hi = name[:-2] + "hi"
-            if name.endswith("_slope_lo") and value > tol.get(hi, value):
+            if name.endswith("_slope_lo") and value > tol[hi]:
                 raise SweepConfigError(f"tolerance {name} = {value!r} is above {hi} = {tol[hi]!r}: "
                                        "no slope can pass")
         check_ellipticity(self.lam, self.mu)
@@ -190,10 +199,7 @@ class SweepConfig:
         return MeshParams(**knobs | {"ct": self.ct * scale})
 
     def to_json_obj(self) -> dict:
-        out = asdict(self)
-        out["eps_grid"] = list(self.eps_grid)
-        out["tolerances"] = dict(self.tolerances)
-        return out
+        return {**asdict(self), "eps_grid": list(self.eps_grid), "tolerances": self.tol}
 
 
 @dataclass
@@ -230,9 +236,6 @@ def rate_fit(series: list[tuple[float, float]]) -> RateFit:
     return RateFit(slope, intercept, r2, resid, sign_change=len(signs) > 1)
 
 
-_REPORT_KEYS = ("study", "study_id", "config", "records", "fits", "checks")
-
-
 @dataclass
 class StudyReport:
     study: str
@@ -241,7 +244,6 @@ class StudyReport:
     records: list[dict]
     fits: dict[str, dict]
     checks: dict[str, dict]
-    schema: str = SCHEMA
 
     @property
     def passed(self) -> bool:
@@ -250,16 +252,7 @@ class StudyReport:
         return all(c["passed"] for c in self.checks.values() if c["passed"] is not None)
 
     def to_json(self) -> str:
-        obj = {
-            "schema": self.schema,
-            "study": self.study,
-            "study_id": self.study_id,
-            "passed": self.passed,
-            "config": self.config,
-            "records": self.records,
-            "fits": self.fits,
-            "checks": self.checks,
-        }
+        obj = {**asdict(self), "schema": SCHEMA, "passed": self.passed}
         return json.dumps(obj, indent=1, sort_keys=True)
 
     @classmethod
@@ -267,9 +260,13 @@ class StudyReport:
         obj = json.loads(text)
         if not isinstance(obj, dict) or obj.get("schema") != SCHEMA:
             raise ReportFormatError(f"not a study report (expected schema {SCHEMA!r})")
-        missing = [k for k in _REPORT_KEYS if k not in obj]
+        keys = [f.name for f in fields(cls)]
+        missing = [k for k in keys if k not in obj]
         if missing:
             raise ReportFormatError(f"study report lacks {', '.join(missing)}")
+        if not (isinstance(obj["study"], str) and isinstance(obj["study_id"], str)
+                and isinstance(obj["config"], dict)):
+            raise ReportFormatError("study report 'study' and 'study_id' must be strings and 'config' an object")
         records, fits, checks = obj["records"], obj["fits"], obj["checks"]
         if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
             raise ReportFormatError("study report 'records' is not a list of objects")
@@ -287,7 +284,7 @@ class StudyReport:
             raise ReportFormatError(
                 "study report 'checks' does not map names to objects whose 'passed' is true, false or null"
             )
-        return cls(**{k: obj[k] for k in _REPORT_KEYS}, schema=SCHEMA)
+        return cls(**{k: obj[k] for k in keys})
 
     def to_csv(self) -> str:
         """Row per (quantity, eps): eps, value, fit data and pass flag."""
@@ -340,8 +337,9 @@ class _EpsCase:
     only v_0.  The compare mesh has grading factor 1 at eps_max, so there
     it is the shared mesh.
     A case serves every config with the same `_solve_key`; `cfg` is the one
-    it was made for, read only for what reaches a mesh or a solve.  The
-    stored field arrays are read-only.
+    it was made for, read only for what reaches a mesh or a solve.  A
+    solver's result is kept as returned: a `DisplacementField` is read-only
+    from construction.
     """
 
     def __init__(self, cfg: SweepConfig, eps: float):
@@ -359,13 +357,7 @@ class _EpsCase:
         if key not in self._fields:
             if params not in self._systems:
                 self._systems[params] = assemble(generate_mesh(self.geom, params), cfg.lam, cfg.mu)
-            result = solver(self._systems[params], *args, **solved)
-            for fld in result.values() if isinstance(result, dict) else [result]:
-                fld = fld[0] if isinstance(fld, tuple) else fld
-                for arr in (fld.u, fld.rigid):
-                    if arr is not None:
-                        arr.flags.writeable = False
-            self._fields[key] = result
+            self._fields[key] = solver(self._systems[params], *args, **solved)
         return self._fields[key]
 
     def component(self, i: int, alpha: int, params: MeshParams | None = None) -> DisplacementField:
@@ -685,44 +677,29 @@ def _solve_key(cfg: SweepConfig) -> tuple:
     return (max(cfg.eps_grid), *named)
 
 
-def _cases(cfg: SweepConfig) -> dict[float, _EpsCase]:
-    """The kept cases for `cfg`, by eps; a different configuration first
-    drops the ones kept."""
+def _share_records(cfg: SweepConfig, kinds: tuple[str, ...], share: list[float]) -> tuple:
+    """One owner's part of a pass: ({eps: {kind: record}} for the eps of
+    `share` in order up to the first that raises, None or (that eps, its
+    exception)).  Each eps's case is kept, made if need be, and released
+    once read.  The cases of another configuration are dropped first, even
+    for an empty share."""
     key = _solve_key(cfg)
     if key not in _CASES:
         _CASES.clear()
-        _CASES[key] = {}
-    return _CASES[key]
-
-
-def _eps_records(cfg: SweepConfig, kinds: tuple[str, ...], eps: float) -> dict[str, dict]:
-    """The record of every study in `kinds` at one eps, from its kept case."""
-    cases = _cases(cfg)
-    case = cases.get(eps)
-    if case is None:
-        case = cases[eps] = _EpsCase(cfg, eps)
-    try:
-        return {
-            kind: {"eps": eps, **record(cfg, case)}
-            for kind, (record, _) in _STUDIES.items()
-            if kind in kinds
-        }
-    finally:
-        case.release()
-
-
-def _share_records(cfg: SweepConfig, kinds: tuple[str, ...], share: list[float]) -> tuple:
-    """One owner's part of a pass: ({eps: records} for the eps of `share`
-    in order up to the first that raises, None or (that eps, its
-    exception)).  An empty share only drops the cases of another
-    configuration."""
-    _cases(cfg)
+    cases = _CASES.setdefault(key, {})
     done = {}
     for eps in share:
+        case = cases.get(eps) or cases.setdefault(eps, _EpsCase(cfg, eps))
         try:
-            done[eps] = _eps_records(cfg, kinds, eps)
+            done[eps] = {
+                kind: {"eps": eps, **record(cfg, case)}
+                for kind, (record, _) in _STUDIES.items()
+                if kind in kinds
+            }
         except Exception as exc:
             return done, (eps, exc)
+        finally:
+            case.release()
     return done, None
 
 

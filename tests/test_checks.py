@@ -192,6 +192,14 @@ def test_fd_oracle_rejects_a_degenerate_step(steps):
         fd_oracle(prof, "z", samples=5, eps=0.02, steps=steps)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_fd_oracle_rejects_a_non_finite_eps(eps):
+    # every comparison with NaN is false, so a NaN or infinite eps passed
+    # with worst_rel_err 0.0 after checking nothing
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        fd_oracle(build_family(DIM2, 1, 2).v(1)[0], "z", samples=5, eps=eps)
+
+
 # -- fd oracle positive ----------------------------------------------------------
 
 

@@ -444,6 +444,9 @@ def _study_report_text(**values) -> str:
         ({"records": [1]}, "'records' is not a list of objects"),
         ({"fits": []}, "'fits' is not an object of objects"),
         ({"fits": {"u11": 2}}, "'fits' is not an object of objects"),
+        ({"study_id": None}, "'study' and 'study_id' must be strings and 'config' an object"),
+        ({"study": ["x"]}, "'study' and 'study_id' must be strings and 'config' an object"),
+        ({"config": []}, "'study' and 'study_id' must be strings and 'config' an object"),
     ],
 )
 def test_report_rejects_malformed_study_report_values(tmp_path, capsys, values, reason):

@@ -605,6 +605,20 @@ def test_large_contrast_cross_check():
     assert np.abs(g1 - g2).max() / np.abs(g1).max() < 0.05
 
 
+def test_every_solver_returns_read_only_fields():
+    # fields kept by a study case are read by several studies; each solver's
+    # fields are read-only from construction, not only the ones a case keeps
+    geom = Geometry(eps=0.1)
+    system = assemble(generate_mesh(geom, COARSE), LAM, MU)
+    hard, c = solve_hard_inclusion(system, ODD_PHI)
+    arrays = [fld.u for fld in solve_components(system).values()]
+    arrays += [hard.u, hard.rigid, c, solve_holes(system, ODD_PHI).u]
+    arrays.append(solve_large_contrast(geom, LAM, MU, ODD_PHI, params=COARSE).u)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 def test_sample_outside_errors(setup05):
     # numpy would wrap -1 to the last node and raise a bare IndexError for
     # n_nodes; both are rejected as solver errors

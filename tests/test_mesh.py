@@ -121,6 +121,21 @@ UNMESHABLE = [
         SweepConfigError,
         "tolerance cancel_noise_floor must be finite",
     ),
+    (
+        lambda: SweepConfig(tolerances=(("u11_slope_lo", -1.1),)),
+        SweepConfigError,
+        "must name each default tolerance once: missing .*u11_slope_hi",
+    ),
+    (
+        lambda: SweepConfig(tolerances=(*sorted(DEFAULT_TOLERANCES.items()), ("u11_slope", -1.0))),
+        SweepConfigError,
+        "must name each default tolerance once: unknown u11_slope$",
+    ),
+    (
+        lambda: SweepConfig(tolerances=(*sorted(DEFAULT_TOLERANCES.items()), ("dc3_rel_max", 1.0))),
+        SweepConfigError,
+        "must name each default tolerance once: repeated dc3_rel_max$",
+    ),
 ]
 
 

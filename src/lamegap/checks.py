@@ -269,8 +269,9 @@ def fd_oracle(
     extrapolation of each pair of consecutive steps, which cancels the h^2
     truncation term; all samples must beat tol.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if samples < 1:
         raise ValueError("samples must be positive")
     if not steps:
@@ -354,6 +355,11 @@ def lower_bound_probe(
         raise ValueError("the lower-bound probe is defined for alpha=1")
     if len(eps_grid) < 3:
         raise ValueError("need at least 3 grid points for a slope fit")
+    # a non-positive eps has no logarithm; repeated ones can leave no spread
+    if not all(math.isfinite(e) and e > 0 for e in eps_grid) or len(set(eps_grid)) < len(eps_grid):
+        raise ValueError(f"eps_grid must be finite, positive and distinct, got {list(eps_grid)}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if m < 1:
         raise ValueError("m must be at least 1")
     probe = fam.v(1)[0]

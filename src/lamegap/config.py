@@ -30,7 +30,6 @@ _SCALAR_KEYS: dict[str, tuple[str, type]] = {
     "mesh.nr": ("nr", int),
     "mesh.radial_growth": ("radial_growth", float),
     "mesh.collar_width": ("collar_width", float),
-    "mesh.ct_eps_power": ("ct_eps_power", float),
     "compare.depth": ("compare_depth", int),
 }
 

@@ -111,7 +111,9 @@ class ElasticitySystem:
         return 2 * self.mesh.n_nodes
 
     def energy(self, u: np.ndarray) -> float:
-        return 0.5 * float(u @ (self.K @ u))
+        # correctly rounded: a BLAS dot splits a long sum over its threads,
+        # and its bits then follow the CPUs the process may run on
+        return 0.5 * math.fsum(u * (self.K @ u))
 
 
 def assemble(

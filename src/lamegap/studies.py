@@ -1,8 +1,8 @@
 """Epsilon-sweep studies tying the FEM solutions to the asymptotic claims.
 
 One pass over the gap widths serves every study: at each eps a single case
-meshes and assembles the shared system once, solves each boundary-value
-problem at most once, and hands the fields to each study's record function.
+meshes and assembles its one system, solves each boundary-value problem at
+most once, and hands the fields to each study's record function.
 Each study then fits log-log rates to its records and evaluates its
 pass/fail criteria against tolerances carried in the configuration (every
 threshold is echoed into the report; there are no hidden numbers).
@@ -138,9 +138,6 @@ class SweepConfig:
     nr: int = MeshParams.nr
     radial_growth: float = MeshParams.radial_growth
     collar_width: float = MeshParams.collar_width
-    # tangential grading sharpens like (eps/eps_max)^power; the neck
-    # comparison needs 1/3 so the value error scales with the gap
-    ct_eps_power: float = 0.0
     compare_depth: int = 2
     study_id: str = "study"
     tolerances: tuple[tuple[str, float], ...] = tuple(sorted(DEFAULT_TOLERANCES.items()))
@@ -158,8 +155,6 @@ class SweepConfig:
             raise SweepConfigError(
                 f"compare depth must be in 1..{MAX_DEPTH}, got {self.compare_depth}"
             )
-        if not math.isfinite(self.ct_eps_power):
-            raise SweepConfigError(f"ct_eps_power must be finite, got {self.ct_eps_power!r}")
         names = [name for name, _ in self.tolerances]
         wrong = {
             "missing": DEFAULT_TOLERANCES.keys() - set(names),
@@ -180,7 +175,7 @@ class SweepConfig:
         check_ellipticity(self.lam, self.mu)
         # a GeometryError or MeshError for bad geometry or mesh parameters;
         # nothing is meshed here, so a mesh that folds (rho2 = 0.7) still
-        # fails at its first eps (ROADMAP item 2(b))
+        # fails at its first eps (ROADMAP item 5(b))
         for eps in self.eps_grid:
             self.geometry(eps)
         self.mesh_params(max(self.eps_grid))
@@ -192,9 +187,10 @@ class SweepConfig:
     def geometry(self, eps: float) -> Geometry:
         return Geometry(eps=eps, R0=self.R0, rho1=self.rho1, rho2=self.rho2)
 
-    def mesh_params(self, eps: float, ct_power: float | None = None) -> MeshParams:
-        power = self.ct_eps_power if ct_power is None else ct_power
-        scale = (eps / max(self.eps_grid)) ** power if power else 1.0
+    def mesh_params(self, eps: float) -> MeshParams:
+        # tangential grading sharpens like (eps/eps_max)^(1/3); the neck
+        # comparison needs it so the value error scales with the gap
+        scale = (eps / max(self.eps_grid)) ** (1.0 / 3.0)
         knobs = {f.name: getattr(self, f.name) for f in fields(MeshParams)}
         return MeshParams(**knobs | {"ct": self.ct * scale})
 
@@ -326,16 +322,14 @@ def emit_report(report: StudyReport, fmt: str, path: str) -> None:
 
 
 class _EpsCase:
-    """The geometry and the solved fields at one eps.
+    """The geometry, its assembled system and the solved fields at one eps.
 
-    One assembled system is kept per `MeshParams`: the case's geometry
-    meshed with those params, with cfg.lam and cfg.mu.  A solver is called
+    The system is the case's geometry meshed with `cfg.mesh_params(eps)`,
+    with cfg.lam and cfg.mu, made on the first request.  A solver is called
     as `solver(system, *args)`, and each field is solved at most once,
-    keyed by (solver, arguments, mesh params).  The six component fields
-    of a mesh are solved together, on its first component request, and the
-    hard-inclusion solve (`hard`) reuses them and their factor, solving
-    only v_0.  The compare mesh has grading factor 1 at eps_max, so there
-    it is the shared mesh.
+    keyed by (solver, arguments).  The six component fields are solved
+    together, on the first component request, and the hard-inclusion solve
+    (`hard`) reuses them and their factor, solving only v_0.
     A case serves every config with the same `_solve_key`; `cfg` is the one
     it was made for, read only for what reaches a mesh or a solve.  A
     solver's result is kept as returned: a `DisplacementField` is read-only
@@ -345,35 +339,34 @@ class _EpsCase:
     def __init__(self, cfg: SweepConfig, eps: float):
         self.cfg, self.eps = cfg, eps
         self.geom = cfg.geometry(eps)
-        self._systems: dict[MeshParams, ElasticitySystem] = {}
+        self._system: ElasticitySystem | None = None
         self._fields: dict[tuple, object] = {}
 
-    def field(self, solver: Callable, *args, params: MeshParams | None = None, **solved):
-        """The kept result of `solver` on the mesh of `params`.  `solved`
-        passes fields already solved on that mesh; they follow from the key,
-        so they are not part of it."""
-        cfg, params = self.cfg, params or self.cfg.mesh_params(self.eps)
-        key = (solver, args, params)
+    def field(self, solver: Callable, *args, **solved):
+        """The kept result of `solver` on the case's system.  `solved`
+        passes fields already solved on it; they follow from the key, so
+        they are not part of it."""
+        key = (solver, args)
         if key not in self._fields:
-            if params not in self._systems:
-                self._systems[params] = assemble(generate_mesh(self.geom, params), cfg.lam, cfg.mu)
-            self._fields[key] = solver(self._systems[params], *args, **solved)
+            if self._system is None:
+                mesh = generate_mesh(self.geom, self.cfg.mesh_params(self.eps))
+                self._system = assemble(mesh, self.cfg.lam, self.cfg.mu)
+            self._fields[key] = solver(self._system, *args, **solved)
         return self._fields[key]
 
-    def component(self, i: int, alpha: int, params: MeshParams | None = None) -> DisplacementField:
-        """v_i^alpha on the mesh of `params` (default: the shared mesh)."""
-        return self.field(solve_components, params=params)[i, alpha]
+    def component(self, i: int, alpha: int) -> DisplacementField:
+        """v_i^alpha."""
+        return self.field(solve_components)[i, alpha]
 
     def hard(self) -> tuple[DisplacementField, np.ndarray]:
-        """The hard-inclusion field and C on the shared mesh, from its kept
-        component fields."""
+        """The hard-inclusion field and C, from the kept component fields."""
         phi = BOUNDARY_DATA[self.cfg.phi]
         return self.field(solve_hard_inclusion, phi, components=self.field(solve_components))
 
     def release(self) -> None:
-        """Drop every system's stiffness and factor; meshes and fields stay."""
-        for system in self._systems.values():
-            system.release()
+        """Drop the system's stiffness and factor; the mesh and fields stay."""
+        if self._system is not None:
+            self._system.release()
 
     def mid_gap(self, mesh: Mesh) -> np.ndarray:
         """The mid-gap band nodes of `mesh`: nodes of neck elements with
@@ -441,8 +434,7 @@ def _record_constants(cfg: SweepConfig, case: _EpsCase) -> dict:
 
 def _record_compare(cfg: SweepConfig, case: _EpsCase) -> dict:
     eps, geom = case.eps, case.geom
-    params = cfg.mesh_params(eps, ct_power=cfg.ct_eps_power or 1.0 / 3.0)
-    fld = case.component(1, 1, params=params)
+    fld = case.component(1, 1)
 
     vsum = build_family(DIM2, 1, cfg.compare_depth).partial_sum()
 
@@ -632,8 +624,8 @@ def _report_holes(tol: dict, records: list[dict]) -> tuple[dict, dict]:
 
 # kind -> (record function, report function), in command-line order, which
 # is also the pass order: every kind before holes solves on the components'
-# prescribed boundaries (compare on its own mesh below eps_max), so each
-# system factorizes every set once although it keeps only the latest factor
+# prescribed boundaries, so each system factorizes every set once although
+# it keeps only the latest factor
 _STUDIES = {
     "rates": (_record_rates, _report_rates),
     "constants": (_record_constants, _report_constants),

@@ -165,6 +165,10 @@ def test_fd_oracle_negative_control():
     bad = Lying(DIM2, dict(corrupted.terms))
     rep = fd_oracle(bad, "x1", samples=5, eps=0.01, seed=3)
     assert not rep.passed
+    # a NaN or infinite tol passed the lie: every `best >= tol` was false
+    for tol in (float("nan"), float("inf"), 0.0, -1e-6):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            fd_oracle(bad, "x1", samples=5, eps=0.01, seed=3, tol=tol)
 
 
 @pytest.mark.parametrize(
@@ -254,6 +258,27 @@ def test_lower_bound_exact_value_m1(families_depth3):
 def test_lower_bound_grid_too_small(families_depth3):
     with pytest.raises(ValueError):
         lower_bound_probe(families_depth3[(2, 1)], 1, eps_grid=(1e-2, 1e-3))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": float("inf")},
+        {"tol": float("nan")},
+        {"tol": 0.0},
+        {"eps_grid": (1e-2, -1e-3, 1e-4)},
+        {"eps_grid": (1e-2, 1e-3, float("nan"))},
+        {"eps_grid": (1e-3, 1e-3, 1e-3)},
+        {"eps_grid": (1e-2, 1e-3, 1e-3, 1e-4)},
+    ],
+    ids=["inf-tol", "nan-tol", "zero-tol", "negative-eps", "nan-eps", "equal-eps", "repeated-eps"],
+)
+def test_lower_bound_rejects_a_degenerate_input(families_depth3, kwargs):
+    # tol=inf passed any slope, a negative eps died in math.log and three
+    # equal eps divided by zero in the slope fit
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be finite(, | and )positive"):
+        lower_bound_probe(families_depth3[(2, 1)], 1, **kwargs)
 
 
 def test_lower_bound_rejects_order_zero(families_depth3):

@@ -179,6 +179,14 @@ def test_study_config_error(tmp_path, capsys):
     assert main(["study", "constants", "--config", str(cfg)]) == 2
 
 
+def test_grading_power_is_not_a_config_key(tmp_path, capsys):
+    # every study grades its meshes like (eps/eps_max)^(1/3); there is no knob
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text("mesh.ct_eps_power = 0.0\n")
+    assert main(["study", "rates", "--config", str(cfg)]) == 2
+    assert "unknown key 'mesh.ct_eps_power'" in capsys.readouterr().err
+
+
 def test_study_and_report_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -345,16 +353,17 @@ def test_study_all_runs_every_study_from_one_pass(tmp_path, monkeypatch, capsys,
         ) == 0
     # the calls share the kept cases, so each mesh is made once; rates
     # solves all six component fields with the hard field on one factor per
-    # eps, so constants and cancel factor nothing: the same work as study all
-    assert counts == {"generate_mesh": 7, "splu": 11}
+    # eps, so constants, compare and cancel factor nothing: the same work as
+    # study all
+    assert counts == {"generate_mesh": 4, "splu": 8}
 
     counts.update(generate_mesh=0, splu=0)
     monkeypatch.setattr(studies, "_CASES", {})
     both = tmp_path / "all"
     assert main(["study", "all", "--config", str(cfg), "--json", str(both), "--out", str(both)]) == 0
-    # 4 shared meshes plus the compare meshes below eps_max; per shared
-    # system one factor for the components and hard field, one for holes
-    assert counts == {"generate_mesh": 7, "splu": 11}
+    # one mesh per eps; per system one factor for the components and hard
+    # field, one for holes
+    assert counts == {"generate_mesh": 4, "splu": 8}
     names = sorted(p.name for p in single.iterdir())
     assert len(names) == 10 and sorted(p.name for p in both.iterdir()) == names
     for name in names:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,6 +331,18 @@ def test_energy_balance(setup05):
     assert 2 * fld.energy() == pytest.approx(fld.boundary_work(), rel=1e-8)
 
 
+def test_energy_is_the_correctly_rounded_sum(setup05):
+    # a BLAS dot splits a long sum over its threads, so its last bits
+    # followed the CPUs the process could run on (the holes report differed
+    # between one and two CPUs on the default mesh); the exact sum does not.
+    # A rigid rotation's energy is all cancellation, so every bit shows
+    geom, _, system = setup05
+    u = solve_holes(system, lambda x, y: (y, -x)).u
+    assert len(u) > 10_000
+    exact = sum(map(Fraction, (u * (system.K @ u)).tolist()), Fraction(0))
+    assert system.energy(u) == 0.5 * float(exact)
+
+
 def test_one_factorization_per_constraint_pattern(setup05, monkeypatch):
     geom, mesh, _ = setup05
     calls = []
@@ -466,7 +479,7 @@ def test_study_case_solves_only_v0_for_the_hard_field(counted_factors):
     assert case.hard()[0] is fld
     n = counted_factors[0].lu.shape[0]
     assert len(counted_factors) == 1 and counted_factors[0].rhs == [(n, 6), (n,)]
-    system = assemble(generate_mesh(case.geom, COARSE), cfg.lam, cfg.mu)
+    system = assemble(generate_mesh(case.geom, cfg.mesh_params(0.05)), cfg.lam, cfg.mu)
     ref, c_ref = solve_hard_inclusion(system, BOUNDARY_DATA[cfg.phi])
     assert np.array_equal(fld.u, ref.u) and np.array_equal(c, c_ref)
 

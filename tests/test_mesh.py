@@ -111,7 +111,6 @@ UNMESHABLE = [
     (lambda: SweepConfig(nr=0), MeshError, "nr must be >= 1"),
     (lambda: SweepConfig(R0=INF), GeometryError, "R0 must be finite"),
     (lambda: SweepConfig(rho1=NAN), GeometryError, "rho1 must be finite"),
-    (lambda: SweepConfig(ct_eps_power=NAN), SweepConfigError, "ct_eps_power must be finite"),
     (lambda: SweepConfig(lam=INF), AssemblyError, "lam and mu must be finite"),
     (lambda: SweepConfig(mu=NAN), AssemblyError, "lam and mu must be finite"),
     (

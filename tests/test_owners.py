@@ -161,9 +161,8 @@ def test_each_eps_is_meshed_once_by_its_owner(mesh_log, capsys, coarse_cfg):
         (worker,) = studies._WORKERS
     capsys.readouterr()
     made = mesh_log()
-    # the four shared meshes and the compare meshes below eps_max, each
-    # made once, by the owner of its eps
-    assert len(made) == 7
+    # one mesh per eps, made once, by the owner of its eps
+    assert len(made) == 4
     assert {eps for pid, eps in made if pid == os.getpid()} == {0.1, 0.025}
     assert {eps for pid, eps in made if pid == worker.pid} == {0.05, 0.0125}
 

@@ -49,9 +49,9 @@ def test_non_default_covers_every_mesh_field():
 
 
 def test_every_mesh_field_reaches_mesh_params():
-    assert SweepConfig(**NON_DEFAULT).mesh_params(0.05) == MeshParams(**NON_DEFAULT)
+    assert SweepConfig(**NON_DEFAULT).mesh_params(0.1) == MeshParams(**NON_DEFAULT)
     # grading with eps scales ct and nothing else
-    got = SweepConfig(**NON_DEFAULT, ct_eps_power=1.0).mesh_params(0.05)
+    got = SweepConfig(**NON_DEFAULT).mesh_params(0.0125)
     assert got.ct == pytest.approx(NON_DEFAULT["ct"] / 2)
     assert replace(got, ct=NON_DEFAULT["ct"]) == MeshParams(**NON_DEFAULT)
 

@@ -182,7 +182,7 @@ def test_sweep_config_validation():
 
 
 def test_mesh_params_ct_scaling():
-    cfg = SweepConfig(ct_eps_power=1 / 3)
+    cfg = SweepConfig()
     p_big = cfg.mesh_params(0.1)
     p_small = cfg.mesh_params(0.0125)
     assert p_big.ct == pytest.approx(0.35)
@@ -319,7 +319,7 @@ def test_warm_and_cold_cases_give_identical_reports(monkeypatch, counts):
     cfg = SweepConfig(study_id="warm", **COARSE)
     warm = {kind: studies.RUNNERS[kind](cfg).to_json() for kind in KINDS}
     (cases,) = studies._CASES.values()
-    systems = [s for case in cases.values() for s in case._systems.values()]
+    systems = [case._system for case in cases.values()]
     assert systems and all(s._K is None and s._reduced is None for s in systems)
     for kind in KINDS:
         monkeypatch.setattr(studies, "_CASES", {})

@@ -1,6 +1,6 @@
 """Machine checks of the symbolic claims: boundary data, cancellation
 identities, residual orders, degree caps, derivative correctness, and the
-lower-bound exponent probe.
+lower-bound exponent, read exactly on a ray into the neck.
 
 Every check returns a :class:`CheckReport`; a failing report always carries
 a concrete witness (the offending term or the measured deviation).  Random
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .coeffs import MU, ONE
+from .coeffs import MU, ONE, ZERO, RationalCoeff
 from .families import (
     LAM_P_2MU,
     LAM_P_MU,
@@ -248,6 +248,50 @@ def check_z_degree(fam: AuxFamily) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
+# Lower bound
+# ---------------------------------------------------------------------------
+
+
+def lower_bound_probe(fam: AuxFamily, m: int, r: Fraction = Fraction(1, 10)) -> CheckReport:
+    """The leading power of eps of d_x1^{m-1} d_z (v^1)^(1) on the ray
+    x1 = r sqrt(eps) (other tangential variables and z zero), read exactly.
+
+    On the ray delta = (1 + r^2) eps, so a term c x1^p eps^s / delta^k with
+    no z and no other tangential variable is
+    c r^p (1 + r^2)^(-k) eps^(p/2 + s - k), and every other term vanishes.
+    Passes when the lowest power with a nonzero coefficient in Q(lam, mu) is
+    -(m+1)/2 and that coefficient is nonzero at lam = mu = 1.
+    """
+    if fam.alpha != 1:
+        raise ValueError("the lower-bound probe is defined for alpha=1")
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    probe = fam.v(1)[0]
+    for _ in range(m - 1):
+        probe = probe.diff("x1")
+    probe = probe.diff("z")
+    by_power: dict[Fraction, RationalCoeff] = {}
+    for (p, q, s, k), c in probe.terms.items():
+        if q == 0 and not any(p[1:]):
+            e = Fraction(p[0], 2) + s - k
+            by_power[e] = by_power.get(e, ZERO) + c.scale(r ** p[0] / (1 + r * r) ** k)
+    target = Fraction(-(m + 1), 2)
+    meta = _meta(fam, m=m, r=str(r), target=str(target))
+    exponent = min((e for e, c in by_power.items() if c), default=None)
+    witness = None
+    if exponent is None:
+        witness = f"probe vanishes on the ray x1 = {r} sqrt(eps)"
+    else:
+        coeff = by_power[exponent]
+        meta.update(exponent=str(exponent), coefficient=coeff.render())
+        if exponent != target:
+            witness = f"leading power eps^({exponent}) vs target eps^({target})"
+        elif not coeff.evaluate(1, 1):
+            witness = f"leading coefficient {coeff.render()} vanishes at lam = mu = 1"
+    return CheckReport("lower_bound", "fail" if witness else "pass", witness=witness, metadata=meta)
+
+
+# ---------------------------------------------------------------------------
 # Numeric oracles
 # ---------------------------------------------------------------------------
 
@@ -326,67 +370,6 @@ def fd_oracle(
             "samples": samples,
             "worst_rel_err": worst,
         },
-    )
-
-
-def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / sxx
-
-
-def lower_bound_probe(
-    fam: AuxFamily,
-    m: int,
-    r: Fraction = Fraction(1, 10),
-    eps_grid: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5),
-    tol: float = 0.05,
-) -> CheckReport:
-    """Slope of |d_x1^{m-1} d_z (v^1)^(1)| at (r sqrt(eps), 0) vs eps, at
-    lam = mu = 1.
-
-    Passes when the log-log slope equals -(m+1)/2 within tol and the probed
-    value is nonzero on the whole grid.
-    """
-    if fam.alpha != 1:
-        raise ValueError("the lower-bound probe is defined for alpha=1")
-    if len(eps_grid) < 3:
-        raise ValueError("need at least 3 grid points for a slope fit")
-    # a non-positive eps has no logarithm; repeated ones can leave no spread
-    if not all(math.isfinite(e) and e > 0 for e in eps_grid) or len(set(eps_grid)) < len(eps_grid):
-        raise ValueError(f"eps_grid must be finite, positive and distinct, got {list(eps_grid)}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    probe = fam.v(1)[0]
-    for _ in range(m - 1):
-        probe = probe.diff("x1")
-    probe = probe.diff("z")
-    vals = []
-    for eps in eps_grid:
-        x1 = float(r) * math.sqrt(eps)
-        xp = [x1] + [0.0] * (fam.dim.n_tangential - 1)
-        v = probe.evaluate(xp, 0.0, eps, 1.0, 1.0, mode="float")
-        if v == 0.0:
-            return CheckReport(
-                "lower_bound",
-                "fail",
-                witness=f"probe vanishes at eps={eps}, r={r}",
-                metadata=_meta(fam, m=m, r=str(r)),
-            )
-        vals.append(abs(v))
-    slope = _fit_slope([math.log(e) for e in eps_grid], [math.log(v) for v in vals])
-    target = -(m + 1) / 2
-    status = "pass" if abs(slope - target) <= tol else "fail"
-    return CheckReport(
-        "lower_bound",
-        status,
-        witness=None if status == "pass" else f"slope {slope:.4f} vs target {target}",
-        metadata=_meta(fam, m=m, r=str(r), slope=slope, target=target, values=vals),
     )
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -322,10 +323,11 @@ def emit_report(report: StudyReport, fmt: str, path: str) -> None:
 
 
 class _EpsCase:
-    """The geometry, its assembled system and the solved fields at one eps.
+    """The geometry, its mesh and system, and the solved fields at one eps.
 
-    The system is the case's geometry meshed with `cfg.mesh_params(eps)`,
-    with cfg.lam and cfg.mu, made on the first request.  A solver is called
+    The mesh is the case's geometry meshed with `cfg.mesh_params(eps)`, and
+    the system assembles it with cfg.lam and cfg.mu; each is made on the
+    first request.  A solver is called
     as `solver(system, *args)`, and each field is solved at most once,
     keyed by (solver, arguments).  The six component fields are solved
     together, on the first component request, and the hard-inclusion solve
@@ -342,6 +344,10 @@ class _EpsCase:
         self._system: ElasticitySystem | None = None
         self._fields: dict[tuple, object] = {}
 
+    @functools.cached_property
+    def mesh(self) -> Mesh:
+        return generate_mesh(self.geom, self.cfg.mesh_params(self.eps))
+
     def field(self, solver: Callable, *args, **solved):
         """The kept result of `solver` on the case's system.  `solved`
         passes fields already solved on it; they follow from the key, so
@@ -349,8 +355,7 @@ class _EpsCase:
         key = (solver, args)
         if key not in self._fields:
             if self._system is None:
-                mesh = generate_mesh(self.geom, self.cfg.mesh_params(self.eps))
-                self._system = assemble(mesh, self.cfg.lam, self.cfg.mu)
+                self._system = assemble(self.mesh, self.cfg.lam, self.cfg.mu)
             self._fields[key] = solver(self._system, *args, **solved)
         return self._fields[key]
 
@@ -368,14 +373,14 @@ class _EpsCase:
         if self._system is not None:
             self._system.release()
 
-    def mid_gap(self, mesh: Mesh) -> np.ndarray:
-        """The mid-gap band nodes of `mesh`: nodes of neck elements with
+    def mid_gap(self) -> np.ndarray:
+        """The mid-gap band nodes of the mesh: nodes of neck elements with
         |x| <= 0.65 neck_halfwidth on the gap's mid-line (gamma1 + gamma2)/2,
         to within 1e-9 of the local gap.  The band stations are graded like
         sqrt(gap), so these nodes resolve the neck at every eps."""
-        nodes = _neck_nodes(mesh, 0.65 * self.cfg.neck_halfwidth)
+        nodes = _neck_nodes(self.mesh, 0.65 * self.cfg.neck_halfwidth)
         geom = self.geom
-        x, y = mesh.nodes[nodes].T
+        x, y = self.mesh.nodes[nodes].T
         # Geometry.gamma1/gamma2 on the arrays (both square roots are correctly rounded)
         g1 = geom.center1[1] - np.sqrt(geom.rho1**2 - x * x)
         g2 = geom.center2[1] + np.sqrt(geom.rho2**2 - x * x)
@@ -390,7 +395,7 @@ def _neck_nodes(mesh: Mesh, half_extent: float) -> np.ndarray:
 
 def _band_grads(case: _EpsCase, fld: DisplacementField) -> np.ndarray:
     """|gradient| entries at the mid-gap band nodes, in every incident element."""
-    return np.abs(incident_gradients(fld, case.mid_gap(fld.mesh)))
+    return np.abs(incident_gradients(fld, case.mid_gap()))
 
 
 def _gap_max(case: _EpsCase, fld: DisplacementField) -> float:
@@ -486,7 +491,7 @@ def _record_holes(cfg: SweepConfig, case: _EpsCase) -> dict:
     fld = case.field(solve_holes, BOUNDARY_DATA[cfg.phi])
     rigid = case.field(solve_holes, BOUNDARY_DATA["rigid_psi3"])
     rec = {"holes_gap_max": _gap_max(case, fld)}
-    rec["u_inf_neck"] = float(np.abs(sample(fld, case.mid_gap(fld.mesh), "value")).max())
+    rec["u_inf_neck"] = float(np.abs(sample(fld, case.mid_gap(), "value")).max())
     rec["holes_normalized"] = rec["holes_gap_max"] / rec["u_inf_neck"]
     rec["rigid_grad"] = _origin_grad(case, rigid)
     rec["rigid_energy"] = rigid.energy()

@@ -190,7 +190,7 @@ def test_criterion_5_lower_bound_exponent(families_depth5):
     failures = []
     for m in (1, 2, 3, 4):
         for r in (Fraction(1, 10), Fraction(1, 20)):
-            rep = lower_bound_probe(fam, m, r=r, tol=0.05)
+            rep = lower_bound_probe(fam, m, r=r)
             if not rep.passed:
                 failures.append((m, str(r), rep.witness))
     announce(

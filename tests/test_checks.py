@@ -14,7 +14,7 @@ from lamegap.checks import (
     residual_order_targets,
     run_suite,
 )
-from lamegap.coeffs import ONE, RationalCoeff
+from lamegap.coeffs import LAM, MU, ONE, RationalCoeff
 from lamegap.families import AuxFamily, build_family, lame_apply
 from lamegap.neck import DIM2, DIM3, NeckField, NeckScalar
 
@@ -238,11 +238,11 @@ def test_fd_oracle_depth3_component(families_depth3):
     [(1, -1.0), (2, -1.5), (3, -2.0), (4, -2.5), (5, -3.0), (6, -3.5), (7, -4.0), (8, -4.5)],
 )
 def test_lower_bound_slopes(families_depth3, m, target):
-    fam = families_depth3[(2, 1)]
-    for r in (Fraction(1, 10), Fraction(1, 20)):
-        rep = lower_bound_probe(fam, m, r=r)
-        assert rep.passed, rep.witness
-        assert abs(rep.metadata["slope"] - target) <= 0.05
+    for d in (2, 3):
+        for r in (Fraction(1, 10), Fraction(1, 20)):
+            rep = lower_bound_probe(families_depth3[(d, 1)], m, r=r)
+            assert rep.passed, rep.witness
+            assert rep.metadata["exponent"] == rep.metadata["target"] == str(Fraction(target))
 
 
 def test_lower_bound_exact_value_m1(families_depth3):
@@ -253,32 +253,71 @@ def test_lower_bound_exact_value_m1(families_depth3):
     x1 = r * Fraction(1, 100)  # sqrt(eps) = 1/100 exactly
     got = probe.evaluate([x1], Fraction(0), eps, 1, 1)
     assert got == 1 / ((1 + r * r) * eps)
-
-
-def test_lower_bound_grid_too_small(families_depth3):
-    with pytest.raises(ValueError):
-        lower_bound_probe(families_depth3[(2, 1)], 1, eps_grid=(1e-2, 1e-3))
+    # so the probe's leading coefficient is 1/(1 + r^2) = 100/101
+    rep = lower_bound_probe(fam, 1, r=r)
+    assert rep.metadata["coefficient"] == RationalCoeff.from_fraction(1 / (1 + r * r)).render()
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "m,coeff",
     [
-        {"tol": float("inf")},
-        {"tol": float("nan")},
-        {"tol": 0.0},
-        {"eps_grid": (1e-2, -1e-3, 1e-4)},
-        {"eps_grid": (1e-2, 1e-3, float("nan"))},
-        {"eps_grid": (1e-3, 1e-3, 1e-3)},
-        {"eps_grid": (1e-2, 1e-3, 1e-3, 1e-4)},
+        (1, Fraction(100, 101)),
+        (2, Fraction(-2000, 10201)),
+        (3, Fraction(-1940000, 1030301)),
+        (4, Fraction(237600000, 104060401)),
     ],
-    ids=["inf-tol", "nan-tol", "zero-tol", "negative-eps", "nan-eps", "equal-eps", "repeated-eps"],
 )
-def test_lower_bound_rejects_a_degenerate_input(families_depth3, kwargs):
-    # tol=inf passed any slope, a negative eps died in math.log and three
-    # equal eps divided by zero in the slope fit
-    (name,) = kwargs
-    with pytest.raises(ValueError, match=f"{name} must be finite(, | and )positive"):
-        lower_bound_probe(families_depth3[(2, 1)], 1, **kwargs)
+def test_lower_bound_coefficients_d2(families_depth3, m, coeff):
+    rep = lower_bound_probe(families_depth3[(2, 1)], m, r=Fraction(1, 10))
+    assert rep.metadata["coefficient"] == RationalCoeff.from_fraction(coeff).render()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lower_bound_same_on_both_routes(d):
+    # level 1 is the same function on both routes, and the expansion in eps
+    # on the ray is unique
+    dim = DIM2 if d == 2 else DIM3
+    fams = [build_family(dim, 1, 1, route=route) for route in ("integral", "recursion")]
+    for m in range(1, 9):
+        for r in (Fraction(1, 10), Fraction(1, 20)):
+            a, b = ({k: lower_bound_probe(f, m, r=r).metadata[k] for k in ("exponent", "coefficient")}
+                    for f in fams)
+            assert a == b, (m, r)
+
+
+def _with_level1(fam: AuxFamily, v1: NeckScalar) -> AuxFamily:
+    """`fam` with v1 as the first component of level 1."""
+    return _mutate_level(fam, 1, 0, v1 - fam.v(1)[0])
+
+
+def test_lower_bound_fails_on_a_shifted_order(families_depth3):
+    fam = families_depth3[(2, 1)]
+    eps = NeckScalar.term(DIM2, ONE, s=1)
+    rep = lower_bound_probe(_with_level1(fam, fam.v(1)[0] * eps), 1)
+    assert rep.status == "fail"
+    assert rep.metadata["exponent"] == "0"
+    assert "eps^(0)" in rep.witness and "eps^(-1)" in rep.witness
+
+
+def test_lower_bound_fails_on_a_coefficient_zero_at_unit_parameters(families_depth3):
+    # (lam - mu) times level 1 keeps the order, but its coefficient is zero
+    # at lam = mu = 1
+    fam = families_depth3[(2, 1)]
+    rep = lower_bound_probe(_with_level1(fam, fam.v(1)[0].scale(LAM - MU)), 1)
+    assert rep.status == "fail"
+    assert rep.metadata["exponent"] == "-1"
+    assert "vanishes at lam = mu = 1" in rep.witness
+
+
+def test_lower_bound_fails_where_the_probe_vanishes(families_depth3):
+    # delta times level 1 leaves d_x1 d_z of it with no term at all; x2
+    # times level 1 leaves terms, each zero on the ray x2 = 0
+    fam2, fam3 = families_depth3[(2, 1)], families_depth3[(3, 1)]
+    x2 = NeckScalar.term(DIM3, ONE, p=(0, 1))
+    for fam, v1, m in ((fam2, fam2.v(1)[0].mul_delta(1), 2), (fam3, fam3.v(1)[0] * x2, 1)):
+        rep = lower_bound_probe(_with_level1(fam, v1), m)
+        assert rep.status == "fail"
+        assert "vanishes on the ray" in rep.witness
 
 
 def test_lower_bound_rejects_order_zero(families_depth3):

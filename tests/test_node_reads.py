@@ -56,7 +56,6 @@ def scalar_mid_gap(case, mesh):
 def test_mid_gap_equals_the_scalar_rule(override, eps):
     cfg = SweepConfig(**override)
     case = _EpsCase(cfg, eps)
-    mesh = generate_mesh(case.geom, cfg.mesh_params(eps))
-    band = case.mid_gap(mesh)
+    band = case.mid_gap()
     assert len(band) >= 5
-    assert np.array_equal(band, scalar_mid_gap(case, mesh))
+    assert np.array_equal(band, scalar_mid_gap(case, case.mesh))

@@ -222,15 +222,13 @@ def test_mid_gap_band_follows_the_mid_line(override):
     # odd nz puts the mid-gap nodes on edge midpoints; unequal radii bend
     # the mid-line (gamma1 + gamma2)/2 away from y = 0, where a y = 0 rule
     # keeps only the origin
-    from lamegap.fem.mesh import generate_mesh
     from lamegap.studies import _EpsCase
 
     cfg = SweepConfig(**override)
     case = _EpsCase(cfg, 0.1)
-    mesh = generate_mesh(case.geom, cfg.mesh_params(0.1))
-    band = case.mid_gap(mesh)
+    band = case.mid_gap()
     assert len(band) >= 5  # the stations 0, +-0.09, +-0.19
-    x, y = mesh.nodes[band].T
+    x, y = case.mesh.nodes[band].T
     assert np.abs(x).max() <= 0.65 * cfg.neck_halfwidth
     mid = [(case.geom.gamma1(v) + case.geom.gamma2(v)) / 2 for v in x]
     assert np.abs(y - mid).max() <= 1e-9 * case.geom.eps

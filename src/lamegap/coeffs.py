@@ -34,8 +34,11 @@ coefficient.  ``num`` (cached per instance), ``den`` and ``render`` give
 that form, so every rendering is the one of the ratio num/den in lowest
 terms.
 
-``ParamPoly`` is the integer polynomial in (lam, mu) that ``num`` and
-``den`` return, with its own exact division and a primitive-PRS gcd
+:func:`_times` is the one product of integer maps: ``RationalCoeff`` and
+``ParamPoly`` multiply through it, and so do the kernels of the neck
+algebra.  :func:`parse` computes every subexpression in R.  ``ParamPoly``
+is the integer polynomial in (lam, mu) that ``num`` and ``den`` return; its
+own arithmetic serves only that form and the primitive-PRS gcd
 (:func:`poly_gcd`).
 
 Text rendering uses ``l`` for lam and ``m`` for mu, e.g.
@@ -82,8 +85,29 @@ def _grlex_key(expo: tuple[int, int]) -> tuple[int, int, int]:
     return (i + j, i, j)
 
 
-def _is_one(p: "ParamPoly") -> bool:
-    return p.terms == {(0, 0): 1}
+Terms = dict[tuple[int, int], int]  # exponent pair -> nonzero integer
+
+
+def _times(t: Terms, u: Terms) -> Terms:
+    """The product of two integer maps with no zero entry, itself with none.
+
+    A one-term factor on either side shifts the other's exponents; the
+    identity {(0, 0): 1} returns the other map itself, which no caller mutates.
+    """
+    if len(t) < len(u):
+        t, u = u, t
+    if len(u) == 1:
+        ((i2, j2), v2), = u.items()
+        if i2 == j2 == 0 and v2 == 1:
+            return t
+        # Z has no zero divisors
+        return {(i + i2, j + j2): v * v2 for (i, j), v in t.items()}
+    out: Terms = {}
+    for (i2, j2), v2 in u.items():
+        for (i, j), v in t.items():
+            e = (i + i2, j + j2)
+            out[e] = out.get(e, 0) + v * v2
+    return {e: v for e, v in out.items() if v}
 
 
 class ParamPoly:
@@ -93,7 +117,7 @@ class ParamPoly:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
@@ -104,7 +128,6 @@ class ParamPoly:
                         raise CoeffError("negative exponent in ParamPoly")
                     clean[(int(i), int(j))] = int(c)
         self._terms = clean
-        self._hash: int | None = None
 
     @classmethod
     def _clean(cls, terms: dict[tuple[int, int], int]) -> "ParamPoly":
@@ -112,7 +135,6 @@ class ParamPoly:
         int coefficients) without re-checking it; internal results only."""
         p = object.__new__(cls)
         p._terms = terms
-        p._hash = None
         return p
 
     # -- constructors -------------------------------------------------
@@ -148,9 +170,7 @@ class ParamPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"ParamPoly({self.render()})"
@@ -174,39 +194,15 @@ class ParamPoly:
         return self + (-other)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        t1, t2 = self._terms, other._terms
-        if len(t1) < len(t2):
-            t1, t2 = t2, t1
-        if len(t2) == 1:
-            # a monomial factor shifts exponents; Z has no zero divisors
-            ((i2, j2), c2), = t2.items()
-            return ParamPoly._clean({(i + i2, j + j2): c * c2 for (i, j), c in t1.items()})
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                k = (i1 + i2, j1 + j2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return ParamPoly._clean(out)
+        return ParamPoly._clean(_times(self._terms, other._terms))
 
     def __pow__(self, n: int) -> "ParamPoly":
         if n < 0:
             raise CoeffError("negative power of ParamPoly")
-        if len(self._terms) == 1:
-            ((i, j), c), = self._terms.items()
-            return ParamPoly._clean({(i * n, j * n): c**n})
-        result = ParamPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        out = ParamPoly.const(1)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def scale(self, c: int) -> "ParamPoly":
         if c == 0:
@@ -234,7 +230,7 @@ class ParamPoly:
             raise CoeffDivisionError("division by zero polynomial")
         if self.is_zero():
             return ParamPoly()
-        if _is_one(d):
+        if d._terms == {(0, 0): 1}:
             return self
         rem = dict(self._terms)
         out: dict[tuple[int, int], int] = {}
@@ -357,15 +353,22 @@ def _pseudo_rem(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
 # Laurent polynomials in (mu, s = lam + 2mu); see the module docstring.
 # ---------------------------------------------------------------------------
 
-Terms = dict[tuple[int, int], int]  # (mu exponent, s exponent) -> integer
+def _to_lam_mu(t: Terms, a: int = 0, b: int = 0) -> ParamPoly:
+    """mu^a s^b t expanded in (lam, mu), for a map t whose shifted exponents
+    are nonnegative: mu^i s^j = sum_r C(j, r) 2^(j-r) lam^r mu^(i+j-r)."""
+    out: Terms = {}
+    for (i, j), v in t.items():
+        i, j = i + a, j + b
+        for r in range(j + 1):
+            key = (r, i + j - r)
+            out[key] = out.get(key, 0) + v * math.comb(j, r) * 2 ** (j - r)
+    return ParamPoly._clean({k: v for k, v in out.items() if v})
 
-_L2M = ParamPoly._clean({(1, 0): 1, (0, 1): 2})
 
-
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _modulus_power(a: int, b: int) -> ParamPoly:
     """mu^a (lam+2mu)^b, expanded."""
-    return ParamPoly._clean({(0, a): 1}) * _L2M**b
+    return _to_lam_mu({(a, b): 1})
 
 
 def _from_lam_mu(p: ParamPoly) -> Terms:
@@ -449,16 +452,7 @@ class RationalCoeff:
         try:
             return self._num
         except AttributeError:
-            out: dict[tuple[int, int], int] = {}
-            if self._t:
-                a, b = _shifts(self._t)
-                # mu^i s^j = sum_r C(j, r) 2^(j-r) lam^r mu^(i+j-r)
-                for (i, j), v in self._t.items():
-                    i, j = i + a, j + b
-                    for r in range(j + 1):
-                        key = (r, i + j - r)
-                        out[key] = out.get(key, 0) + v * math.comb(j, r) * 2 ** (j - r)
-            self._num = ParamPoly._clean({k: v for k, v in out.items() if v})
+            self._num = _to_lam_mu(self._t, *_shifts(self._t)) if self._t else ParamPoly()
             return self._num
 
     @property
@@ -477,8 +471,6 @@ class RationalCoeff:
         return bool(self._t)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = RationalCoeff.from_int(other)
         if not isinstance(other, RationalCoeff):
             return NotImplemented
         return self._c == other._c and self._t == other._t
@@ -522,23 +514,9 @@ class RationalCoeff:
         return self + (-other)
 
     def __mul__(self, other: "RationalCoeff") -> "RationalCoeff":
-        t1, t2 = self._t, other._t
-        if not t1 or not t2:
-            return ZERO
-        if len(t1) < len(t2):
-            t1, t2 = t2, t1
-        if len(t2) == 1:
-            ((i2, j2), v2), = t2.items()
-            out = {(i + i2, j + j2): v * v2 for (i, j), v in t1.items()}
-        else:
-            out = {}
-            for (i2, j2), v2 in t2.items():
-                for (i, j), v in t1.items():
-                    k = (i + i2, j + j2)
-                    out[k] = out.get(k, 0) + v * v2
-            # R is an integral domain: the product of nonzero factors is nonzero
-            out = {k: v for k, v in out.items() if v}
-        return _canonical(out, self._c * other._c)
+        # R is an integral domain: the product is zero only when a factor is
+        out = _times(self._t, other._t)
+        return _canonical(out, self._c * other._c) if out else ZERO
 
     def __truediv__(self, other: "RationalCoeff") -> "RationalCoeff":
         if other.is_zero():
@@ -640,21 +618,16 @@ def parse(text: str) -> RationalCoeff:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise CoeffError(f"cannot parse coefficient {text!r}: {exc}") from exc
-    return _in_ring(_from_ast(tree.body))
-
-
-def _in_ring(x: "ParamPoly | RationalCoeff") -> RationalCoeff:
-    return x if isinstance(x, RationalCoeff) else RationalCoeff(x)
+    return _from_ast(tree.body)
 
 
 _RING_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
              ast.Div: operator.truediv}
-_SYMBOLS = {"l": ParamPoly.lam(), "m": ParamPoly.mu()}
+_SYMBOLS = {"l": LAM, "m": MU}
 
 
-def _from_ast(node: ast.AST) -> "ParamPoly | RationalCoeff":
-    """A division-free subtree as a ParamPoly, converted to the ring only
-    where it meets a division; any other subtree as a RationalCoeff."""
+def _from_ast(node: ast.AST) -> RationalCoeff:
+    """Every subtree computed in the ring."""
     kind = type(node)
     if kind is ast.BinOp:
         left, right = _from_ast(node.left), _from_ast(node.right)
@@ -666,28 +639,23 @@ def _from_ast(node: ast.AST) -> "ParamPoly | RationalCoeff":
                 and node.right.value >= 0
             ):
                 raise CoeffError("only nonnegative integer powers are allowed")
-            n = node.right.value
-            if type(left) is ParamPoly:
-                return left**n
             out = ONE
-            for _ in range(n):
+            for _ in range(node.right.value):
                 out = out * left
             return out
         fn = _RING_OPS.get(op)
         if fn is None:
             raise CoeffError(f"unsupported operator {ast.dump(node.op)}")
-        if op is not ast.Div and type(left) is ParamPoly and type(right) is ParamPoly:
-            return fn(left, right)
-        return fn(_in_ring(left), _in_ring(right))
+        return fn(left, right)
     if kind is ast.Constant:
         if _is_int_literal(node.value):
-            return ParamPoly.const(node.value)
+            return RationalCoeff.from_int(node.value)
         raise CoeffError("only integer literals are allowed")
     if kind is ast.Name:
-        poly = _SYMBOLS.get(node.id)
-        if poly is None:
+        x = _SYMBOLS.get(node.id)
+        if x is None:
             raise CoeffError(f"unknown symbol {node.id!r} (expected l or m)")
-        return poly
+        return x
     if kind is ast.UnaryOp:
         if isinstance(node.op, ast.USub):
             return -_from_ast(node.operand)

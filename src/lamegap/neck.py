@@ -30,7 +30,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .coeffs import ONE, RationalCoeff, _canonical
+from .coeffs import ONE, RationalCoeff, _canonical, _times
 
 __all__ = [
     "DimConfig",
@@ -82,7 +82,7 @@ def _check_same_dim(a: "NeckScalar", b: "NeckScalar") -> None:
 class NeckScalar:
     """Canonicalized term map for one scalar neck function."""
 
-    __slots__ = ("dim", "_terms", "_hash", "_floats")
+    __slots__ = ("dim", "_terms", "_floats")
 
     def __init__(self, dim: DimConfig, terms: Mapping[Key, RationalCoeff] | None = None):
         self.dim = dim
@@ -97,7 +97,6 @@ class NeckScalar:
                     raise NeckError(f"bad term key {(p, q, s, r)}")
                 clean[(p, int(q), int(s), int(r))] = c
         self._terms = clean
-        self._hash: int | None = None
         # ((lam, mu), float coefficients) of the latest float-mode evaluation
         self._floats: tuple[tuple, list[float]] | None = None
 
@@ -108,7 +107,6 @@ class NeckScalar:
         n = object.__new__(cls)
         n.dim = dim
         n._terms = terms
-        n._hash = None
         n._floats = None
         return n
 
@@ -160,9 +158,7 @@ class NeckScalar:
         return self.dim == other.dim and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.dim, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"NeckScalar({self.render()})"
@@ -531,21 +527,6 @@ def _sum_terms(rows: list[Row]) -> dict:
             if not run:
                 del acc[k]
     return {k: _canonical(run, big_l) for k, run in acc.items()}
-
-
-def _times(t: dict[tuple[int, int], int], tf: dict[tuple[int, int], int]) -> dict:
-    """The product of two integer Laurent maps, with no zero entry."""
-    if len(tf) == 1:
-        ((i2, j2), v2), = tf.items()
-        if i2 == j2 == 0 and v2 == 1:
-            return t
-        return {(i + i2, j + j2): v * v2 for (i, j), v in t.items()}
-    out: dict[tuple[int, int], int] = {}
-    for (i2, j2), v2 in tf.items():
-        for (i, j), v in t.items():
-            e = (i + i2, j + j2)
-            out[e] = out.get(e, 0) + v * v2
-    return {e: v for e, v in out.items() if v}
 
 
 @functools.cache

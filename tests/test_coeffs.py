@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamegap.coeffs import (
@@ -16,6 +16,7 @@ from lamegap.coeffs import (
     CoeffPoleError,
     ParamPoly,
     RationalCoeff,
+    _times,
     parse,
     poly_gcd,
 )
@@ -391,3 +392,47 @@ def test_constructor_rejects_a_denominator_outside_the_ring(den):
         RationalCoeff(P(den), P(den))
     with pytest.raises(CoeffError, match="not of the form"):
         RationalCoeff(ParamPoly.const(1), P(den))
+
+
+@pytest.mark.parametrize("x, n", [(ZERO, 0), (ONE, 1), (RationalCoeff.from_int(3), 3)])
+def test_equal_values_hash_equal(x, n):
+    # a set tells two values apart exactly when they compare unequal
+    assert (x == n) == (len({x, n}) == 1)
+
+
+# -- the one product of integer maps ------------------------------------------
+
+int_maps = st.one_of(
+    st.sampled_from([{}, {(0, 0): 1}]),
+    st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.integers(-4, 4).filter(bool),
+        max_size=4,
+    ),
+)
+
+
+def _naive_times(t: dict, u: dict) -> dict:
+    out: dict = {}
+    for (i1, j1), v1 in t.items():
+        for (i2, j2), v2 in u.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_maps, int_maps)
+@example({}, {(1, -2): 3})
+@example({(0, 0): 1}, {(1, 0): 1, (0, 1): -2})
+@example({(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (1, 0): -1})  # (1 + x)(1 - x): the x terms cancel
+@example({(0, 0): 2, (1, 1): 3}, {(2, 0): -1})
+def test_times_matches_a_double_loop(t, u):
+    expected = _naive_times(t, u)
+    for a, b in ((t, u), (u, t)):
+        before = (dict(a), dict(b))
+        got = _times(a, b)
+        assert got == expected
+        assert all(got.values())
+        # the identity shortcut returns an operand's own map: it must stay as it was
+        assert (a, b) == before

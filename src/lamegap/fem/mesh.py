@@ -26,6 +26,8 @@ from .geometry import Geometry
 
 REGIONS = ("bulk", "neck", "incl1", "incl2")
 BOUNDARIES = ("outer", "incl1", "incl2")
+# node rings of each inclusion interior, its boundary circle included
+N_RINGS = 8
 
 
 class MeshError(ValueError):
@@ -291,8 +293,8 @@ def _check_jacobians(mesh: Mesh) -> None:
         )
 
 
-def add_inclusion_interiors(mesh: Mesh, n_rings: int = 8) -> Mesh:
-    """Extend a mesh with fan-triangulated inclusion interiors.
+def add_inclusion_interiors(mesh: Mesh) -> Mesh:
+    """Extend a mesh with fan-triangulated inclusion interiors (N_RINGS rings).
 
     Used by the large-contrast cross-check; the interior elements carry the
     region tags 'incl1'/'incl2'.
@@ -300,7 +302,7 @@ def add_inclusion_interiors(mesh: Mesh, n_rings: int = 8) -> Mesh:
     geom = mesh.geometry
     if geom is None:
         raise MeshError("mesh carries no geometry")
-    scale = 1 - np.arange(1, n_rings) / n_rings  # ring k sits at radius fraction scale[k-1]
+    scale = 1 - np.arange(1, N_RINGS) / N_RINGS  # ring k sits at radius fraction scale[k-1]
     loops, points = [], []
     for tag, center in (("incl1", geom.center1), ("incl2", geom.center2)):
         bnodes = mesh.boundary_nodes(tag)
@@ -311,7 +313,7 @@ def add_inclusion_interiors(mesh: Mesh, n_rings: int = 8) -> Mesh:
         corners = mesh.boundary_edges[mesh.boundary_tag == BOUNDARIES.index(tag), :2]
         loop = ordered[np.isin(ordered, corners)]
         c = np.array(center)
-        rings = c + (mesh.nodes[loop] - c) * scale[:, None, None]  # (n_rings - 1, m, 2)
+        rings = c + (mesh.nodes[loop] - c) * scale[:, None, None]  # (N_RINGS - 1, m, 2)
         loops.append(loop)
         points += [rings.reshape(-1, 2), c[None]]
     coords, idx = _merge_nodes(mesh.nodes, np.concatenate(points))
@@ -320,8 +322,8 @@ def add_inclusion_interiors(mesh: Mesh, n_rings: int = 8) -> Mesh:
     start = 0
     for tag, loop in zip(("incl1", "incl2"), loops):
         m = len(loop)
-        stop = start + (n_rings - 1) * m
-        rings = np.vstack([loop, idx[start:stop].reshape(n_rings - 1, m)])  # (n_rings, m)
+        stop = start + (N_RINGS - 1) * m
+        rings = np.vstack([loop, idx[start:stop].reshape(N_RINGS - 1, m)])  # (N_RINGS, m)
         center_id = idx[stop]
         start = stop + 1
         a, d = rings[:-1], rings[1:]
@@ -448,27 +450,45 @@ def write_mesh(mesh: Mesh, path: str) -> None:
 
 
 def read_mesh(path: str) -> Mesh:
+    """The mesh that write_mesh wrote to `path`.  A file that does not hold
+    one (a bad header, a truncated, malformed or misnumbered line, a node
+    index out of range, a mesh that fails Mesh.validate) is a MeshError
+    naming the file."""
     with open(path) as fh:
         header = fh.readline().split()
         if header[:2] != ["lamegap-mesh", "1"]:
             raise MeshError(f"not a lamegap mesh file: {path}")
-        n, ne, nb = (int(v) for v in header[2:5])
-        nodes = np.empty((n, 2))
-        for _ in range(n):
-            parts = fh.readline().split()
-            nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
-        tris = np.empty((ne, 6), dtype=np.int64)
-        region = np.empty(ne, dtype=np.int8)
-        for _ in range(ne):
-            parts = fh.readline().split()
-            i = int(parts[0])
-            tris[i] = [int(v) for v in parts[1:7]]
-            region[i] = REGIONS.index(parts[7])
-        bedges = np.empty((nb, 3), dtype=np.int64)
-        btags = np.empty(nb, dtype=np.int8)
-        for _ in range(nb):
-            parts = fh.readline().split()
-            i = int(parts[0])
-            bedges[i] = [int(v) for v in parts[1:4]]
-            btags[i] = BOUNDARIES.index(parts[4])
-    return Mesh(nodes, tris, region, bedges, btags)
+        try:
+            n, ne, nb = (int(v) for v in header[2:])
+            if min(n, ne, nb) < 0:
+                raise ValueError(f"negative count in the header {header[2:]}")
+            nodes = np.array([[float(v) for v in _row(fh, i, 3)] for i in range(n)])
+            rows = [_row(fh, i, 8) for i in range(ne)]
+            tris = np.array([[int(v) for v in r[:6]] for r in rows], dtype=np.int64)
+            region = np.array([REGIONS.index(r[6]) for r in rows], dtype=np.int8)
+            rows = [_row(fh, i, 5) for i in range(nb)]
+            bedges = np.array([[int(v) for v in r[:3]] for r in rows], dtype=np.int64)
+            btags = np.array([BOUNDARIES.index(r[3]) for r in rows], dtype=np.int8)
+            if fh.read().strip():
+                raise ValueError("data after the last boundary edge")
+            mesh = Mesh(nodes.reshape(n, 2), tris.reshape(ne, 6), region,
+                        bedges.reshape(nb, 3), btags)
+            if not np.isfinite(mesh.nodes).all():
+                raise ValueError("a node coordinate is not finite")
+            for name, idx in (("element", mesh.tris), ("boundary edge", mesh.boundary_edges)):
+                if idx.size and not (0 <= idx.min() and idx.max() < n):
+                    raise ValueError(f"{name} node index outside [0, {n})")
+            mesh.validate()
+        except ValueError as exc:  # MeshError included
+            raise MeshError(f"bad lamegap mesh file {path}: {exc}") from exc
+    return mesh
+
+
+def _row(fh, i: int, width: int) -> list[str]:
+    """The fields after the index of the next line, which must be row i of
+    `width` fields."""
+    parts = fh.readline().split()
+    if len(parts) != width or parts[0] != str(i):
+        got = " ".join(parts) or "the end of the file"
+        raise ValueError(f"expected row {i} of {width} fields, got {got!r}")
+    return parts[1:]

@@ -55,6 +55,8 @@ from .geometry import Geometry
 from .mesh import Mesh, MeshParams, add_inclusion_interiors, generate_mesh
 
 RESIDUAL_TOL = 1e-10
+# lam and mu of the inclusions in the large-contrast cross-check
+STIFF_MODULUS = 1e6
 # entries of |A| per step of _inf_norm (256 KB of doubles)
 NORM_CHUNK = 1 << 15
 # reference coordinates of the six P2 nodes (corners, then the midpoints of
@@ -88,18 +90,15 @@ class SolverError(RuntimeError):
 
 @dataclass
 class DisplacementField:
-    """Nodal coefficients of a quadratic vector field plus its system.  Its
-    arrays are read-only from construction, so no reader of a kept field
-    can change it for the others."""
+    """Nodal coefficients of a quadratic vector field plus its system.  u
+    is read-only from construction, so no reader of a kept field can
+    change it for the others."""
 
     system: ElasticitySystem
     u: np.ndarray  # (2N,)
-    rigid: np.ndarray | None = None  # (2, 3) hard-inclusion parameters
 
     def __post_init__(self):
         self.u.flags.writeable = False
-        if self.rigid is not None:
-            self.rigid.flags.writeable = False
 
     @property
     def mesh(self) -> Mesh:
@@ -279,7 +278,8 @@ def solve_hard_inclusion(
     c = np.linalg.solve(M, -r)
     _check_backward_error(float(np.abs(M).sum(axis=1).max()), M @ c + r, c, r)
     c = c.reshape(2, 3)
-    return DisplacementField(system, v0 + V @ c.ravel(), rigid=c), c
+    c.flags.writeable = False
+    return DisplacementField(system, v0 + V @ c.ravel()), c
 
 
 def solve_holes(
@@ -295,14 +295,12 @@ def solve_large_contrast(
     lam: float,
     mu: float,
     phi: Callable[[float, float], tuple[float, float]],
-    lam1: float = 1e6,
-    mu1: float = 1e6,
     params: MeshParams | None = None,
 ) -> DisplacementField:
-    """Finite-contrast cross-check: stiff elastic inclusions, no constraints."""
-    base = generate_mesh(geom, params)
-    mesh = add_inclusion_interiors(base)
-    system = assemble(mesh, lam, mu, materials={"incl1": (lam1, mu1), "incl2": (lam1, mu1)})
+    """Finite-contrast cross-check: inclusions of lam = mu = STIFF_MODULUS, no constraints."""
+    mesh = add_inclusion_interiors(generate_mesh(geom, params))
+    stiff = (STIFF_MODULUS, STIFF_MODULUS)
+    system = assemble(mesh, lam, mu, materials={"incl1": stiff, "incl2": stiff})
     g = _dirichlet(mesh, {"outer": phi})
     return DisplacementField(system, _condensed_solve(system, ("outer",), g))
 

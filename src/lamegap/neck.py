@@ -23,12 +23,11 @@ integers and reduced once, in the order of adding its contributions one by one.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .coeffs import ONE, RationalCoeff, _canonical, _times
 
@@ -147,9 +146,6 @@ class NeckScalar:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         # representation equality; use .equal() for semantic equality
@@ -586,20 +582,11 @@ class NeckField:
     def __getitem__(self, i: int) -> NeckScalar:
         return self.components[i]
 
-    def __iter__(self) -> Iterator[NeckScalar]:
-        return iter(self.components)
-
     def __add__(self, other: "NeckField") -> "NeckField":
         return NeckField([a + b for a, b in zip(self.components, other.components)])
 
     def __sub__(self, other: "NeckField") -> "NeckField":
         return NeckField([a - b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self) -> "NeckField":
-        return NeckField([-a for a in self.components])
-
-    def scale(self, c) -> "NeckField":
-        return NeckField([a.scale(c) for a in self.components])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -612,6 +599,3 @@ class NeckField:
 
     def to_json_obj(self) -> list[list[dict]]:
         return [c.to_json_obj() for c in self.components]
-
-    def render(self) -> str:
-        return json.dumps([c.render() for c in self.components], indent=1)

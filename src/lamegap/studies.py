@@ -152,6 +152,10 @@ class SweepConfig:
             raise SweepConfigError("eps grid must be finite and positive")
         if self.phi not in BOUNDARY_DATA:
             raise SweepConfigError(f"unknown boundary datum {self.phi!r}")
+        if BOUNDARY_DATA[self.phi] in PSI:
+            # that rigid motion solves every inclusion problem: no study measures anything
+            raise SweepConfigError(f"boundary datum {self.phi!r} is a rigid motion, which solves "
+                                   "every inclusion problem; the studies need a deforming datum")
         if not 1 <= self.compare_depth <= MAX_DEPTH:
             raise SweepConfigError(
                 f"compare depth must be in 1..{MAX_DEPTH}, got {self.compare_depth}"

@@ -150,7 +150,7 @@ def test_criterion_3_residual_orders(families_depth5):
     t0 = time.time()
     witnesses = []
     for key, fam in sorted(families_depth5.items()):
-        rep = check_residual_order(fam, m=5)
+        rep = check_residual_order(fam)
         if not rep.passed:
             witnesses.append((key, rep.witness))
         zrep = check_z_degree(fam)

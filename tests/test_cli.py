@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lamegap.cli import main
-from lamegap.families import MAX_DEPTH
+from lamegap.families import MAX_DEPTH, build_family
 from lamegap.fem.assembly import assemble
 from lamegap.fem.geometry import Geometry
 from lamegap.fem.mesh import MeshParams, generate_mesh
@@ -23,6 +23,7 @@ from lamegap.fem.solve import (
     solve_hard_inclusion,
     solve_holes,
 )
+from lamegap.neck import DIM2
 from lamegap.studies import BOUNDARY_DATA, DEFAULT_TOLERANCES
 
 
@@ -46,6 +47,17 @@ def test_aux_build_dump(tmp_path, capsys):
     # the level-2 normal component carries the u_13 seed coefficient terms
     rendered = obj["rendered"][1][2]
     assert "z" in rendered and "/d" in rendered
+
+
+def test_aux_build_prints_the_levels(capsys):
+    # without --dump the levels go to stdout, one component per line
+    assert main(["aux", "build", "--dim", "2", "--alpha", "1", "--depth", "2"]) == 0
+    rendered = build_family(DIM2, 1, 2).to_json_obj()["rendered"]
+    expected = []
+    for l, comps in enumerate(rendered, start=1):
+        expected += [f"level {l}:", *(f"  v^({i}) = {c}" for i, c in enumerate(comps, start=1))]
+    assert capsys.readouterr().out.splitlines() == expected
+    assert len(expected) == 6
 
 
 def test_aux_build_invalid_alpha(capsys):
@@ -288,6 +300,17 @@ def test_study_rejects_unrunnable_config_before_meshing(tmp_path, monkeypatch, c
     cfg.write_text(line + "\n")
     assert main(["study", "compare", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_study_all_rejects_a_rigid_outer_datum(tmp_path, monkeypatch, capsys):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed before the config was checked")
+
+    monkeypatch.setattr("lamegap.studies.generate_mesh", no_mesh)
+    cfg = tmp_path / "rigid.cfg"
+    cfg.write_text("boundary.phi = rigid_psi2\n")
+    assert main(["study", "all", "--config", str(cfg)]) == 2
+    assert "is a rigid motion" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("window", sorted(k[:-9] for k in DEFAULT_TOLERANCES if k.endswith("_slope_lo")))

@@ -112,6 +112,11 @@ def test_parse_powers_match_products(power, product):
     assert parse(power) == parse(product)
 
 
+def test_parse_unary_plus():
+    assert parse("+l") == LAM
+    assert parse("+(l + m) / -m") == parse("-(l + m) / m")
+
+
 def test_render_matches_reference_style():
     v = C("(2*l + 3*m) / (3*l + 6*m)")
     assert v.render() == "((2*l + 3*m)) / (3*(l + 2*m))"

@@ -164,6 +164,39 @@ def test_io_roundtrip(tmp_path):
     assert np.allclose(m2.nodes, m.nodes, atol=0)
 
 
+def _corrupt(lines: list[str], n_nodes: int) -> dict[str, list[str]]:
+    """Broken copies of a written mesh file, by what is wrong with them."""
+    header = lines[0].split()
+    first_tri = lines[1 + n_nodes].split()
+    first_tri[1] = str(n_nodes)  # one past the last node
+    return {
+        "truncated": lines[: len(lines) // 2],
+        "short header": [" ".join(header[:4]) + "\n"] + lines[1:],
+        "node index out of range": [*lines[: 1 + n_nodes], " ".join(first_tri) + "\n",
+                                    *lines[2 + n_nodes:]],
+    }
+
+
+@pytest.mark.parametrize("case", ["truncated", "short header", "node index out of range"])
+def test_read_mesh_rejects_a_broken_file(tmp_path, case):
+    # a file cut in half raised IndexError, a three-field header ValueError,
+    # and a node index past the end was read without complaint
+    m = generate_mesh(Geometry(eps=0.05), COARSE)
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, str(path))
+    path.write_text("".join(_corrupt(path.read_text().splitlines(True), m.n_nodes)[case]))
+    with pytest.raises(MeshError, match="mesh.txt"):
+        read_mesh(str(path))
+
+
+def test_read_mesh_round_trip_is_byte_equal(tmp_path):
+    m = generate_mesh(Geometry(eps=0.05), COARSE)
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_mesh(m, str(first))
+    write_mesh(read_mesh(str(first)), str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_deterministic_generation():
     a = generate_mesh(Geometry(eps=0.025))
     b = generate_mesh(Geometry(eps=0.025))

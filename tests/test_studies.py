@@ -15,6 +15,7 @@ from lamegap.studies import (
     StudyError,
     StudyReport,
     SweepConfig,
+    SweepConfigError,
     emit_report,
     rate_fit,
 )
@@ -116,6 +117,28 @@ def test_config_grid_too_small():
 def test_config_bad_value():
     with pytest.raises(ConfigError):
         parse_config_text("mesh.nz = eight")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mesh.nz = 8\nmesh.nr 8\n", "line 2: expected key = value, got 'mesh.nr 8'"),
+        ("sweep.eps = 0.1, 0.05, x, 0.0125", "line 1: bad eps list '0.1, 0.05, x, 0.0125'"),
+    ],
+    ids=["no equals sign", "bad eps list"],
+)
+def test_config_syntax_error_names_its_line(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("phi", ["rigid_psi1", "rigid_psi2", "rigid_psi3"])
+def test_config_rejects_a_rigid_outer_datum(phi):
+    # a rigid motion on the outer circle solves every inclusion problem, so
+    # all five studies ran and six checks failed with nothing to measure
+    with pytest.raises(SweepConfigError, match=f"boundary datum '{phi}' is a rigid motion"):
+        parse_config_text(f"boundary.phi = {phi}")
 
 
 # -- report serialization -------------------------------------------------------
@@ -280,6 +303,42 @@ def test_holes_rigid_control_is_a_direct_bound():
         r["rigid_grad"] = 1 - 2e-8
     _, checks = _report_holes(tol, records)
     assert not checks["rigid_control"]["passed"]
+
+
+def test_cancel_bounded_fits_the_sums_above_the_noise_floor():
+    # on the default grid at most one sum clears the floor, so the fit is
+    # reached only by sums like these
+    from lamegap.studies import _report_cancel
+
+    tol = dict(DEFAULT_TOLERANCES)
+    grid = (0.1, 0.05, 0.025, 0.0125)
+    for power, passed in ((0.0, True), (-0.5, False)):
+        records = [{"eps": e, "control_u11": 1 / e, "cancel_sum": 1e-3 * e**power, "rot_pair": 1.0}
+                   for e in grid]
+        fits, checks = _report_cancel(tol, records)
+        assert checks["cancel_bounded"] == {
+            "passed": passed, "value": pytest.approx(power, abs=1e-12), "bound": -0.1,
+        }
+        assert fits["cancel_sum"]["slope"] == pytest.approx(power, abs=1e-12)
+    # one sum under the floor (1e-6 * max control_u11 = 8e-5) leaves three: noise
+    records[0]["cancel_sum"] = 7e-5
+    fits, checks = _report_cancel(tol, records)
+    assert checks["cancel_bounded"]["value"] is None and "cancel_sum" not in fits
+
+
+def test_constants_with_a_vanishing_dc1_fail_as_degenerate():
+    from lamegap.studies import _report_constants
+
+    records = [{"eps": e, "dc1": math.sqrt(e), "dc3": 0.0, "c_norm": 1.0, "bstar11": 2.0}
+               for e in (0.1, 0.05, 0.025, 0.0125)]
+    tol = dict(DEFAULT_TOLERANCES)
+    fits, checks = _report_constants(tol, records)
+    assert checks["dc1_slope"]["passed"] and not checks["dc1_slope"]["near_zero_excluded"]
+    records[-1]["dc1"] = 1e-11  # at most 1e-10 is excluded, which leaves three
+    fits, checks = _report_constants(tol, records)
+    assert checks["dc1_slope"] == {"passed": False, "value": None, "reason": "degenerate dc1"}
+    assert "dc1" not in fits
+    assert checks["dc3_zero"]["passed"] and checks["bstar11_stable"]["passed"]
 
 
 # -- kept cases -------------------------------------------------------------------
